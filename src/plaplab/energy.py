@@ -13,12 +13,13 @@ Overflowing evaluations are reported as infinities rather than raised, so a
 line search can treat them as rejected steps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryViolationError
-from .grid import ScalarField, gradient_values
+from .grid import ScalarField
 from .model import ProblemSpec
 
 BOUNDARY_TOL = 1e-12
@@ -27,12 +28,83 @@ BOUNDARY_TOL = 1e-12
 # gradient assembly only: the energy itself stays exact.
 GRAD_WEIGHT_FLOOR = 1e-10
 
+# Floor under nodal values when estimating reaction curvature: exponents below
+# 2 give unbounded curvature at 0, which would freeze scaled descent there.
+CURVATURE_VALUE_FLOOR = 1e-13
+
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
     diffusion_part: float
     reaction_part: float
     total: float
+
+
+class EvaluationPlan:
+    """Read-only tables and kernels of one problem's energy, built by ``ps.plan``.
+
+    The kernels validate nothing (the public functions below check their
+    inputs) and repeat the floating-point operations of the direct formulas
+    (``einsum`` gradients, ``np.add.at`` scatter, checked model methods) in
+    the same order, so their results are bitwise equal to those formulas.
+    """
+
+    def __init__(self, ps: ProblemSpec):
+        grid, diffusion = ps.grid, ps.diffusion
+        self.assembly = grid.assembly
+        self.volume = grid.element_volume
+        self.node_mass = grid.node_mass
+        self.frozen = grid.boundary_nodes if ps.is_dirichlet else None
+        self.p = diffusion.p
+        # w = 1 needs neither the weight nor a copy for its primitive
+        constant = diffusion.family == "constant"
+        self.weight = None if constant else diffusion._weight
+        self.weight_primitive = None if constant else diffusion._weight_primitive
+        self.reaction = ps.reaction
+        self.a, self.b = ps.nodal_coefficients
+
+    def _reaction(self, values: np.ndarray, primitive: bool) -> np.ndarray:
+        rs = self.reaction
+        fn = rs._positive_primitive if primitive else rs._positive_value
+        # the branch of ReactionSpec._evaluate; NaN takes the extension path too
+        if values.min() >= 0.0:
+            return fn(values, self.a, self.b)
+        return rs._extended(fn, values, self.a, self.b, primitive)
+
+    def energy_parts(self, values: np.ndarray) -> tuple[float, float]:
+        """(diffusion, reaction) parts; infinities where the energy overflows."""
+        p = self.p
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_p = self.assembly.norms(self.assembly.gradients(values)) ** p
+            if self.weight_primitive is not None:
+                norm_p = self.weight_primitive(norm_p)
+            diffusion = float(self.volume @ (norm_p / p))
+            reaction = float(self.node_mass @ self._reaction(values, primitive=True))
+        return (
+            math.inf if math.isnan(diffusion) else diffusion,
+            -math.inf if math.isnan(reaction) else reaction,
+        )
+
+    def gradient(self, values: np.ndarray, scaling: bool = False):
+        """Nodal energy gradient, with the curvature estimate when ``scaling``."""
+        p = self.p
+        grads = self.assembly.gradients(values)
+        norms = self.assembly.norms(grads)
+        weight = (np.maximum(norms, GRAD_WEIGHT_FLOOR) if p < 2 else norms) ** (p - 2.0)
+        if self.weight is not None:
+            weight = self.weight(norms**p) * weight
+        scaled_volume = self.volume * weight
+        out = self.assembly.scatter(scaled_volume, grads)
+        out -= self.node_mass * self._reaction(values, primitive=False)
+        if self.frozen is not None:
+            out[self.frozen] = 0.0
+        if not scaling:
+            return out
+        diag = self.assembly.scatter_diagonal(scaled_volume)
+        floored = np.maximum(np.abs(values), CURVATURE_VALUE_FLOOR)
+        slope = self.reaction._positive_derivative(floored, self.a, self.b)
+        diag += self.node_mass * np.maximum(-slope, 0.0)
+        return out, np.maximum(diag, 1e-30)
 
 
 def check_admissible(ps: ProblemSpec, values: np.ndarray) -> None:
@@ -45,35 +117,27 @@ def check_admissible(ps: ProblemSpec, values: np.ndarray) -> None:
             )
 
 
+def _admissible_values(ps: ProblemSpec, u: ScalarField) -> np.ndarray:
+    if u.grid is not ps.grid:
+        raise ValueError("field and problem live on different grids")
+    check_admissible(ps, u.values)
+    return u.values
+
+
 def energy_parts(ps: ProblemSpec, values: np.ndarray) -> tuple[float, float]:
     """(diffusion, reaction) parts for raw nodal values; may return infinities."""
-    grid = ps.grid
-    p = ps.diffusion.p
-    a, b = ps.nodal_coefficients
-    with np.errstate(over="ignore", invalid="ignore"):
-        grads = gradient_values(grid, values)
-        norm_p = np.linalg.norm(grads, axis=1) ** p
-        diffusion = float(grid.element_volume @ (ps.diffusion.primitive(norm_p) / p))
-        reaction = float(grid.node_mass @ ps.reaction.primitive(a, b, values))
-    if np.isnan(diffusion):
-        diffusion = np.inf
-    if np.isnan(reaction):
-        reaction = -np.inf
-    return diffusion, reaction
+    return ps.plan.energy_parts(values)
 
 
 def energy_total(ps: ProblemSpec, values: np.ndarray) -> float:
     diffusion, reaction = energy_parts(ps, values)
     total = diffusion - reaction
-    return np.inf if np.isnan(total) else total
+    return math.inf if math.isnan(total) else total
 
 
 def energy(ps: ProblemSpec, u: ScalarField) -> EnergyBreakdown:
     """Energy of an admissible field, split into diffusion and reaction parts."""
-    if u.grid is not ps.grid:
-        raise ValueError("field and problem live on different grids")
-    check_admissible(ps, u.values)
-    diffusion, reaction = energy_parts(ps, u.values)
+    diffusion, reaction = energy_parts(ps, _admissible_values(ps, u))
     return EnergyBreakdown(diffusion, reaction, diffusion - reaction)
 
 
@@ -82,38 +146,11 @@ def energy_grad_values(ps: ProblemSpec, values: np.ndarray) -> np.ndarray:
 
     Dirichlet boundary entries are forced to zero (frozen degrees of freedom).
     """
-    grid = ps.grid
-    p = ps.diffusion.p
-    grads = gradient_values(grid, values)
-    norms = np.linalg.norm(grads, axis=1)
-    if p < 2:
-        weight_norms = np.maximum(norms, GRAD_WEIGHT_FLOOR)
-    else:
-        weight_norms = norms
-    weight = ps.diffusion.value(norms**p) * weight_norms ** (p - 2.0)
-    flux = (grid.element_volume * weight)[:, None] * grads
-    per_local = np.einsum("ed,eld->el", flux, grid.element_grad_coeffs)
-    out = np.zeros(grid.n_nodes)
-    for local in range(grid.dimension + 1):
-        np.add.at(out, grid.elements[:, local], per_local[:, local])
-
-    a, b = ps.nodal_coefficients
-    out -= grid.node_mass * ps.reaction.value(a, b, values)
-    if ps.is_dirichlet:
-        out[grid.boundary_nodes] = 0.0
-    return out
+    return ps.plan.gradient(values)
 
 
 def energy_grad(ps: ProblemSpec, u: ScalarField) -> ScalarField:
-    if u.grid is not ps.grid:
-        raise ValueError("field and problem live on different grids")
-    check_admissible(ps, u.values)
-    return ScalarField(ps.grid, energy_grad_values(ps, u.values))
-
-
-# Floor under nodal values when estimating reaction curvature: exponents below
-# 2 give unbounded curvature at 0, which would freeze scaled descent there.
-CURVATURE_VALUE_FLOOR = 1e-13
+    return ScalarField(ps.grid, energy_grad_values(ps, _admissible_values(ps, u)))
 
 
 def energy_grad_and_scaling(ps: ProblemSpec, values: np.ndarray):
@@ -125,44 +162,10 @@ def energy_grad_and_scaling(ps: ProblemSpec, values: np.ndarray):
     scale descent directions across the very unequal nodal stiffness that
     dead-core tails produce.
     """
-    grid = ps.grid
-    p = ps.diffusion.p
-    grads = gradient_values(grid, values)
-    norms = np.linalg.norm(grads, axis=1)
-    if p < 2:
-        weight_norms = np.maximum(norms, GRAD_WEIGHT_FLOOR)
-    else:
-        weight_norms = norms
-    weight = ps.diffusion.value(norms**p) * weight_norms ** (p - 2.0)
-
-    scaled_volume = grid.element_volume * weight
-    flux = scaled_volume[:, None] * grads
-    per_local = np.einsum("ed,eld->el", flux, grid.element_grad_coeffs)
-    diag_local = scaled_volume[:, None] * grid.grad_coeff_sq
-    out = np.zeros(grid.n_nodes)
-    diag = np.zeros(grid.n_nodes)
-    for local in range(grid.dimension + 1):
-        np.add.at(out, grid.elements[:, local], per_local[:, local])
-        np.add.at(diag, grid.elements[:, local], diag_local[:, local])
-
-    a, b = ps.nodal_coefficients
-    out -= grid.node_mass * ps.reaction.value(a, b, values)
-    floored = np.maximum(np.abs(values), CURVATURE_VALUE_FLOOR)
-    slope = ps.reaction.derivative(a, b, floored)
-    diag += grid.node_mass * np.maximum(-slope, 0.0)
-    if ps.is_dirichlet:
-        out[grid.boundary_nodes] = 0.0
-    return out, np.maximum(diag, 1e-30)
-
-
-def residual_values(ps: ProblemSpec, values: np.ndarray) -> float:
-    g = energy_grad_values(ps, values)
-    return float(np.linalg.norm(g[ps.free_nodes]) / np.sqrt(ps.grid.n_nodes))
+    return ps.plan.gradient(values, scaling=True)
 
 
 def residual_norm(ps: ProblemSpec, u: ScalarField) -> float:
     """Euclidean norm of the free-node gradient, scaled by 1/sqrt(node count)."""
-    if u.grid is not ps.grid:
-        raise ValueError("field and problem live on different grids")
-    check_admissible(ps, u.values)
-    return residual_values(ps, u.values)
+    g = energy_grad_values(ps, _admissible_values(ps, u))
+    return float(np.linalg.norm(g[ps.free_nodes]) / np.sqrt(ps.grid.n_nodes))

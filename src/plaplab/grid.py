@@ -88,11 +88,64 @@ class Grid:
         return mask
 
     @cached_property
-    def grad_coeff_sq(self) -> np.ndarray:
-        """Squared norms of the hat-function gradients, per element and local node."""
-        sq = np.einsum("eld,eld->el", self.element_grad_coeffs, self.element_grad_coeffs)
-        sq.setflags(write=False)
-        return sq
+    def assembly(self) -> "ElementAssembly":
+        return ElementAssembly(self)
+
+
+class ElementAssembly:
+    """Element gradients of nodal fields and their scatter back to the nodes.
+
+    Interval grids whose elements are the node pairs (i, i + 1) in order work
+    on slices. Other grids gather with ``einsum`` and scatter with one
+    ``np.bincount`` over the column-major element table, which adds in the
+    same order as an ``np.add.at`` pass per local node. Only read-only tables
+    are kept, so one instance serves concurrent solves, and no reference to
+    the grid, so a grid is freed as soon as its last user lets go of it.
+    """
+
+    def __init__(self, grid: Grid):
+        n = grid.n_elements
+        self.n_nodes = grid.n_nodes
+        self.elements = grid.elements
+        self.chain = grid.dimension == 1 and np.array_equal(
+            grid.elements, np.column_stack([np.arange(n), np.arange(1, n + 1)])
+        )
+        self.grad_coeffs = grid.element_grad_coeffs
+        # hat-function gradients and their squared norms, local node first
+        self.coeffs = _frozen_array(grid.element_grad_coeffs.transpose(1, 0, 2))
+        self.coeff_sq = _frozen_array(np.einsum("led,led->le", self.coeffs, self.coeffs))
+        self.slopes = self.coeffs[:, :, 0] if self.chain else None
+        self.index = None if self.chain else _frozen_array(grid.elements.T.ravel(), dtype=int)
+
+    def gradients(self, values: np.ndarray) -> np.ndarray:
+        """Element gradients: shape (n_elements,) on a chain, else (n_elements, dim)."""
+        if self.chain:
+            return values[:-1] * self.slopes[0] + values[1:] * self.slopes[1]
+        return np.einsum("ej,ejd->ed", values[self.elements], self.grad_coeffs)
+
+    def norms(self, grads: np.ndarray) -> np.ndarray:
+        if self.chain:
+            return np.sqrt(grads * grads)
+        return np.sqrt(np.add.reduce(grads * grads, axis=1))
+
+    def scatter(self, scale: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """Per node, the sum over its elements of scale * grads . grad(hat)."""
+        if self.chain:
+            return self._to_nodes(scale * grads * self.slopes)
+        return self._to_nodes(np.einsum("ed,led->le", scale[:, None] * grads, self.coeffs))
+
+    def scatter_diagonal(self, scale: np.ndarray) -> np.ndarray:
+        """Per node, the sum over its elements of scale * |grad(hat)|^2."""
+        return self._to_nodes(self.coeff_sq * scale)
+
+    def _to_nodes(self, local: np.ndarray) -> np.ndarray:
+        """Sum element contributions, shape (dim + 1, n_elements), into the nodes."""
+        if self.chain:
+            out = np.zeros(self.n_nodes)
+            out[:-1] += local[0]
+            out[1:] += local[1]
+            return out
+        return np.bincount(self.index, weights=local.ravel(), minlength=self.n_nodes)
 
 
 @dataclass(frozen=True)

@@ -58,16 +58,20 @@ class DiffusionSpec:
 
     def value(self, t):
         """Weight w(t) for t >= 0."""
-        t = _require_nonnegative(t)
+        return self._weight(_require_nonnegative(t))
+
+    def primitive(self, t):
+        """Antiderivative of the weight, vanishing at 0 (closed form per family)."""
+        return self._weight_primitive(_require_nonnegative(t))
+
+    def _weight(self, t: np.ndarray) -> np.ndarray:
         if self.family == "constant":
             return np.ones_like(t)
         if self.family == "power_shift":
             return 1.0 + t ** (self.r / self.p - 1.0)
         return 1.0 + t / (1.0 + t)
 
-    def primitive(self, t):
-        """Antiderivative of the weight, vanishing at 0 (closed form per family)."""
-        t = _require_nonnegative(t)
+    def _weight_primitive(self, t: np.ndarray) -> np.ndarray:
         if self.family == "constant":
             return t.copy()
         if self.family == "power_shift":
@@ -223,6 +227,10 @@ class ReactionSpec:
         fn = self._positive_primitive if primitive else self._positive_value
         if np.all(t >= 0):
             return fn(t, a, b)
+        return self._extended(fn, t, a, b, primitive)
+
+    def _extended(self, fn, t, a, b, primitive: bool):
+        """fn on |t|, carried over to negative t by the negative extension."""
         if self.negative_extension == "none":
             raise ValueError("negative argument with no negative extension declared")
         pos = fn(np.abs(t), a, b)
@@ -230,14 +238,6 @@ class ReactionSpec:
             return np.where(t >= 0, pos, 0.0)
         # odd extension: g odd in t, so the primitive is even
         return pos if primitive else np.where(t >= 0, pos, -pos)
-
-    def value_at_nodes(self, t: np.ndarray, grid: Grid) -> np.ndarray:
-        a, b = self.coefficient_arrays(grid)
-        return self._evaluate(t, a, b, primitive=False)
-
-    def primitive_at_nodes(self, t: np.ndarray, grid: Grid) -> np.ndarray:
-        a, b = self.coefficient_arrays(grid)
-        return self._evaluate(t, a, b, primitive=True)
 
     def value(self, a, b, t):
         """g with coefficient values a, b (scalars or arrays broadcast with t)."""
@@ -296,7 +296,18 @@ class ProblemSpec:
 
     @cached_property
     def nodal_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.reaction.coefficient_arrays(self.grid)
+        """Per-node (a, b) as read-only copies."""
+        a, b = (np.array(c, dtype=float) for c in self.reaction.coefficient_arrays(self.grid))
+        a.setflags(write=False)
+        b.setflags(write=False)
+        return a, b
+
+    @cached_property
+    def plan(self):
+        """The energy's evaluation plan (``energy.EvaluationPlan``), built on first use."""
+        from .energy import EvaluationPlan  # energy imports this module
+
+        return EvaluationPlan(self)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ Runs are deterministic: identical problem, options, and seed reproduce the
 iterate sequence bitwise (sequential execution, per-start seeded generators).
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .energy import (
     energy_parts,
     energy_total,
 )
-from .grid import Grid, ScalarField, gradient_values
+from .grid import Grid, ScalarField
 from .model import ProblemSpec
 
 DIVERGENCE_ENERGY = -1e12
@@ -81,10 +82,6 @@ class SolveReport:
     converged: bool
     status: str
     energy_history: np.ndarray = None
-    classification: object = None
-
-    def classified(self, classification) -> "SolveReport":
-        return replace(self, classification=classification)
 
 
 def _mean_shift(ps: ProblemSpec, u, e_total, scale, project, norm_limit):
@@ -108,7 +105,7 @@ def _mean_shift(ps: ProblemSpec, u, e_total, scale, project, norm_limit):
         while abs(c) <= 1e14 and (sign > 0 or abs(c) <= down_limit):
             candidate = u + c
             e_candidate = energy_total(ps, candidate)
-            if not (np.isfinite(e_candidate) and e_candidate < best_e):
+            if not (math.isfinite(e_candidate) and e_candidate < best_e):
                 break
             best_c, best_e, best_u = c, e_candidate, candidate
             doublings += 1
@@ -125,7 +122,7 @@ def _mean_shift(ps: ProblemSpec, u, e_total, scale, project, norm_limit):
 def _descent(ps: ProblemSpec, values: np.ndarray, opts: SolveOptions):
     """Shared Armijo-backtracked descent loop; returns the final state."""
     grid = ps.grid
-    n_sqrt = np.sqrt(grid.n_nodes)
+    n_sqrt = math.sqrt(grid.n_nodes)
     project = opts.project_nonnegative
     if project is None:
         project = ps.reaction.negative_extension == "zero"
@@ -133,11 +130,12 @@ def _descent(ps: ProblemSpec, values: np.ndarray, opts: SolveOptions):
     if project:
         u = np.maximum(u, 0.0)
     e_total = energy_total(ps, u)
-    if not np.isfinite(e_total):
+    if not math.isfinite(e_total):
         raise ValueError("initial field has non-finite energy")
     e_init = e_total
-    init_scale = 1.0 + float(np.abs(u).max())
-    eps = np.finfo(float).eps
+    u_max = float(np.abs(u).max())
+    init_scale = 1.0 + u_max
+    eps = float(np.finfo(float).eps)
     shift_scale = 1.0 if ps.boundary == "natural" else None
 
     budget = opts.budget(grid)
@@ -145,12 +143,13 @@ def _descent(ps: ProblemSpec, values: np.ndarray, opts: SolveOptions):
     prev_u = None
     prev_g = None
     doublings = 0
-    watermark = float(np.abs(u).max())
+    watermark = u_max
     history = [e_total]
 
     for iteration in range(budget + 1):
         g, scaling = energy_grad_and_scaling(ps, u)
-        residual = float(np.linalg.norm(g[ps.free_nodes]) / n_sqrt)
+        g_free = g[ps.free_nodes]
+        residual = math.sqrt(g_free @ g_free) / n_sqrt
         if residual <= opts.residual_tolerance:
             return u, e_total, residual, iteration, STATUS_CONVERGED, history
         if iteration == budget:
@@ -168,15 +167,17 @@ def _descent(ps: ProblemSpec, values: np.ndarray, opts: SolveOptions):
             trial = float(s @ (scaling * s)) / sy if sy > 0 else step * 4.0
         else:
             trial = step
-        if not np.isfinite(trial):
+        if not math.isfinite(trial):
             trial = step
-        trial = float(np.clip(trial, 1e-13, 1e13))
+        trial = min(max(trial, 1e-13), 1e13)
 
         # Sufficient decrease is required whenever the energy can resolve it;
         # once the demanded decrease sinks below the energy's floating-point
         # resolution, a step is accepted as long as no resolvable increase
         # shows up (otherwise tight residual tolerances are unreachable).
         slack = 16.0 * eps * (1.0 + abs(e_total))
+        direction_norm = math.sqrt(direction @ direction)
+        stall_step = 1e-18 * (1.0 + u_max)
         e_new = None
         while True:
             candidate = u - trial * direction
@@ -184,16 +185,14 @@ def _descent(ps: ProblemSpec, values: np.ndarray, opts: SolveOptions):
                 np.maximum(candidate, 0.0, out=candidate)
             decrease = opts.sufficient_decrease * float(g @ (u - candidate))
             e_candidate = energy_total(ps, candidate)
-            if np.isfinite(e_candidate) and (
+            if math.isfinite(e_candidate) and (
                 e_candidate <= e_total - decrease
                 or (decrease <= slack and e_candidate <= e_total + slack)
             ):
                 e_new = e_candidate
                 break
             trial *= opts.shrink
-            if trial * np.sqrt(float(direction @ direction)) < 1e-18 * (
-                1.0 + float(np.abs(u).max())
-            ):
+            if trial * direction_norm < stall_step:
                 return u, e_total, residual, iteration, STATUS_STALLED, history
 
         prev_u, prev_g = u, g
@@ -210,16 +209,16 @@ def _descent(ps: ProblemSpec, values: np.ndarray, opts: SolveOptions):
 
         if e_total < DIVERGENCE_ENERGY:
             return u, e_total, residual, iteration + 1, STATUS_NOT_BOUNDED_BELOW, history
-        norm = float(np.abs(u).max())
-        if norm >= 2.0 * watermark:
+        u_max = float(np.abs(u).max())
+        if u_max >= 2.0 * watermark:
             doublings += 1
-            watermark = norm
-        elif norm < 0.5 * watermark:
+            watermark = u_max
+        elif u_max < 0.5 * watermark:
             doublings = 0
-            watermark = norm
+            watermark = u_max
         if (
             doublings >= DIVERGENCE_DOUBLINGS
-            and norm >= DIVERGENCE_NORM_FACTOR * init_scale
+            and u_max >= DIVERGENCE_NORM_FACTOR * init_scale
             and e_total < min(e_init, 0.0)
         ):
             return u, e_total, residual, iteration + 1, STATUS_NOT_BOUNDED_BELOW, history
@@ -363,26 +362,26 @@ class EigenReport:
     residual: float
 
 
+def _p_dirichlet_value(grid: Grid, values: np.ndarray, p: float) -> float:
+    """Integral of |grad u|^p."""
+    assembly = grid.assembly
+    return float(grid.element_volume @ assembly.norms(assembly.gradients(values)) ** p)
+
+
 def _p_dirichlet_value_and_grad(grid: Grid, values: np.ndarray, p: float):
     """Integral of |grad u|^p and its nodal gradient (no 1/p factor)."""
-    grads = gradient_values(grid, values)
-    norms = np.linalg.norm(grads, axis=1)
+    assembly = grid.assembly
+    grads = assembly.gradients(values)
+    norms = assembly.norms(grads)
     value = float(grid.element_volume @ norms**p)
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.where(norms > 0.0, norms ** (p - 2.0), 0.0)
-    flux = (p * grid.element_volume * weight)[:, None] * grads
-    per_local = np.einsum("ed,eld->el", flux, grid.element_grad_coeffs)
-    out = np.zeros(grid.n_nodes)
-    for local in range(grid.dimension + 1):
-        np.add.at(out, grid.elements[:, local], per_local[:, local])
-    return value, out
+    return value, assembly.scatter(p * grid.element_volume * weight, grads)
 
 
-def _p_mass_value_and_grad(grid: Grid, values: np.ndarray, p: float):
-    """Lumped integral of |u|^p and its nodal gradient."""
-    value = float(grid.node_mass @ np.abs(values) ** p)
-    grad = p * grid.node_mass * np.sign(values) * np.abs(values) ** (p - 1.0)
-    return value, grad
+def _p_mass(grid: Grid, values: np.ndarray, p: float) -> float:
+    """Lumped integral of |u|^p."""
+    return float(grid.node_mass @ np.abs(values) ** p)
 
 
 def first_eigenvalue(grid: Grid, p: float, opts: SolveOptions = SolveOptions()) -> EigenReport:
@@ -399,12 +398,12 @@ def first_eigenvalue(grid: Grid, p: float, opts: SolveOptions = SolveOptions()) 
     u[grid.interior_nodes] = rng.uniform(0.5, 1.5, len(grid.interior_nodes))
 
     def normalize(w):
-        norm_p, _ = _p_mass_value_and_grad(grid, w, p)
-        return w / norm_p ** (1.0 / p)
+        return w / _p_mass(grid, w, p) ** (1.0 / p)
 
     u = normalize(u)
     budget = opts.budget(grid)
-    n_sqrt = np.sqrt(grid.n_nodes)
+    n_sqrt = math.sqrt(grid.n_nodes)
+    eps = float(np.finfo(float).eps)
     history = []
     step = opts.initial_step
     prev_u = None
@@ -415,12 +414,14 @@ def first_eigenvalue(grid: Grid, p: float, opts: SolveOptions = SolveOptions()) 
 
     for iteration in range(budget + 1):
         num, num_grad = _p_dirichlet_value_and_grad(grid, u, p)
-        den, den_grad = _p_mass_value_and_grad(grid, u, p)
+        den = _p_mass(grid, u, p)
+        den_grad = p * grid.node_mass * np.sign(u) * np.abs(u) ** (p - 1.0)
         rayleigh = num / den
         history.append(rayleigh)
         g = (num_grad - rayleigh * den_grad) / den
         g[grid.boundary_nodes] = 0.0
-        residual = float(np.linalg.norm(g) / n_sqrt)
+        gg = float(g @ g)
+        residual = math.sqrt(gg) / n_sqrt
         if residual <= opts.residual_tolerance:
             status = STATUS_CONVERGED
             break
@@ -434,19 +435,19 @@ def first_eigenvalue(grid: Grid, p: float, opts: SolveOptions = SolveOptions()) 
             trial = float(s @ s) / sy if sy > 0 else step * 4.0
         else:
             trial = step
-        if not np.isfinite(trial):
+        if not math.isfinite(trial):
             trial = step
-        trial = float(np.clip(trial, 1e-13, 1e13))
+        trial = min(max(trial, 1e-13), 1e13)
 
-        gg = float(g @ g)
-        slack = 16.0 * np.finfo(float).eps * (1.0 + abs(rayleigh))
+        g_norm = math.sqrt(gg)
+        slack = 16.0 * eps * (1.0 + abs(rayleigh))
         accepted = False
-        while trial * np.sqrt(gg) >= 1e-18:
+        while trial * g_norm >= 1e-18:
             candidate = u - trial * g
-            c_num, _ = _p_dirichlet_value_and_grad(grid, candidate, p)
-            c_den, _ = _p_mass_value_and_grad(grid, candidate, p)
+            c_num = _p_dirichlet_value(grid, candidate, p)
+            c_den = _p_mass(grid, candidate, p)
             decrease = opts.sufficient_decrease * trial * gg
-            if c_den > 0 and np.isfinite(c_num / c_den):
+            if c_den > 0 and math.isfinite(c_num / c_den):
                 quotient = c_num / c_den
                 if quotient <= rayleigh - decrease or (
                     decrease <= slack and quotient <= rayleigh + slack
@@ -464,7 +465,7 @@ def first_eigenvalue(grid: Grid, p: float, opts: SolveOptions = SolveOptions()) 
     u = normalize(u)
     if float(grid.node_mass @ u) < 0.0:
         u = -u
-    lambda1, _ = _p_dirichlet_value_and_grad(grid, u, p)
+    lambda1 = _p_dirichlet_value(grid, u, p)
     return EigenReport(
         lambda1=lambda1,
         eigenfunction=ScalarField(grid, u),

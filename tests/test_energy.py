@@ -1,7 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from plaplab.energy import energy, energy_grad, energy_total, residual_norm
+from plaplab.energy import (
+    energy,
+    energy_grad,
+    energy_grad_and_scaling,
+    energy_total,
+    residual_norm,
+)
 from plaplab.errors import BoundaryViolationError
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
@@ -192,3 +201,60 @@ def test_overflow_reported_as_infinity():
     vals = np.full(ps.grid.n_nodes, 0.0)
     vals[1] = 1e200
     assert energy_total(ps, vals) == np.inf
+
+
+@pytest.mark.parametrize("family", ["constant", "power_shift", "saturating"])
+def test_diffusion_weight_rejects_negative_argument(family):
+    d = DiffusionSpec(family, p=2.0, r=3.0 if family == "power_shift" else None)
+    with pytest.raises(ValueError):
+        d.value(-1.0)
+    with pytest.raises(ValueError):
+        d.primitive(np.array([0.5, -1.0]))
+
+
+def test_residual_norm_rejects_boundary_violation():
+    ps = interval_problem()
+    with pytest.raises(BoundaryViolationError):
+        residual_norm(ps, ScalarField.constant(ps.grid, 1.0))
+
+
+@pytest.mark.parametrize(
+    "grid", [build_interval_grid(12, 0.0, 1.0), build_rectangle_grid(4, 3, (0.0, 1.0, 0.0, 1.0))]
+)
+def test_evaluation_plan_holds_only_read_only_arrays(grid):
+    a = np.linspace(-1.0, 1.0, grid.n_nodes)
+    ps = ProblemSpec(
+        grid,
+        DiffusionSpec("saturating", p=1.5),
+        ReactionSpec("pure_subhomogeneous", q=1.2, a=a, negative_extension="odd"),
+        "natural",
+    )
+    values = np.cos(3.0 * grid.nodes[:, 0])
+    first = (energy_total(ps, values), *energy_grad_and_scaling(ps, values))
+    for owner in (ps.plan, ps.plan.assembly):
+        arrays = [v for v in vars(owner).values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(arr.flags.writeable for arr in arrays)
+    assert a.flags.writeable  # the caller's coefficient array is left alone
+    second = (energy_total(ps, values), *energy_grad_and_scaling(ps, values))
+    assert first[0] == second[0]
+    for x, y in zip(first[1:], second[1:]):
+        np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_problem_and_grid_are_freed_without_the_cycle_collector(dimension):
+    gc.disable()
+    try:
+        if dimension == 1:
+            grid = build_interval_grid(8, 0.0, 1.0)
+        else:
+            grid = build_rectangle_grid(3, 3, (0.0, 1.0, 0.0, 1.0))
+        ps = ProblemSpec(grid, DiffusionSpec("constant", p=2.0),
+                         ReactionSpec("pure_subhomogeneous", q=1.5), "natural")
+        energy_total(ps, np.ones(grid.n_nodes))
+        energy_grad_and_scaling(ps, np.ones(grid.n_nodes))
+        refs = (weakref.ref(ps), weakref.ref(grid))
+        del ps, grid
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

@@ -1,0 +1,238 @@
+"""Bitwise regression of the energy kernels and the solvers built on them.
+
+The kernel checks compare the evaluation plan against the direct formulas
+(``einsum`` element gradients, ``np.add.at`` scatter, checked model methods),
+written out below as the reference. The solver checks pin status, iteration
+count, final energy and a digest of the solution bytes, recorded with those
+direct formulas; any change of floating-point operations or their order shows
+up here.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from plaplab.config import BUILTIN_SCENARIOS, load_config
+from plaplab.energy import energy_grad_and_scaling, energy_grad_values, energy_parts, energy_total
+from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
+from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
+from plaplab.solve import (
+    SolveOptions,
+    _p_dirichlet_value,
+    _p_dirichlet_value_and_grad,
+    first_eigenvalue,
+    minimize,
+    random_start,
+)
+
+SEED = 5
+
+# scenario: (status, iterations, energy.total.hex(), sha256 of solution bytes)
+GOLDEN_SOLVES = {
+    "E1": ("converged", 1041, "-0x1.54054ab08f6bep-17",
+           "3b1bff422b48bbb71cb306e7cd6526c24159e269cf695cdbfade2c56a5eb2227"),
+    "E2": ("converged", 338, "-0x1.3beb11174dad2p-21",
+           "fbc5996abc79949b3631cbdb72b97a1c8e39783147a0068ff1729cb76af1b573"),
+    "E3": ("converged", 911, "-0x1.512a065b39798p-17",
+           "cb8908f32b9254e7f8cd59504494428347f63d4b8d51e3d85adea427e88cee37"),
+    "E4": ("converged", 8, "-0x1.5555555555556p-2",
+           "8af00ed3bd8b97b2a8145b358520d60a75069647cc4ced2c87dfcaedeed22c71"),
+    "E5": ("converged", 466, "-0x1.e0005f8557a94p-10",
+           "5da17387c266c43cc72e15f05b7ea9e748c27b8b0cf066bfee78333fc5bfcf64"),
+    "E6": ("converged", 6, "-0x1.fffffffffffffp+1",
+           "0cc3c42ccc85964aeade2ca741feea863a561c95950835d8eea42be6e35b6015"),
+    "E6B": ("converged", 1212, "-0x1.4c962f028c828p-17",
+            "5ed5ad40c077e408fb77e95b82f3af5e9d353983e4abc0b8bde2a181405c1d74"),
+    "E7": ("converged", 877, "0x1.d88966d1fb1d4p-53",
+           "015a1208ac04f3654e8aaafb107b87d75c4e278f35fa7959d1a3f045123c996a"),
+    "E1N_POS": ("not_bounded_below", 1, "-0x1.54abf3d076fedp+17",
+                "294fa0ae7a3ecc4460f689f04f39b4b9ad55ebf210f9c664c4020214e6345274"),
+    "E1N_NEG": ("converged", 1650, "-0x1.cef520a3e6404p-19",
+                "6985538633e3b10d8d017f93ae1f592de81f94e34559d5e86b19fc54b88929a6"),
+}
+GOLDEN_DEAD_CORE_2D = ("converged", 198, "-0x1.19a05ceb69f54p-21",
+                       "1e1ce772b5718f8d02b78390943971af37e5f7cb45bfa7843aa58d9b8f0e0b93")
+# (converged, iterations, lambda1.hex(), eigenfunction digest, history digest)
+GOLDEN_EIGEN_P3 = (True, 619, "0x1.c454081702f39p+4",
+                   "714a5f57dd43dbb7677dd1b1170988bd99e705562b7d2f723457857309c77c8e",
+                   "90d6a3a4a28b9a1e9bfc22d0627abe186d30773c06c96b0000796ef924193dea")
+
+
+def digest(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def solve_fingerprint(report):
+    return (report.status, report.iterations, report.energy.total.hex(),
+            digest(report.solution.values))
+
+
+@pytest.mark.parametrize("scenario", BUILTIN_SCENARIOS)
+def test_builtin_scenario_solve_is_bitwise_unchanged(scenario):
+    config = dataclasses.replace(load_config(scenario), n=48)
+    ps = config.build_problem()
+    if config.init_spec == "random":
+        init = random_start(ps, SEED)
+    else:
+        init = ScalarField.constant(ps.grid, float(config.init_spec.split(":", 1)[1]))
+    report = minimize(ps, init, config.solve_options(SEED))
+    assert solve_fingerprint(report) == GOLDEN_SOLVES[scenario]
+
+
+def test_dead_core_2d_solve_is_bitwise_unchanged():
+    grid = build_rectangle_grid(24, 24, (0.0, 1.0, 0.0, 1.0))
+    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
+    a = 1.0 - 200.0 * ((np.abs(x - 0.5) <= 0.15) & (np.abs(y - 0.5) <= 0.15))
+    ps = ProblemSpec(
+        grid,
+        DiffusionSpec("constant", p=2.0),
+        ReactionSpec("pure_subhomogeneous", q=1.5, a=a),
+        "dirichlet_zero",
+    )
+    report = minimize(ps, random_start(ps, SEED), SolveOptions(random_seed=SEED))
+    assert solve_fingerprint(report) == GOLDEN_DEAD_CORE_2D
+
+
+def test_first_eigenvalue_is_bitwise_unchanged():
+    report = first_eigenvalue(build_interval_grid(50, 0.0, 1.0), 3.0, SolveOptions(random_seed=SEED))
+    assert (
+        report.converged,
+        report.iterations,
+        report.lambda1.hex(),
+        digest(report.eigenfunction.values),
+        digest(report.rayleigh_history),
+    ) == GOLDEN_EIGEN_P3
+
+
+# ---- reference formulas --------------------------------------------------
+
+
+def reference_gradients(grid, values):
+    return np.einsum("ej,ejd->ed", values[grid.elements], grid.element_grad_coeffs)
+
+
+def reference_scatter(grid, per_local):
+    out = np.zeros(grid.n_nodes)
+    for local in range(grid.dimension + 1):
+        np.add.at(out, grid.elements[:, local], per_local[:, local])
+    return out
+
+
+def reference_parts(ps, values):
+    grid, p = ps.grid, ps.diffusion.p
+    a, b = ps.nodal_coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_p = np.linalg.norm(reference_gradients(grid, values), axis=1) ** p
+        diffusion = float(grid.element_volume @ (ps.diffusion.primitive(norm_p) / p))
+        reaction = float(grid.node_mass @ ps.reaction.primitive(a, b, values))
+    if np.isnan(diffusion):
+        diffusion = np.inf
+    if np.isnan(reaction):
+        reaction = -np.inf
+    return diffusion, reaction
+
+
+def reference_grad_and_scaling(ps, values):
+    grid, p = ps.grid, ps.diffusion.p
+    grads = reference_gradients(grid, values)
+    norms = np.linalg.norm(grads, axis=1)
+    weight_norms = np.maximum(norms, 1e-10) if p < 2 else norms
+    weight = ps.diffusion.value(norms**p) * weight_norms ** (p - 2.0)
+    scaled_volume = grid.element_volume * weight
+    flux = scaled_volume[:, None] * grads
+    out = reference_scatter(grid, np.einsum("ed,eld->el", flux, grid.element_grad_coeffs))
+    coeff_sq = np.einsum("eld,eld->el", grid.element_grad_coeffs, grid.element_grad_coeffs)
+    diag = reference_scatter(grid, scaled_volume[:, None] * coeff_sq)
+    a, b = ps.nodal_coefficients
+    out -= grid.node_mass * ps.reaction.value(a, b, values)
+    slope = ps.reaction.derivative(a, b, np.maximum(np.abs(values), 1e-13))
+    diag += grid.node_mass * np.maximum(-slope, 0.0)
+    if ps.is_dirichlet:
+        out[grid.boundary_nodes] = 0.0
+    return out, np.maximum(diag, 1e-30)
+
+
+def reference_p_dirichlet(grid, values, p):
+    grads = reference_gradients(grid, values)
+    norms = np.linalg.norm(grads, axis=1)
+    value = float(grid.element_volume @ norms**p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = np.where(norms > 0.0, norms ** (p - 2.0), 0.0)
+    flux = (p * grid.element_volume * weight)[:, None] * grads
+    return value, reference_scatter(grid, np.einsum("ed,eld->el", flux, grid.element_grad_coeffs))
+
+
+GRIDS = {
+    "interval": build_interval_grid(40, -0.5, 1.0),
+    "rectangle": build_rectangle_grid(7, 5, (0.0, 1.0, 0.0, 2.0)),
+}
+DIFFUSIONS = [
+    DiffusionSpec("constant", p=1.5),
+    DiffusionSpec("constant", p=2.0),
+    DiffusionSpec("power_shift", p=3.0, r=4.5),
+    DiffusionSpec("saturating", p=1.7),
+    DiffusionSpec("saturating", p=2.5),
+]
+
+
+def reactions(grid, p, extension):
+    a = np.sin(3.0 * grid.nodes[:, 0]) + 0.2
+    return [
+        ReactionSpec("pure_subhomogeneous", q=1.2, a=a, negative_extension=extension),
+        ReactionSpec("two_term", q=1.2, r=1.0, a=a, b=-0.5, negative_extension=extension),
+        ReactionSpec("logistic", q=p + 1.0, p=p, a=a, b=2.0, negative_extension=extension),
+        ReactionSpec("double_power", q=1.1, r=3.0, negative_extension=extension),
+    ]
+
+
+def fields(ps, rng):
+    """A sign-changing random field and one with flat patches and exact zeros."""
+    n = ps.grid.n_nodes
+    rough = rng.uniform(-1.0, 2.0, n)
+    flat = np.where(rng.uniform(size=n) < 0.5, 0.0, np.round(rng.uniform(0.0, 2.0, n)))
+    for values in (rough, flat):
+        if ps.is_dirichlet:
+            values[ps.grid.boundary_nodes] = 0.0
+        yield values
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+@pytest.mark.parametrize("diffusion", DIFFUSIONS, ids=lambda d: f"{d.family}-p{d.p}")
+@pytest.mark.parametrize("boundary", ["dirichlet_zero", "natural"])
+@pytest.mark.parametrize("extension", ["zero", "odd"])
+def test_plan_kernels_equal_reference_formulas(grid_name, diffusion, boundary, extension):
+    grid = GRIDS[grid_name]
+    rng = np.random.default_rng(11)
+    for reaction in reactions(grid, diffusion.p, extension):
+        ps = ProblemSpec(grid, diffusion, reaction, boundary)
+        for values in fields(ps, rng):
+            parts = energy_parts(ps, values)
+            expected_parts = reference_parts(ps, values)
+            assert [x.hex() for x in parts] == [x.hex() for x in expected_parts]
+            assert energy_total(ps, values) == expected_parts[0] - expected_parts[1]
+            grad, scaling = energy_grad_and_scaling(ps, values)
+            expected_grad, expected_scaling = reference_grad_and_scaling(ps, values)
+            assert same_bits(grad, expected_grad)
+            assert same_bits(scaling, expected_scaling)
+            assert same_bits(energy_grad_values(ps, values), expected_grad)
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_p_dirichlet_kernel_equals_reference_formula(grid_name, p):
+    grid = GRIDS[grid_name]
+    ps = ProblemSpec(grid, DiffusionSpec("constant", p=p), ReactionSpec("double_power", q=1.1, r=3.0),
+                     "natural")
+    for values in fields(ps, np.random.default_rng(3)):
+        value, grad = _p_dirichlet_value_and_grad(grid, values, p)
+        expected_value, expected_grad = reference_p_dirichlet(grid, values, p)
+        assert value.hex() == expected_value.hex()
+        assert _p_dirichlet_value(grid, values, p).hex() == expected_value.hex()
+        assert same_bits(grad, expected_grad)
+
