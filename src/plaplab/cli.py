@@ -147,7 +147,7 @@ def _cmd_solve(config: ScenarioConfig, out: Path, seed, reference: str | None, s
     opts = config.solve_options(seed)
     init = _initial_field(config, ps, opts.random_seed)
     report = minimize(ps, init, opts)
-    cls = classify_cone(ps, report.solution) if report.status != "not_bounded_below" else None
+    cls = classify_cone(ps, report.solution) if report.status != STATUS_NOT_BOUNDED_BELOW else None
     delta = ""
     if reference is not None and report.converged:
         ref = _load_field(reference, ps)
@@ -176,16 +176,17 @@ def _cmd_experiment(config: ScenarioConfig, out: Path, seed, say) -> int:
         for member in cluster.members:
             cluster_of[member] = k
 
-    rows = []
-    for idx, report in enumerate(result.reports):
-        cls = classify_cone(ps, report.solution) if report.converged else None
-        rows.append(_report_row(config, idx, report, cls, cluster=cluster_of.get(idx, "")))
+    # cluster representatives are converged starts: each is classified here once
+    classes = [classify_cone(ps, r.solution) if r.converged else None for r in result.reports]
+    rows = [
+        _report_row(config, idx, report, classes[idx], cluster=cluster_of.get(idx, ""))
+        for idx, report in enumerate(result.reports)
+    ]
     _write_csv(out / "report.csv", _REPORT_HEADER, rows)
 
     cluster_rows = []
     for k, cluster in enumerate(result.clusters):
         rep = result.representative_report(cluster)
-        cls = classify_cone(ps, rep.solution)
         cluster_rows.append(
             [
                 k,
@@ -193,7 +194,7 @@ def _cmd_experiment(config: ScenarioConfig, out: Path, seed, say) -> int:
                 cluster.representative,
                 rep.energy.total,
                 rep.residual,
-                *_classification_columns(cls),
+                *_classification_columns(classes[cluster.representative]),
             ]
         )
         _write_solution(out / f"solution_c{k}.csv", rep.solution)
@@ -238,10 +239,9 @@ def _cmd_experiment(config: ScenarioConfig, out: Path, seed, say) -> int:
     )
     for k, cluster in enumerate(result.clusters):
         rep = result.representative_report(cluster)
-        cls = classify_cone(ps, rep.solution)
         say(
             f"  cluster {k}: {len(cluster.members)} member(s), energy "
-            f"{rep.energy.total:.6g}, {cls.kind}"
+            f"{rep.energy.total:.6g}, {classes[cluster.representative].kind}"
         )
     say(
         "note: descent reaches minimizers and other stationary points it can "

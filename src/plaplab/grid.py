@@ -156,7 +156,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _frozen_array(self.values)
+        values = _frozen_array(np.copy(self.values))  # never freeze the caller's array
         if values.shape != (self.grid.n_nodes,):
             raise ValueError(
                 f"expected {self.grid.n_nodes} nodal values, got shape {values.shape}"
@@ -186,7 +186,7 @@ class ElementVectorField:
     vectors: np.ndarray
 
     def __post_init__(self):
-        vectors = _frozen_array(self.vectors)
+        vectors = _frozen_array(np.copy(self.vectors))
         expected = (self.grid.n_elements, self.grid.dimension)
         if vectors.shape != expected:
             raise ValueError(f"expected vectors of shape {expected}, got {vectors.shape}")

@@ -1,13 +1,19 @@
 """Energy minimization, multi-start experiments, and the first eigenvalue.
 
-All solvers are monotone first-order descent methods: the direction is the
-negative nodal gradient, scaled per node by a diagonal curvature estimate, and
-every accepted step satisfies the Armijo sufficient-decrease condition under
-backtracking (up to the floating-point resolution of the energy). The trial
-step per iteration is the two-point (Barzilai-Borwein) quotient in the scaled
-metric. No curvature matrices are ever formed; the diagonal scaling is what
-lets dead-core problems, whose reaction slope is unbounded near zero values,
-reach tight residuals within the desk-scale iteration budgets.
+Both minimizations run through one monotone first-order descent engine,
+``_descent``: the direction is the negative nodal gradient, scaled per node by
+a diagonal curvature estimate, and every accepted step satisfies the Armijo
+sufficient-decrease condition under backtracking (up to the floating-point
+resolution of the objective). The trial step per iteration is the two-point
+(Barzilai-Borwein) quotient in the scaled metric. No curvature matrices are
+ever formed; the diagonal scaling is what lets dead-core problems, whose
+reaction slope is unbounded near zero values, reach tight residuals within the
+desk-scale iteration budgets.
+
+The engine has two objectives. ``_Energy`` is the discrete energy: it owns
+projection at zero, the constant-shift walk of natural-boundary problems and
+the divergence diagnosis. ``_Rayleigh`` is the Rayleigh quotient, unscaled: it
+owns the renormalization of every accepted iterate to unit lumped p-norm.
 
 Runs are deterministic: identical problem, options, and seed reproduce the
 iterate sequence bitwise (sequential execution, per-start seeded generators).
@@ -84,148 +90,193 @@ class SolveReport:
     energy_history: np.ndarray = None
 
 
-def _mean_shift(ps: ProblemSpec, u, e_total, scale, project, norm_limit):
-    """Scalar search along constant shifts (natural boundary condition only).
+def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
+    """Scaled Barzilai-Borwein descent with Armijo backtracking on ``objective``.
 
-    The diffusion energy cannot see constant shifts, so descent creeps along
-    that mode; a doubling walk on the shift handles it directly. Ten straight
-    energy-decreasing doublings past the norm limit is the unbounded-energy
-    diagnosis (the known escape ray for noncoercive natural-BC problems).
-    Downward shifts on projected problems stop where a node would clamp, so
-    the walk cannot tunnel across basins to the trivial critical point.
-    Returns (values, energy, next_scale, unbounded).
+    The objective provides ``gradient(u) -> (value, gradient, scaling)`` (a
+    positive per-node scaling, or None), ``value(u)`` at trial points, the
+    flag ``project`` (truncate trial points at zero), the residual's index
+    ``free``, the ``stall_step`` below which trial step times direction norm
+    gives up, and ``accepted(u, value, iteration) -> (u, value, status)``,
+    run after each accepted step; a status other than None ends the descent.
+    Returns (values, residual, iterations, status, value history).
     """
-    best_c = 0.0
-    best_e = e_total
-    best_u = u
-    down_limit = float(u.min()) if project else np.inf
-    for sign in (1.0, -1.0):
-        c = sign * scale
-        doublings = 0
-        while abs(c) <= 1e14 and (sign > 0 or abs(c) <= down_limit):
-            candidate = u + c
-            e_candidate = energy_total(ps, candidate)
-            if not (math.isfinite(e_candidate) and e_candidate < best_e):
-                break
-            best_c, best_e, best_u = c, e_candidate, candidate
-            doublings += 1
-            if doublings >= DIVERGENCE_DOUBLINGS and abs(c) >= norm_limit:
-                return best_u, best_e, abs(c), True
-            c *= 2.0
-        if best_c != 0.0:
-            break
-    if best_c != 0.0:
-        return best_u, best_e, max(abs(best_c) * 0.5, 1e-14), False
-    return u, e_total, max(scale * 0.25, 1e-14), False
-
-
-def _descent(ps: ProblemSpec, values: np.ndarray, opts: SolveOptions):
-    """Shared Armijo-backtracked descent loop; returns the final state."""
-    grid = ps.grid
-    n_sqrt = math.sqrt(grid.n_nodes)
-    project = opts.project_nonnegative
-    if project is None:
-        project = ps.reaction.negative_extension == "zero"
-    u = values.copy()
-    if project:
-        u = np.maximum(u, 0.0)
-    e_total = energy_total(ps, u)
-    if not math.isfinite(e_total):
-        raise ValueError("initial field has non-finite energy")
-    e_init = e_total
-    u_max = float(np.abs(u).max())
-    init_scale = 1.0 + u_max
+    n_sqrt = math.sqrt(len(values))
     eps = float(np.finfo(float).eps)
-    shift_scale = 1.0 if ps.boundary == "natural" else None
-
-    budget = opts.budget(grid)
+    u = values
     step = opts.initial_step
-    prev_u = None
-    prev_g = None
-    doublings = 0
-    watermark = u_max
-    history = [e_total]
-
+    prev_u = prev_g = None
+    history = []
     for iteration in range(budget + 1):
-        g, scaling = energy_grad_and_scaling(ps, u)
-        g_free = g[ps.free_nodes]
+        value, g, scaling = objective.gradient(u)
+        history.append(value)
+        g_free = g[objective.free]
         residual = math.sqrt(g_free @ g_free) / n_sqrt
         if residual <= opts.residual_tolerance:
-            return u, e_total, residual, iteration, STATUS_CONVERGED, history
+            return u, residual, iteration, STATUS_CONVERGED, history
         if iteration == budget:
-            return u, e_total, residual, iteration, STATUS_MAX_ITERATIONS, history
+            return u, residual, iteration, STATUS_MAX_ITERATIONS, history
 
         # Descent direction: negative gradient scaled by the per-node
         # curvature estimate (dead-core tails otherwise pin the step size for
         # the whole mesh). Trial step from the two-point quotient in the
         # scaled metric, safeguarded, then Armijo-backtracked.
-        direction = g / scaling
+        direction = g if scaling is None else g / scaling
         if prev_u is not None:
             s = u - prev_u
             y = g - prev_g
             sy = float(s @ y)
-            trial = float(s @ (scaling * s)) / sy if sy > 0 else step * 4.0
+            scaled_s = s if scaling is None else scaling * s
+            trial = float(s @ scaled_s) / sy if sy > 0 else step * 4.0
         else:
             trial = step
         if not math.isfinite(trial):
             trial = step
         trial = min(max(trial, 1e-13), 1e13)
 
-        # Sufficient decrease is required whenever the energy can resolve it;
-        # once the demanded decrease sinks below the energy's floating-point
+        # Sufficient decrease is required whenever the value can resolve it;
+        # once the demanded decrease sinks below the value's floating-point
         # resolution, a step is accepted as long as no resolvable increase
         # shows up (otherwise tight residual tolerances are unreachable).
-        slack = 16.0 * eps * (1.0 + abs(e_total))
-        direction_norm = math.sqrt(direction @ direction)
-        stall_step = 1e-18 * (1.0 + u_max)
-        e_new = None
+        slack = 16.0 * eps * (1.0 + abs(value))
         while True:
             candidate = u - trial * direction
-            if project:
+            if objective.project:
                 np.maximum(candidate, 0.0, out=candidate)
             decrease = opts.sufficient_decrease * float(g @ (u - candidate))
-            e_candidate = energy_total(ps, candidate)
-            if math.isfinite(e_candidate) and (
-                e_candidate <= e_total - decrease
-                or (decrease <= slack and e_candidate <= e_total + slack)
+            trial_value = objective.value(candidate)
+            if math.isfinite(trial_value) and (
+                trial_value <= value - decrease
+                or (decrease <= slack and trial_value <= value + slack)
             ):
-                e_new = e_candidate
                 break
             trial *= opts.shrink
-            if trial * direction_norm < stall_step:
-                return u, e_total, residual, iteration, STATUS_STALLED, history
+            if trial * math.sqrt(direction @ direction) < objective.stall_step:
+                return u, residual, iteration, STATUS_STALLED, history
 
-        prev_u, prev_g = u, g
-        u, e_total, step = candidate, e_new, trial
-        history.append(e_total)
+        prev_u, prev_g, step = u, g, trial
+        u, value, status = objective.accepted(candidate, trial_value, iteration)
+        if status is not None:
+            history.append(value)
+            return u, residual, iteration + 1, status, history
 
-        if shift_scale is not None and iteration % MEAN_SHIFT_CADENCE == 0:
-            u, e_total, shift_scale, unbounded = _mean_shift(
-                ps, u, e_total, shift_scale, project, DIVERGENCE_NORM_FACTOR * init_scale
-            )
-            history[-1] = e_total
+
+class _Energy:
+    """The discrete energy as a descent objective.
+
+    It looks up the module-level energy functions on every call, so wrappers
+    installed on those names see every evaluation.
+    """
+
+    def __init__(self, ps: ProblemSpec, values: np.ndarray, project: bool):
+        self.ps = ps
+        self.free = ps.free_nodes
+        self.project = project
+        self.current = energy_total(ps, values)
+        if not math.isfinite(self.current):
+            raise ValueError("initial field has non-finite energy")
+        self.initial = self.current
+        self.watermark = float(np.abs(values).max())
+        self.stall_step = 1e-18 * (1.0 + self.watermark)
+        self.doublings = 0
+        self.norm_limit = DIVERGENCE_NORM_FACTOR * (1.0 + self.watermark)
+        self.shift_scale = 1.0 if ps.boundary == "natural" else None
+
+    def value(self, u: np.ndarray) -> float:
+        return energy_total(self.ps, u)
+
+    def gradient(self, u: np.ndarray):
+        g, scaling = energy_grad_and_scaling(self.ps, u)
+        return self.current, g, scaling
+
+    def accepted(self, u: np.ndarray, value: float, iteration: int):
+        if self.shift_scale is not None and iteration % MEAN_SHIFT_CADENCE == 0:
+            u, value, unbounded = self._shift_walk(u, value)
             if unbounded:
-                return u, e_total, residual, iteration + 1, STATUS_NOT_BOUNDED_BELOW, history
-
-        if e_total < DIVERGENCE_ENERGY:
-            return u, e_total, residual, iteration + 1, STATUS_NOT_BOUNDED_BELOW, history
+                return u, value, STATUS_NOT_BOUNDED_BELOW
+        self.current = value
+        if value < DIVERGENCE_ENERGY:
+            return u, value, STATUS_NOT_BOUNDED_BELOW
         u_max = float(np.abs(u).max())
-        if u_max >= 2.0 * watermark:
-            doublings += 1
-            watermark = u_max
-        elif u_max < 0.5 * watermark:
+        self.stall_step = 1e-18 * (1.0 + u_max)
+        if u_max >= 2.0 * self.watermark:
+            self.doublings += 1
+            self.watermark = u_max
+        elif u_max < 0.5 * self.watermark:
+            self.doublings = 0
+            self.watermark = u_max
+        diverged = (
+            self.doublings >= DIVERGENCE_DOUBLINGS
+            and u_max >= self.norm_limit
+            and value < min(self.initial, 0.0)
+        )
+        return u, value, STATUS_NOT_BOUNDED_BELOW if diverged else None
+
+    def _shift_walk(self, u: np.ndarray, value: float):
+        """Scalar search along constant shifts (natural boundary condition only).
+
+        The diffusion energy cannot see constant shifts, so descent creeps
+        along that mode; a doubling walk on the shift handles it directly. Ten
+        straight energy-decreasing doublings past the norm limit is the
+        unbounded-energy diagnosis (the known escape ray for noncoercive
+        natural-BC problems). Downward shifts on projected problems stop where
+        a node would clamp, so the walk cannot tunnel across basins to the
+        trivial critical point. Returns (values, energy, unbounded).
+        """
+        best_c = 0.0
+        best_e = value
+        best_u = u
+        down_limit = float(u.min()) if self.project else np.inf
+        for sign in (1.0, -1.0):
+            c = sign * self.shift_scale
             doublings = 0
-            watermark = u_max
-        if (
-            doublings >= DIVERGENCE_DOUBLINGS
-            and u_max >= DIVERGENCE_NORM_FACTOR * init_scale
-            and e_total < min(e_init, 0.0)
-        ):
-            return u, e_total, residual, iteration + 1, STATUS_NOT_BOUNDED_BELOW, history
+            while abs(c) <= 1e14 and (sign > 0 or abs(c) <= down_limit):
+                candidate = u + c
+                e_candidate = energy_total(self.ps, candidate)
+                if not (math.isfinite(e_candidate) and e_candidate < best_e):
+                    break
+                best_c, best_e, best_u = c, e_candidate, candidate
+                doublings += 1
+                if doublings >= DIVERGENCE_DOUBLINGS and abs(c) >= self.norm_limit:
+                    return best_u, best_e, True
+                c *= 2.0
+            if best_c != 0.0:
+                break
+        if best_c != 0.0:
+            self.shift_scale = max(abs(best_c) * 0.5, 1e-14)
+        else:
+            self.shift_scale = max(self.shift_scale * 0.25, 1e-14)
+        return best_u, best_e, False
 
 
-def _finish(ps: ProblemSpec, state) -> SolveReport:
-    values, _, residual, iterations, status, history = state
+def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptions()) -> SolveReport:
+    """Descend from ``init`` until the stationarity residual meets tolerance.
+
+    Divergence is reported with status ``not_bounded_below``; it is diagnosed
+    from an energy below -1e12, from ten cumulative norm doublings far above
+    the initial scale with the energy decreasing, or (natural boundary) from a
+    runaway doubling walk along constant shifts. Coercivity is otherwise the
+    caller's concern.
+
+    ``critical_point_from`` is the same function, named for stationary points
+    reached from crafted starts, with no claim of minimality.
+    """
+    if init.grid is not ps.grid:
+        raise ValueError("initial field and problem live on different grids")
+    if ps.reaction.negative_extension == "none":
+        raise ValueError(
+            "minimization needs a negative extension on the reaction so the "
+            "energy is defined on every trial field"
+        )
+    check_admissible(ps, init.values)
+    project = opts.project_nonnegative
+    if project is None:
+        project = ps.reaction.negative_extension == "zero"
+    values = np.maximum(init.values, 0.0) if project else init.values
+    objective = _Energy(ps, values, project)
+    values, residual, iterations, status, history = _descent(
+        objective, values, opts.budget(ps.grid), opts
+    )
     diffusion, reaction = energy_parts(ps, values)
     return SolveReport(
         solution=ScalarField(ps.grid, values),
@@ -238,39 +289,7 @@ def _finish(ps: ProblemSpec, state) -> SolveReport:
     )
 
 
-def _check_start(ps: ProblemSpec, init: ScalarField) -> np.ndarray:
-    if init.grid is not ps.grid:
-        raise ValueError("initial field and problem live on different grids")
-    if ps.reaction.negative_extension == "none":
-        raise ValueError(
-            "minimization needs a negative extension on the reaction so the "
-            "energy is defined on every trial field"
-        )
-    check_admissible(ps, init.values)
-    return init.values
-
-
-def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Descend from ``init`` until the stationarity residual meets tolerance.
-
-    Divergence is reported with status ``not_bounded_below``; it is diagnosed
-    from an energy below -1e12, from ten cumulative norm doublings far above
-    the initial scale with the energy decreasing, or (natural boundary) from a
-    runaway doubling walk along constant shifts. Coercivity is otherwise the
-    caller's concern.
-    """
-    values = _check_start(ps, init)
-    return _finish(ps, _descent(ps, values, opts))
-
-
-def critical_point_from(
-    ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptions()
-) -> SolveReport:
-    """Same iteration as ``minimize``; a separate entry point so stationary
-    points reached from crafted starts are labeled as such, without any claim
-    of minimality."""
-    values = _check_start(ps, init)
-    return _finish(ps, _descent(ps, values, opts))
+critical_point_from = minimize
 
 
 @dataclass(frozen=True)
@@ -384,93 +403,68 @@ def _p_mass(grid: Grid, values: np.ndarray, p: float) -> float:
     return float(grid.node_mass @ np.abs(values) ** p)
 
 
+class _Rayleigh:
+    """The Rayleigh quotient as a descent objective, on the zero-boundary space.
+
+    The quotient is 0-homogeneous, so the line search works on unnormalized
+    trial points; renormalization reuses the p-mass of the accepted one.
+    """
+
+    project = False
+    free = slice(None)  # the gradient is zeroed on the boundary
+    stall_step = 1e-18  # iterates have unit p-norm
+
+    def __init__(self, grid: Grid, p: float):
+        self.grid = grid
+        self.p = p
+        self.mass_weights = p * grid.node_mass
+        self.mass = None  # lumped p-mass of the last trial point
+
+    def normalize(self, u: np.ndarray) -> np.ndarray:
+        return u / _p_mass(self.grid, u, self.p) ** (1.0 / self.p)
+
+    def value(self, u: np.ndarray) -> float:
+        numerator = _p_dirichlet_value(self.grid, u, self.p)
+        self.mass = _p_mass(self.grid, u, self.p)
+        return numerator / self.mass if self.mass > 0 else math.inf
+
+    def gradient(self, u: np.ndarray):
+        grid, p = self.grid, self.p
+        num, num_grad = _p_dirichlet_value_and_grad(grid, u, p)
+        magnitude = np.abs(u)
+        den = float(grid.node_mass @ magnitude**p)
+        den_grad = self.mass_weights * np.sign(u) * magnitude ** (p - 1.0)
+        rayleigh = num / den
+        g = (num_grad - rayleigh * den_grad) / den
+        g[grid.boundary_nodes] = 0.0
+        return rayleigh, g, None
+
+    def accepted(self, u: np.ndarray, value: float, iteration: int):
+        return u / self.mass ** (1.0 / self.p), value, None
+
+
 def first_eigenvalue(grid: Grid, p: float, opts: SolveOptions = SolveOptions()) -> EigenReport:
     """Minimize the Rayleigh quotient over the zero-boundary discrete space.
 
-    Projected descent: the iterate is renormalized to unit lumped p-norm after
-    every accepted step (the quotient is 0-homogeneous, so the line search can
-    work on the unnormalized quotient directly).
+    The eigenfunction has unit lumped p-norm and nonnegative mean.
     """
     if not p > 1:
         raise ValueError(f"exponent p must exceed 1, got {p}")
     rng = np.random.default_rng(opts.random_seed)
     u = np.zeros(grid.n_nodes)
     u[grid.interior_nodes] = rng.uniform(0.5, 1.5, len(grid.interior_nodes))
-
-    def normalize(w):
-        return w / _p_mass(grid, w, p) ** (1.0 / p)
-
-    u = normalize(u)
-    budget = opts.budget(grid)
-    n_sqrt = math.sqrt(grid.n_nodes)
-    eps = float(np.finfo(float).eps)
-    history = []
-    step = opts.initial_step
-    prev_u = None
-    prev_g = None
-    status = STATUS_MAX_ITERATIONS
-    residual = np.inf
-    rayleigh = np.inf
-
-    for iteration in range(budget + 1):
-        num, num_grad = _p_dirichlet_value_and_grad(grid, u, p)
-        den = _p_mass(grid, u, p)
-        den_grad = p * grid.node_mass * np.sign(u) * np.abs(u) ** (p - 1.0)
-        rayleigh = num / den
-        history.append(rayleigh)
-        g = (num_grad - rayleigh * den_grad) / den
-        g[grid.boundary_nodes] = 0.0
-        gg = float(g @ g)
-        residual = math.sqrt(gg) / n_sqrt
-        if residual <= opts.residual_tolerance:
-            status = STATUS_CONVERGED
-            break
-        if iteration == budget:
-            break
-
-        if prev_u is not None:
-            s = u - prev_u
-            y = g - prev_g
-            sy = float(s @ y)
-            trial = float(s @ s) / sy if sy > 0 else step * 4.0
-        else:
-            trial = step
-        if not math.isfinite(trial):
-            trial = step
-        trial = min(max(trial, 1e-13), 1e13)
-
-        g_norm = math.sqrt(gg)
-        slack = 16.0 * eps * (1.0 + abs(rayleigh))
-        accepted = False
-        while trial * g_norm >= 1e-18:
-            candidate = u - trial * g
-            c_num = _p_dirichlet_value(grid, candidate, p)
-            c_den = _p_mass(grid, candidate, p)
-            decrease = opts.sufficient_decrease * trial * gg
-            if c_den > 0 and math.isfinite(c_num / c_den):
-                quotient = c_num / c_den
-                if quotient <= rayleigh - decrease or (
-                    decrease <= slack and quotient <= rayleigh + slack
-                ):
-                    accepted = True
-                    break
-            trial *= opts.shrink
-        if not accepted:
-            status = STATUS_STALLED
-            break
-        prev_u, prev_g = u, g
-        u = normalize(candidate)
-        step = trial
-
-    u = normalize(u)
+    objective = _Rayleigh(grid, p)
+    u, residual, iterations, status, history = _descent(
+        objective, objective.normalize(u), opts.budget(grid), opts
+    )
+    u = objective.normalize(u)
     if float(grid.node_mass @ u) < 0.0:
         u = -u
-    lambda1 = _p_dirichlet_value(grid, u, p)
     return EigenReport(
-        lambda1=lambda1,
+        lambda1=_p_dirichlet_value(grid, u, p),
         eigenfunction=ScalarField(grid, u),
         rayleigh_history=np.asarray(history),
-        iterations=len(history) - 1,
+        iterations=iterations,
         converged=status == STATUS_CONVERGED,
         residual=residual,
     )

@@ -1,9 +1,13 @@
 import csv
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+import plaplab.cli
 from plaplab.cli import main
+from plaplab.config import load_config
 
 SMALL_EIGEN = """
 scenario_id = eig_small
@@ -233,3 +237,32 @@ def test_seed_override_changes_start(tmp_path):
     r1 = read_csv(out1 / "report.csv")[0]
     r2 = read_csv(out2 / "report.csv")[0]
     assert r1["iterations"] != r2["iterations"] or r1["residual"] != r2["residual"]
+
+
+def test_experiment_classifies_each_converged_start_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    classify = plaplab.cli.classify_cone
+
+    def counting(ps, field):
+        calls.append(field)
+        return classify(ps, field)
+
+    monkeypatch.setattr(plaplab.cli, "classify_cone", counting)
+    cfg = tmp_path / "e2_small.cfg"
+    cfg.write_text(dataclasses.replace(load_config("E2"), n=32, n_starts=6).serialize(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+    reports = read_csv(out / "report.csv")
+    assert len(calls) == sum(row["converged"] == "1" for row in reports) == 6
+    # the representative is start 4; the files are those written when every
+    # representative was classified again for clusters.csv and the summary
+    assert read_csv(out / "clusters.csv")[0]["representative_start"] == "4"
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("report.csv", "clusters.csv")
+    }
+    assert digests == {
+        "report.csv": "0c79d68c851cc35c6bfdd36590870fd2455758d2551042bca9ed33f8f0df6774",
+        "clusters.csv": "5059430f512dcb21c40ae0153baa499826e9874fadd3d9f810a6a505983742f1",
+    }
+    assert "cluster 0: 6 member(s), energy -4.95368e-07, dead_core" in capsys.readouterr().out

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from plaplab.config import BUILTIN_SCENARIOS, load_config
+from plaplab.config import load_config
 from plaplab.energy import energy_grad_and_scaling, energy_grad_values, energy_parts, energy_total
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
@@ -51,13 +51,35 @@ GOLDEN_SOLVES = {
                 "294fa0ae7a3ecc4460f689f04f39b4b9ad55ebf210f9c664c4020214e6345274"),
     "E1N_NEG": ("converged", 1650, "-0x1.cef520a3e6404p-19",
                 "6985538633e3b10d8d017f93ae1f592de81f94e34559d5e86b19fc54b88929a6"),
+    # unprojected descents: iterates with negative entries
+    "E1-odd": ("converged", 884, "-0x1.54054ab0919e4p-17",
+               "aa1f09c5aaa01a35f2ef92a09aaa0c3e9790ec61931757e3701f4210325a4bc4"),
+    "E2-unprojected": ("converged", 1193, "-0x1.3beb11177d964p-21",
+                       "2a2926f7811d9aa8e6417e2e822e784ae02b391760f987e0d242486aeb60b0d2"),
+}
+# variant: (scenario, config fields, solve-option fields, shift of the random start)
+SOLVE_VARIANTS = {
+    "E1-odd": ("E1", {"negative_extension": "odd"}, {}, -0.5),
+    "E2-unprojected": ("E2", {}, {"project_nonnegative": False}, 0.0),
 }
 GOLDEN_DEAD_CORE_2D = ("converged", 198, "-0x1.19a05ceb69f54p-21",
                        "1e1ce772b5718f8d02b78390943971af37e5f7cb45bfa7843aa58d9b8f0e0b93")
-# (converged, iterations, lambda1.hex(), eigenfunction digest, history digest)
-GOLDEN_EIGEN_P3 = (True, 619, "0x1.c454081702f39p+4",
-                   "714a5f57dd43dbb7677dd1b1170988bd99e705562b7d2f723457857309c77c8e",
-                   "90d6a3a4a28b9a1e9bfc22d0627abe186d30773c06c96b0000796ef924193dea")
+# (grid, p): (converged, iterations, lambda1.hex(), eigenfunction digest, history digest)
+GOLDEN_EIGEN = {
+    ("interval-50", 3.0): (True, 619, "0x1.c454081702f39p+4",
+                           "714a5f57dd43dbb7677dd1b1170988bd99e705562b7d2f723457857309c77c8e",
+                           "90d6a3a4a28b9a1e9bfc22d0627abe186d30773c06c96b0000796ef924193dea"),
+    ("interval-50", 1.5): (True, 3291, "0x1.545069ac77746p+2",
+                           "ab57552968a29365213e5d59f18877254c6374f04566d94c62564c826b6dda37",
+                           "38812ba936cba420d41582c172391c84caad8540102156c042040741ee298951"),
+    ("rectangle-24", 2.0): (True, 191, "0x1.3b606ad829456p+4",
+                            "e0ae41931019c7c68b621dc57365308a16edf6516c4778676b1e7dbda8a8e0d4",
+                            "9789ea92ab04fe80261dbd78a26c0559c49e6b7062da624b44ce4e08e02c2700"),
+}
+EIGEN_GRIDS = {
+    "interval-50": lambda: build_interval_grid(50, 0.0, 1.0),
+    "rectangle-24": lambda: build_rectangle_grid(24, 24, (0.0, 1.0, 0.0, 1.0)),
+}
 
 
 def digest(values: np.ndarray) -> str:
@@ -69,15 +91,20 @@ def solve_fingerprint(report):
             digest(report.solution.values))
 
 
-@pytest.mark.parametrize("scenario", BUILTIN_SCENARIOS)
+@pytest.mark.parametrize("scenario", list(GOLDEN_SOLVES))
 def test_builtin_scenario_solve_is_bitwise_unchanged(scenario):
-    config = dataclasses.replace(load_config(scenario), n=48)
+    name, fields, options, shift = SOLVE_VARIANTS.get(scenario, (scenario, {}, {}, 0.0))
+    config = dataclasses.replace(load_config(name), n=48, **fields)
     ps = config.build_problem()
     if config.init_spec == "random":
         init = random_start(ps, SEED)
     else:
         init = ScalarField.constant(ps.grid, float(config.init_spec.split(":", 1)[1]))
-    report = minimize(ps, init, config.solve_options(SEED))
+    if shift:  # a sign-changing start on a Dirichlet problem
+        values = init.values + shift
+        values[ps.grid.boundary_nodes] = 0.0
+        init = ScalarField(ps.grid, values)
+    report = minimize(ps, init, dataclasses.replace(config.solve_options(SEED), **options))
     assert solve_fingerprint(report) == GOLDEN_SOLVES[scenario]
 
 
@@ -96,14 +123,15 @@ def test_dead_core_2d_solve_is_bitwise_unchanged():
 
 
 def test_first_eigenvalue_is_bitwise_unchanged():
-    report = first_eigenvalue(build_interval_grid(50, 0.0, 1.0), 3.0, SolveOptions(random_seed=SEED))
-    assert (
-        report.converged,
-        report.iterations,
-        report.lambda1.hex(),
-        digest(report.eigenfunction.values),
-        digest(report.rayleigh_history),
-    ) == GOLDEN_EIGEN_P3
+    for (grid_name, p), expected in GOLDEN_EIGEN.items():
+        report = first_eigenvalue(EIGEN_GRIDS[grid_name](), p, SolveOptions(random_seed=SEED))
+        assert (
+            report.converged,
+            report.iterations,
+            report.lambda1.hex(),
+            digest(report.eigenfunction.values),
+            digest(report.rayleigh_history),
+        ) == expected, (grid_name, p)
 
 
 # ---- reference formulas --------------------------------------------------

@@ -172,3 +172,20 @@ def test_grid_arrays_immutable():
     g = build_interval_grid(4, 0.0, 1.0)
     with pytest.raises(ValueError):
         g.nodes[0, 0] = 5.0
+
+
+def test_field_copies_a_writable_input_and_leaves_it_writable():
+    g = build_interval_grid(4, 0.0, 1.0)
+    mine = np.zeros(5)
+    field = ScalarField(g, mine)
+    assert mine.flags.writeable
+    mine[0] = 7.0
+    assert field.values[0] == 0.0
+    # a contiguous view of a writable array is no safer than the array itself
+    base = np.zeros(5)
+    for view in (base[:], base[:].view()):
+        view.setflags(write=False)
+        field = ScalarField(g, view)
+        base[0] = 7.0
+        assert field.values[0] == 0.0
+        base[0] = 0.0

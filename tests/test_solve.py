@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import (
     SolveOptions,
+    _descent,
     critical_point_from,
     first_eigenvalue,
     minimize,
@@ -323,3 +326,32 @@ def test_solve_options_validation():
         SolveOptions(shrink=1.0)
     with pytest.raises(ValueError):
         SolveOptions(initial_step=-1.0)
+
+
+def test_descent_stalls_once_the_shrunk_step_is_below_the_stall_step():
+    class Rejecting:
+        """An objective no trial point satisfies."""
+
+        project = False
+        free = slice(None)
+        stall_step = 1e-6
+        trials = 0
+
+        def gradient(self, u):
+            return 0.0, np.ones_like(u), None
+
+        def value(self, u):
+            self.trials += 1
+            return math.inf
+
+        def accepted(self, u, value, iteration):
+            raise AssertionError("no step can be accepted")
+
+    objective = Rejecting()
+    start = np.zeros(4)
+    u, residual, iterations, status, history = _descent(objective, start, 10, SolveOptions())
+    assert (status, iterations, history, residual) == ("stalled", 0, [0.0], 1.0)
+    assert u is start
+    # unit first trial, direction norm 2: trials 1, 1/2, ..., 2^-20 are
+    # evaluated, and 2 * 2^-21 falls below the stall step
+    assert objective.trials == 21
