@@ -18,7 +18,7 @@ import numpy as np
 
 from .energy import check_admissible, energy_parts
 from .errors import InvariantViolation
-from .grid import ScalarField, gradient_values
+from .grid import ScalarField
 from .model import AuditResult, ProblemSpec, ReactionSpec, audit_subhomogeneity
 
 STRICTNESS_GAP = 1e-10
@@ -118,9 +118,8 @@ def pointwise_hidden_convexity(
         differs = (u.values[i] != v.values[i]) | (u.values[j] != v.values[j])
         active = differs & ((du + dv) > 0)
     elif mode == "element_gradients":
-        gu = np.linalg.norm(gradient_values(grid, u.values), axis=1)
-        gv = np.linalg.norm(gradient_values(grid, v.values), axis=1)
-        gg = np.linalg.norm(gradient_values(grid, gamma), axis=1)
+        assembly = grid.assembly
+        gu, gv, gg = (assembly.norms(assembly.gradients(w)) for w in (u.values, v.values, gamma))
         lhs = gg**p
         rhs = (1.0 - t) * gu**p + t * gv**p
         elem_u = u.values[grid.elements]

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from plaplab.config import load_config
+from plaplab.config import ScenarioConfig, load_config
 from plaplab.energy import energy_grad_and_scaling, energy_grad_values, energy_parts, energy_total
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
@@ -64,6 +64,21 @@ SOLVE_VARIANTS = {
 }
 GOLDEN_DEAD_CORE_2D = ("converged", 198, "-0x1.19a05ceb69f54p-21",
                        "1e1ce772b5718f8d02b78390943971af37e5f7cb45bfa7843aa58d9b8f0e0b93")
+# the benchmark's 2D E1-type problem on a non-square 20x12 rectangle
+RECTANGLE_E1 = """scenario_id = RECT_E1
+grid.dimension = 2
+grid.n = 20
+grid.ny = 12
+grid.ymax = 0.6
+diffusion.family = constant
+diffusion.p = 2.0
+reaction.family = pure_subhomogeneous
+reaction.q = 1.5
+reaction.a = 1*sin(2*pi*x) + 0.3
+boundary = dirichlet_zero
+"""
+GOLDEN_RECTANGLE_E1 = ("converged", 163, "-0x1.38af2152c0af4p-22",
+                       "e6a1def71a0578ad1c5fa721ec9a6d8db7883e6952c2fd51411c59ba6a92c940")
 # (grid, p): (converged, iterations, lambda1.hex(), eigenfunction digest, history digest)
 GOLDEN_EIGEN = {
     ("interval-50", 3.0): (True, 619, "0x1.c454081702f39p+4",
@@ -120,6 +135,13 @@ def test_dead_core_2d_solve_is_bitwise_unchanged():
     )
     report = minimize(ps, random_start(ps, SEED), SolveOptions(random_seed=SEED))
     assert solve_fingerprint(report) == GOLDEN_DEAD_CORE_2D
+
+
+def test_rectangle_e1_solve_is_bitwise_unchanged():
+    config = ScenarioConfig.from_text(RECTANGLE_E1)
+    ps = config.build_problem()
+    report = minimize(ps, random_start(ps, SEED), config.solve_options(SEED))
+    assert solve_fingerprint(report) == GOLDEN_RECTANGLE_E1
 
 
 def test_first_eigenvalue_is_bitwise_unchanged():
@@ -192,9 +214,21 @@ def reference_p_dirichlet(grid, values, p):
     return value, reference_scatter(grid, np.einsum("ed,eld->el", flux, grid.element_grad_coeffs))
 
 
+def permuted_elements(grid):
+    order = np.random.default_rng(2).permutation(grid.n_elements)
+    tables = {"elements": grid.elements[order], "element_volume": grid.element_volume[order],
+              "element_grad_coeffs": grid.element_grad_coeffs[order]}
+    for arr in tables.values():
+        arr.setflags(write=False)
+    return dataclasses.replace(grid, **tables)
+
+
 GRIDS = {
     "interval": build_interval_grid(40, -0.5, 1.0),
     "rectangle": build_rectangle_grid(7, 5, (0.0, 1.0, 0.0, 2.0)),
+    "rectangle-20x12": build_rectangle_grid(20, 12, (0.0, 1.0, 0.0, 0.6)),
+    # the generic path: the 7x5 rectangle's elements in another order
+    "rectangle-permuted": permuted_elements(build_rectangle_grid(7, 5, (0.0, 1.0, 0.0, 2.0))),
 }
 DIFFUSIONS = [
     DiffusionSpec("constant", p=1.5),
@@ -216,11 +250,12 @@ def reactions(grid, p, extension):
 
 
 def fields(ps, rng):
-    """A sign-changing random field and one with flat patches and exact zeros."""
+    """A sign-changing random field, one with flat patches and exact zeros, and
+    the same with negative zeros (stencil terms may differ in the sign of a zero)."""
     n = ps.grid.n_nodes
     rough = rng.uniform(-1.0, 2.0, n)
     flat = np.where(rng.uniform(size=n) < 0.5, 0.0, np.round(rng.uniform(0.0, 2.0, n)))
-    for values in (rough, flat):
+    for values in (rough, flat, np.where(flat == 0.0, -0.0, flat)):
         if ps.is_dirichlet:
             values[ps.grid.boundary_nodes] = 0.0
         yield values
@@ -264,3 +299,12 @@ def test_p_dirichlet_kernel_equals_reference_formula(grid_name, p):
         assert _p_dirichlet_value(grid, values, p).hex() == expected_value.hex()
         assert same_bits(grad, expected_grad)
 
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_assembly_norms_equal_linalg_norm_of_reference_gradients(grid_name):
+    grid = GRIDS[grid_name]
+    for values in fields(ProblemSpec(grid, DiffusionSpec("constant", p=2.0),
+                                     ReactionSpec("double_power", q=1.1, r=3.0), "natural"),
+                         np.random.default_rng(5)):
+        norms = grid.assembly.norms(grid.assembly.gradients(values))
+        assert same_bits(norms, np.linalg.norm(reference_gradients(grid, values), axis=1))

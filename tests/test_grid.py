@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from plaplab.grid import (
+    Grid,
     ScalarField,
     build_interval_grid,
     build_rectangle_grid,
@@ -189,3 +192,145 @@ def test_field_copies_a_writable_input_and_leaves_it_writable():
         base[0] = 7.0
         assert field.values[0] == 0.0
         base[0] = 0.0
+
+
+# ---- loop references for the vectorized mesh tables -----------------------
+
+
+def loop_rectangle_grid(nx, ny, extents):
+    """build_rectangle_grid as a loop over cells and boundary nodes."""
+    xmin, xmax, ymin, ymax = (float(v) for v in extents)
+    xs = np.linspace(xmin, xmax, nx + 1)
+    ys = np.linspace(ymin, ymax, ny + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+
+    def nid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    triangles = []
+    for iy in range(ny):
+        for ix in range(nx):
+            ll, lr = nid(ix, iy), nid(ix + 1, iy)
+            ul, ur = nid(ix, iy + 1), nid(ix + 1, iy + 1)
+            triangles.append((ll, lr, ur))
+            triangles.append((ll, ur, ul))
+    elements = np.array(triangles, dtype=int)
+    p0, p1, p2 = (nodes[elements[:, k]] for k in range(3))
+    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (
+        p1[:, 1] - p0[:, 1]
+    )
+    coeffs = np.empty((len(elements), 3, 2))
+    for local, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        pj, pk = nodes[elements[:, j]], nodes[elements[:, k]]
+        coeffs[:, local, 0] = (pj[:, 1] - pk[:, 1]) / det
+        coeffs[:, local, 1] = (pk[:, 0] - pj[:, 0]) / det
+    boundary, normals, interior = [], [], []
+    for node in range(len(nodes)):
+        ix, iy = node % (nx + 1), node // (nx + 1)
+        outward = np.zeros(2)
+        if ix == 0:
+            outward += (-1.0, 0.0)
+        if ix == nx:
+            outward += (1.0, 0.0)
+        if iy == 0:
+            outward += (0.0, -1.0)
+        if iy == ny:
+            outward += (0.0, 1.0)
+        if outward.any():
+            boundary.append(node)
+            normals.append(outward / np.linalg.norm(outward))
+        else:
+            interior.append(node)
+    return Grid(2, nodes, elements, 0.5 * np.abs(det), coeffs, np.array(boundary),
+                np.array(normals), np.array(interior))
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (7, 5), (3, 8)])
+def test_rectangle_grid_equals_loop_reference(nx, ny):
+    extents = (-0.3, 1.1, 0.0, 0.7)
+    built, expected = build_rectangle_grid(nx, ny, extents), loop_rectangle_grid(nx, ny, extents)
+    for field in dataclasses.fields(Grid):
+        mine, theirs = getattr(built, field.name), getattr(expected, field.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
+            assert mine.tobytes() == theirs.tobytes(), field.name
+        else:
+            assert mine == theirs
+
+
+@pytest.mark.parametrize(
+    "grid", [build_interval_grid(9, 0.0, 1.0), build_rectangle_grid(5, 4, (0, 1, 0, 1))],
+    ids=["interval", "rectangle"],
+)
+def test_edges_and_neighbors_equal_loop_formulas(grid):
+    if grid.dimension == 1:
+        pairs = np.sort(grid.elements, axis=1)
+    else:
+        tri = grid.elements
+        pairs = np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]]), axis=1)
+    expected = np.unique(pairs, axis=0)
+    assert grid.edges.dtype == expected.dtype
+    np.testing.assert_array_equal(grid.edges, expected)
+    adjacency = [[] for _ in range(grid.n_nodes)]
+    for i, j in expected:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    assert len(grid.node_neighbors) == grid.n_nodes
+    for mine, nbrs in zip(grid.node_neighbors, adjacency):
+        expected_nbrs = np.array(sorted(nbrs), dtype=int)
+        assert mine.dtype == expected_nbrs.dtype
+        np.testing.assert_array_equal(mine, expected_nbrs)
+
+
+# ---- the assembly path of each mesh ----------------------------------------
+
+
+def with_elements(grid, order, grad_coeffs=None):
+    """The same nodes and boundary with the elements taken in ``order``."""
+    frozen = {
+        "elements": grid.elements[order],
+        "element_volume": grid.element_volume[order],
+        "element_grad_coeffs": (grad_coeffs if grad_coeffs is not None
+                                else grid.element_grad_coeffs)[order],
+    }
+    for arr in frozen.values():
+        arr.setflags(write=False)
+    return dataclasses.replace(grid, **frozen)
+
+
+def test_rectangle_meshes_take_the_stencil_path():
+    for nx, ny in ((2, 2), (7, 5), (3, 8)):
+        assembly = build_rectangle_grid(nx, ny, (0.0, 1.0, 0.0, 0.5)).assembly
+        assert assembly.cells == (ny, nx) and not assembly.chain
+        assert assembly.elements is None and assembly.grad_coeffs is None
+    assert build_interval_grid(6, 0.0, 1.0).assembly.cells is None
+
+
+def test_rectangle_table_with_a_nonzero_dropped_coefficient_takes_the_generic_path():
+    grid = build_rectangle_grid(4, 3, (0.0, 1.0, 0.0, 1.0))
+    coeffs = np.array(grid.element_grad_coeffs)
+    coeffs[5, 2, 0] = 1e-300  # triangle B of cell 2, local node 2, x: a kept term
+    assert with_elements(grid, np.arange(grid.n_elements), coeffs).assembly.cells == (3, 4)
+    coeffs[4, 2, 0] = 1e-300  # triangle A of cell 2, local node 2, x: a dropped term
+    assert with_elements(grid, np.arange(grid.n_elements), coeffs).assembly.cells is None
+
+
+def test_permuted_rectangle_takes_the_generic_path_and_agrees():
+    grid = build_rectangle_grid(9, 6, (0.0, 1.5, -0.5, 0.5))
+    order = np.random.default_rng(4).permutation(grid.n_elements)
+    generic = with_elements(grid, order)
+    assert generic.assembly.cells is None and not generic.assembly.chain
+    rng = np.random.default_rng(8)
+    values, scale = rng.uniform(-1.0, 2.0, grid.n_nodes), rng.uniform(0.1, 3.0, grid.n_elements)
+    stencil, fallback = grid.assembly, generic.assembly
+
+    def close(mine, theirs):
+        np.testing.assert_allclose(mine, theirs, rtol=1e-13, atol=1e-13 * np.abs(theirs).max())
+
+    grads = stencil.gradients(values)
+    assert grads.shape == (2, grid.n_elements)
+    close(grads[:, order], fallback.gradients(values))
+    close(stencil.norms(grads)[order], fallback.norms(fallback.gradients(values)))
+    close(stencil.scatter(scale, grads), fallback.scatter(scale[order], grads[:, order]))
+    close(stencil.scatter_diagonal(scale), fallback.scatter_diagonal(scale[order]))
