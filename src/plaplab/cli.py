@@ -19,10 +19,10 @@ import numpy as np
 
 from .classify import classify_cone, comparability_delta, neumann_integral_condition
 from .config import ScenarioConfig, load_config
-from .errors import ConfigError, InvariantViolation, PlapLabError
+from .errors import BoundaryViolationError, ConfigError, InvariantViolation, PlapLabError
 from .grid import ScalarField
 from .model import audit_diffusion, audit_growth, audit_subhomogeneity
-from .paths import path_energy_profile, midpoint_energy_test, reaction_pullback_concavity
+from .paths import check_endpoints, path_energy_profile, midpoint_energy_test, reaction_pullback_concavity
 from .solve import (
     STATUS_NOT_BOUNDED_BELOW,
     SolveReport,
@@ -63,33 +63,23 @@ def _write_solution(path: Path, field: ScalarField) -> None:
 
 def _load_field(source: str, ps) -> ScalarField:
     """A field from 'const:<value>' or from a solution.csv written by solve."""
-    if source.startswith("const:"):
-        try:
-            value = float(source.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad constant field {source!r}") from exc
-        return ScalarField.constant(ps.grid, value)
     try:
-        with open(source, "r", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            value_col = header.index("value")
-            values = [float(row[value_col]) for row in reader]
+        if source.startswith("const:"):
+            values = np.full(ps.grid.n_nodes, float(source.split(":", 1)[1]))
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                reader = csv.reader(handle)
+                value_col = next(reader).index("value")
+                values = np.array([float(row[value_col]) for row in reader])
+        return ScalarField(ps.grid, values)  # checks the length and finiteness
     except (OSError, ValueError, StopIteration) as exc:
-        raise ConfigError(f"cannot read solution file {source!r}: {exc}") from exc
-    if len(values) != ps.grid.n_nodes:
-        raise ConfigError(
-            f"solution file {source!r} has {len(values)} values, grid needs "
-            f"{ps.grid.n_nodes}"
-        )
-    return ScalarField(ps.grid, np.asarray(values))
+        raise ConfigError(f"bad field {source!r}: {exc}") from exc
 
 
 def _initial_field(config: ScenarioConfig, ps, seed: int) -> ScalarField:
     if config.init_spec == "random":
         return random_start(ps, seed)
-    value = float(config.init_spec.split(":", 1)[1])
-    init = np.full(ps.grid.n_nodes, value)
+    init = np.array(_load_field(config.init_spec, ps).values)
     if ps.is_dirichlet:
         init[ps.grid.boundary_nodes] = 0.0
     return ScalarField(ps.grid, init)
@@ -258,6 +248,10 @@ def _cmd_path(config: ScenarioConfig, out: Path, u_source, v_source, say) -> int
     ps = config.build_problem()
     u = _load_field(u_source, ps)
     v = _load_field(v_source, ps)
+    try:
+        check_endpoints(u, v, ps)
+    except (ValueError, BoundaryViolationError) as exc:
+        raise ConfigError(f"path endpoints: {exc}") from exc
     diag = path_energy_profile(ps, u, v, config.path_q, config.path_samples)
     rows = []
     n = len(diag.t_samples)

@@ -8,6 +8,7 @@ provenance trivially checkable.
 """
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 from .coefficients import CoefficientDef, _format_number
@@ -182,10 +183,16 @@ class ScenarioConfig:
         seed = r.integer("solver.seed", default=0)
         initial_step = r.real("solver.initial_step", default=1.0)
         init_spec = r.text("solver.init", default="random")
-        if init_spec != "random" and not init_spec.startswith("const:"):
-            raise ConfigError(
-                f"solver.init: expected 'random' or 'const:<value>', got {init_spec!r}"
-            )
+        if init_spec != "random":
+            try:
+                constant = float(init_spec.removeprefix("const:"))
+                finite = init_spec.startswith("const:") and math.isfinite(constant)
+            except ValueError:
+                finite = False
+            if not finite:
+                raise ConfigError(
+                    f"solver.init: expected 'random' or 'const:<finite value>', got {init_spec!r}"
+                )
 
         path_q = r.real("path.q", default=q)
         path_samples = r.integer("path.samples", default=41)

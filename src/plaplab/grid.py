@@ -6,6 +6,7 @@ piecewise-linear element gradients, lumped (node-mass) quadrature, and the
 edge list used by the pointwise convexity checks.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,41 +95,37 @@ class Grid:
         return ElementAssembly(self)
 
 
-# Rectangle meshes from ``build_rectangle_grid``: (row, column) offsets, in the
-# (ny + 1, nx + 1) node array, of the corners of a cell's two triangles, in
-# local node order. Triangle A = (ll, lr, ur) is element 2k of cell k and
-# B = (ll, ur, ul) is element 2k + 1.
+# Structured meshes as the grid builders write them, per dimension: the corners
+# of each element of a cell (offsets in the node array of shape cells + 1, in
+# local node order), and per (component, element) the two local nodes whose
+# hat-gradient component is nonzero; the other's is 0.0 on axis-aligned cells.
+# In 2D, triangle A = (ll, lr, ur) is element 2k of cell k, B = (ll, ur, ul) 2k + 1.
 _LL, _LR, _UL, _UR = (0, 0), (0, 1), (1, 0), (1, 1)
-_CORNERS = ((_LL, _LR, _UR), (_LL, _UR, _UL))
-# (component, triangle, local nodes): the two hat gradients whose component is
-# nonzero, in local order; the third one's is exactly 0.0 on an axis-aligned cell
-_GATHER = ((0, 0, (0, 1)), (0, 1, (1, 2)), (1, 0, (1, 2)), (1, 1, (0, 2)))
+_CORNERS = {1: (((0,), (1,)),), 2: ((_LL, _LR, _UR), (_LL, _UR, _UL))}
+_KEPT = {
+    1: ((0, 0, (0, 1)),),
+    2: ((0, 0, (0, 1)), (0, 1, (1, 2)), (1, 0, (1, 2)), (1, 1, (0, 2))),
+}
 
 
 class ElementAssembly:
     """Element gradients of nodal fields and their scatter back to the nodes.
 
-    There are three paths, chosen from the element table:
-
-    * interval grids whose elements are the node pairs (i, i + 1) in order (a
-      *chain*): gradients are ``u[:-1] * c0 + u[1:] * c1``, shape
-      (n_elements,), and the scatter is two slice adds;
-    * rectangle meshes whose element table is the one ``build_rectangle_grid``
-      writes, with axis-aligned cells (checked: the hat-gradient components
-      the stencil drops are exactly zero): each gradient component is the two
-      nonzero terms of the ``einsum`` sum, multiplied from corner slices of
-      the (ny + 1, nx + 1) node array;
-    * any other mesh: gradients by ``einsum``.
-
-    Off the chain, element gradients are planar, shape (dim, n_elements), in
-    element order, so norms add whole component rows, and the scatter is one
+    Two paths, chosen from the element table: on structured meshes (the
+    element table ``build_interval_grid`` or ``build_rectangle_grid`` writes,
+    with axis-aligned cells: the hat-gradient components the stencil drops
+    are checked to be exactly zero) each gradient component is the kept
+    terms of the ``einsum`` sum, multiplied from shifted slices of the node
+    array of shape ``cells + 1``; on any other mesh, gradients are an
+    ``einsum``. Either way they are planar, (dim, n_elements) in element
+    order, so norms add whole component rows, and the scatter is one
     ``np.bincount`` over the column-major element table, which adds in the
-    same order as an ``np.add.at`` pass per local node. (Six slice adds into
-    the node array were slower than the bincount on 32^2 and 64^2 meshes.)
+    order of an ``np.add.at`` pass per local node. (Slice adds into the node
+    array were slower on 129-node chains and on 32^2 and 64^2 meshes.)
 
-    Every path is bitwise equal to the ``einsum`` gather and the ``np.add.at``
-    scatter: the dropped terms are exact zeros and the kept ones keep their
-    order. The only difference is the sign of a zero element term, which
+    Both paths are bitwise equal to the ``einsum`` gather and the
+    ``np.add.at`` scatter: dropped terms are exact zeros and kept ones keep
+    their order. Only the sign of a zero element term may differ, which
     squaring (norms) and the zero-started node sums (scatter) erase.
 
     Only read-only tables are kept, so one instance serves concurrent solves,
@@ -137,57 +134,54 @@ class ElementAssembly:
     """
 
     def __init__(self, grid: Grid):
-        n = grid.n_elements
         self.n_nodes = grid.n_nodes
-        self.chain = grid.dimension == 1 and np.array_equal(
-            grid.elements, np.column_stack([np.arange(n), np.arange(1, n + 1)])
-        )
-        self.cells = None if self.chain else _rectangle_cells(grid)  # (ny, nx)
+        self.cells = _structured_cells(grid)  # (n,) or (ny, nx)
         coeffs = grid.element_grad_coeffs
         # hat-function gradients (component, local node, element) and their squared norms
-        self.planar = _frozen_array(coeffs.transpose(2, 1, 0))
-        self.coeff_sq = _frozen_array(_sum_of_squares(self.planar))
-        self.slopes = self.planar[0] if self.chain else None
-        self.index = None if self.chain else _frozen_array(grid.elements.T.ravel(), dtype=int)
-        generic = not self.chain and self.cells is None
-        self.elements = grid.elements if generic else None
-        self.grad_coeffs = coeffs if generic else None
-        self.stencil = None
-        if self.cells is not None:
-            c = coeffs.reshape(*self.cells, 2, 3, 2)  # cell row, column, triangle, local, component
-            self.stencil = _frozen_array(
-                [[c[:, :, tri, j, d] for j in kept] for d, tri, kept in _GATHER]
+        planar = _frozen_array(coeffs.transpose(2, 1, 0))
+        self.hat_grads = tuple(planar)
+        self.coeff_sq = _frozen_array(_sum_of_squares(planar))
+        self.index = _frozen_array(grid.elements.T.ravel(), dtype=int)
+        structured = self.cells is not None
+        self.elements = None if structured else grid.elements
+        self.grad_coeffs = None if structured else coeffs
+        if structured:
+            dim, cells = grid.dimension, self.cells
+            corners = _CORNERS[dim]
+            c = coeffs.reshape(*cells, len(corners), dim + 1, dim)
+            self.node_shape = tuple(n + 1 for n in cells)
+            self.grads_shape = (dim, *cells, len(corners))
+            self.planar_shape = (dim, grid.n_elements)
+            # per kept pair: where its sum goes in the gradients, then the node
+            # slices and the coefficients of its two terms
+            self.stencil = tuple(
+                ((d, Ellipsis, e), _under(corners[e][j], cells), _under(corners[e][k], cells),
+                 _frozen_array(c[..., e, j, d]), _frozen_array(c[..., e, k, d]))
+                for d, e, (j, k) in _KEPT[dim]
             )
 
     def gradients(self, values: np.ndarray) -> np.ndarray:
-        """Element gradients: shape (n_elements,) on a chain, else (dim, n_elements)."""
-        if self.chain:
-            return values[:-1] * self.slopes[0] + values[1:] * self.slopes[1]
+        """Element gradients, shape (dim, n_elements)."""
         if self.cells is None:
             return np.einsum("ej,ejd->de", values[self.elements], self.grad_coeffs)
-        ny, nx = self.cells
-        nodes = values.reshape(ny + 1, nx + 1)
-        corner = {(r, c): nodes[r:r + ny, c:c + nx] for r, c in (_LL, _LR, _UL, _UR)}
-        grads = np.empty((2, ny, nx, 2))
-        for (d, tri, (j, k)), coeffs in zip(_GATHER, self.stencil):
-            out = grads[d, :, :, tri]
-            np.multiply(corner[_CORNERS[tri][j]], coeffs[0], out=out)
-            out += corner[_CORNERS[tri][k]] * coeffs[1]
-        return grads.reshape(2, -1)
+        nodes = values.reshape(self.node_shape)
+        grads = np.empty(self.grads_shape)
+        for target, first, second, c0, c1 in self.stencil:
+            out = grads[target]
+            np.multiply(nodes[first], c0, out)
+            out += nodes[second] * c1
+        return grads.reshape(self.planar_shape)
 
     def norms(self, grads: np.ndarray) -> np.ndarray:
-        if self.chain:
-            return np.sqrt(grads * grads)
         return np.sqrt(_sum_of_squares(grads))
 
     def scatter(self, scale: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """Per node, the sum over its elements of scale * grads . grad(hat)."""
-        if self.chain:
-            return self._to_nodes(scale * grads * self.slopes)
         flux = scale * grads
-        local = flux[0] * self.planar[0]
-        for component, coeffs in zip(flux[1:], self.planar[1:]):
-            local += component * coeffs
+        hat = self.hat_grads
+        local = flux[0] * hat[0]
+        for d in range(1, len(flux)):
+            local += flux[d] * hat[d]
         return self._to_nodes(local)
 
     def scatter_diagonal(self, scale: np.ndarray) -> np.ndarray:
@@ -196,49 +190,57 @@ class ElementAssembly:
 
     def _to_nodes(self, local: np.ndarray) -> np.ndarray:
         """Sum element contributions, shape (dim + 1, n_elements), into the nodes."""
-        if self.chain:
-            out = np.zeros(self.n_nodes)
-            out[:-1] += local[0]
-            out[1:] += local[1]
-            return out
-        return np.bincount(self.index, weights=local.ravel(), minlength=self.n_nodes)
+        return np.bincount(self.index, local.ravel(), self.n_nodes)
 
 
 def _sum_of_squares(planar: np.ndarray) -> np.ndarray:
     """Sum of squares over the first axis, added in index order as
     ``np.add.reduce`` over a short axis does."""
-    total = planar[0] * planar[0]
-    for row in planar[1:]:
-        total += row * row
+    squares = planar * planar
+    total = squares[0]
+    for d in range(1, len(squares)):
+        total += squares[d]
     return total
 
 
-def _rectangle_elements(nx: int, ny: int) -> np.ndarray:
-    """Two triangles per cell, cells in row-major order: (ll, lr, ur), (ll, ur, ul)."""
-    ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
-    lr, ul, ur = ll + 1, ll + nx + 1, ll + nx + 2
-    return np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
+def _under(corner: tuple, cells: tuple) -> tuple:
+    """Slices of the node array, of shape cells + 1, under one corner of every cell."""
+    return tuple(slice(o, o + n) for o, n in zip(corner, cells))
 
 
-def _rectangle_cells(grid: Grid):
-    """(ny, nx) when the element table is ``build_rectangle_grid``'s and every
+def _structured_elements(cells: tuple) -> np.ndarray:
+    """The grid builders' element table: cells in row-major order, one element
+    per corner tuple of ``_CORNERS``, e.g. (ll, lr, ur), (ll, ur, ul) in 2D."""
+    shape = tuple(n + 1 for n in cells)
+    nodes = np.arange(math.prod(shape)).reshape(shape)
+    # the node index of each corner of cell 0, whose lowest corner is node 0
+    offsets = np.array([nodes[o] for element in _CORNERS[len(cells)] for o in element])
+    return (nodes[_under((0,) * len(cells), cells)][..., None] + offsets).reshape(-1, len(cells) + 1)
+
+
+def _structured_cells(grid: Grid):
+    """(n,) or (ny, nx) when the element table is the grid builder's and every
     hat-gradient component the stencil drops is exactly zero, else None."""
-    if grid.dimension != 2 or grid.n_elements == 0:
+    dim = grid.dimension
+    if dim not in _CORNERS or grid.n_elements == 0:
         return None
-    nx = int(grid.elements[0, 2]) - 2  # element 0 is (0, 1, nx + 2)
-    if nx < 1 or grid.n_elements % (2 * nx):
-        return None
-    ny = grid.n_elements // (2 * nx)
-    if grid.n_nodes != (nx + 1) * (ny + 1) or not np.array_equal(
-        grid.elements, _rectangle_elements(nx, ny)
+    if dim == 1:
+        cells = (grid.n_elements,)
+    else:
+        nx = int(grid.elements[0, 2]) - 2  # element 0 is (0, 1, nx + 2)
+        if nx < 1 or grid.n_elements % (2 * nx):
+            return None
+        cells = (grid.n_elements // (2 * nx), nx)
+    if grid.n_nodes != math.prod(n + 1 for n in cells) or not np.array_equal(
+        grid.elements, _structured_elements(cells)
     ):
         return None
-    c = grid.element_grad_coeffs.reshape(ny, nx, 2, 3, 2)
-    for d, tri, kept in _GATHER:
-        (dropped,) = {0, 1, 2} - set(kept)
-        if c[:, :, tri, dropped, d].any():
-            return None
-    return ny, nx
+    c = grid.element_grad_coeffs.reshape(*cells, len(_CORNERS[dim]), dim + 1, dim)
+    for d, e, kept in _KEPT[dim]:
+        for dropped in set(range(dim + 1)) - set(kept):
+            if c[..., e, dropped, d].any():
+                return None
+    return cells
 
 
 @dataclass(frozen=True)
@@ -297,7 +299,7 @@ def build_interval_grid(n: int, a: float, b: float) -> Grid:
     coords = np.linspace(a, b, n + 1)
     h = (b - a) / n
     nodes = coords.reshape(-1, 1)
-    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    elements = _structured_elements((n,))
     volume = np.full(n, h)
     # hat-function slopes: -1/h at the left node, +1/h at the right node
     coeffs = np.empty((n, 2, 1))
@@ -337,7 +339,7 @@ def build_rectangle_grid(nx: int, ny: int, extents) -> Grid:
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])  # node = iy * (nx + 1) + ix
 
-    elements = _rectangle_elements(nx, ny)
+    elements = _structured_elements((ny, nx))
 
     p0 = nodes[elements[:, 0]]
     p1 = nodes[elements[:, 1]]
@@ -383,8 +385,7 @@ def build_rectangle_grid(nx: int, ny: int, extents) -> Grid:
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Per-element gradient vectors of the piecewise-linear interpolant."""
-    nodal = values[grid.elements]  # (n_elements, dim + 1)
-    return np.einsum("ej,ejd->ed", nodal, grid.element_grad_coeffs)
+    return grid.assembly.gradients(values).T
 
 
 def gradient(u: ScalarField) -> ElementVectorField:

@@ -26,11 +26,15 @@ EXACT_1D_TOL = 1e-10
 DEFAULT_T_SAMPLES = 41
 
 
-def _check_pair(u: ScalarField, v: ScalarField) -> None:
+def check_endpoints(u: ScalarField, v: ScalarField, ps: ProblemSpec | None = None) -> None:
+    """Path endpoints are nonnegative fields on one grid, admissible for ``ps`` if given."""
     if u.grid is not v.grid:
         raise ValueError("endpoint fields live on different grids")
     if np.any(u.values < 0) or np.any(v.values < 0):
         raise ValueError("path endpoints must be nonnegative fields")
+    if ps is not None:
+        check_admissible(ps, u.values)
+        check_admissible(ps, v.values)
 
 
 def power_path_values(u: np.ndarray, v: np.ndarray, q: float, t: float) -> np.ndarray:
@@ -48,7 +52,7 @@ def power_path_values(u: np.ndarray, v: np.ndarray, q: float, t: float) -> np.nd
 
 def power_path(u: ScalarField, v: ScalarField, q: float, t: float) -> ScalarField:
     """q-power interpolation between nonnegative fields; exact at the endpoints."""
-    _check_pair(u, v)
+    check_endpoints(u, v)
     return ScalarField(u.grid, power_path_values(u.values, v.values, q, t))
 
 
@@ -102,7 +106,7 @@ def pointwise_hidden_convexity(
     element gradients, which in 2D is subject to interpolation error and is
     therefore diagnostic only.
     """
-    _check_pair(u, v)
+    check_endpoints(u, v)
     if q > p:
         raise ValueError(f"requires q <= p, got q={q} > p={p}")
     grid = u.grid
@@ -175,9 +179,7 @@ def path_energy_profile(
     raises ``InvariantViolation``. Otherwise convexity is reported, not
     asserted.
     """
-    _check_pair(u, v)
-    check_admissible(ps, u.values)
-    check_admissible(ps, v.values)
+    check_endpoints(u, v, ps)
     if n_samples < 3:
         raise ValueError(f"need at least 3 path samples, got {n_samples}")
     grid = ps.grid
@@ -250,9 +252,7 @@ def midpoint_energy_test(
     A strictly positive gap at two equal-energy global-minimizer candidates is
     a contradiction: both cannot be global minimizers.
     """
-    _check_pair(u, v)
-    check_admissible(ps, u.values)
-    check_admissible(ps, v.values)
+    check_endpoints(u, v, ps)
     mid = power_path_values(u.values, v.values, q, 0.5)
     e_u = energy_parts(ps, u.values)
     e_v = energy_parts(ps, v.values)

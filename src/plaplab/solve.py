@@ -38,6 +38,10 @@ DIVERGENCE_ENERGY = -1e12
 DIVERGENCE_DOUBLINGS = 10
 DIVERGENCE_NORM_FACTOR = 1e3
 MEAN_SHIFT_CADENCE = 8
+# Armijo backtracking: the factor a rejected trial step shrinks by, and the
+# fraction of the first-order decrease an accepted step must achieve
+BACKTRACK_SHRINK = 0.5
+SUFFICIENT_DECREASE = 1e-4
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -59,19 +63,13 @@ class SolveOptions:
 
     max_iterations: int | None = None
     residual_tolerance: float = 1e-9
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
     initial_step: float = 1.0
     random_seed: int = 0
     project_nonnegative: bool | None = None
 
     def __post_init__(self):
-        if self.residual_tolerance <= 0:
-            raise ValueError("residual tolerance must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("backtracking shrink factor must lie in (0, 1)")
-        if self.sufficient_decrease <= 0 or self.initial_step <= 0:
-            raise ValueError("line-search constants must be positive")
+        if self.residual_tolerance <= 0 or self.initial_step <= 0:
+            raise ValueError("residual tolerance and initial step must be positive")
 
     def budget(self, grid: Grid) -> int:
         if self.max_iterations is not None:
@@ -143,14 +141,14 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
             candidate = u - trial * direction
             if objective.project:
                 np.maximum(candidate, 0.0, out=candidate)
-            decrease = opts.sufficient_decrease * float(g @ (u - candidate))
+            decrease = SUFFICIENT_DECREASE * float(g @ (u - candidate))
             trial_value = objective.value(candidate)
             if math.isfinite(trial_value) and (
                 trial_value <= value - decrease
                 or (decrease <= slack and trial_value <= value + slack)
             ):
                 break
-            trial *= opts.shrink
+            trial *= BACKTRACK_SHRINK
             if trial * math.sqrt(direction @ direction) < objective.stall_step:
                 return u, residual, iteration, STATUS_STALLED, history
 

@@ -266,3 +266,35 @@ def test_experiment_classifies_each_converged_start_once(tmp_path, capsys, monke
         "clusters.csv": "5059430f512dcb21c40ae0153baa499826e9874fadd3d9f810a6a505983742f1",
     }
     assert "cluster 0: 6 member(s), energy -4.95368e-07, dead_core" in capsys.readouterr().out
+
+
+def _config_with_init(tmp_path, init):
+    cfg = tmp_path / "init.cfg"
+    cfg.write_text(TINY_BUDGET.replace("const:0.5", init), encoding="utf-8")
+    return str(cfg)
+
+
+def _nan_solution(tmp_path):
+    path = tmp_path / "nan_solution.csv"
+    path.write_text("node,x,value\n" + "".join(f"{i},0,nan\n" for i in range(129)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["solve", "--config", _config_with_init(tmp, "const:abc")],
+        lambda tmp: ["solve", "--config", _config_with_init(tmp, "const:nan")],
+        lambda tmp: ["solve", "--config", _config_with_init(tmp, "const:inf")],
+        lambda tmp: ["path", "--config", "E1", "--u", "const:nan", "--v", "const:0"],
+        lambda tmp: ["path", "--config", "E1", "--u", _nan_solution(tmp), "--v", "const:0"],
+        lambda tmp: ["path", "--config", "E1N_NEG", "--u", "const:-1", "--v", "const:1"],
+        lambda tmp: ["path", "--config", "E1", "--u", "const:1", "--v", "const:2"],
+    ],
+    ids=["init-abc", "init-nan", "init-inf", "path-const-nan", "path-file-nan", "path-negative",
+         "path-dirichlet-broken"],
+)
+def test_bad_user_fields_exit_with_config_error(tmp_path, capsys, argv):
+    code = main([*argv(tmp_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")

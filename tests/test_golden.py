@@ -227,8 +227,9 @@ GRIDS = {
     "interval": build_interval_grid(40, -0.5, 1.0),
     "rectangle": build_rectangle_grid(7, 5, (0.0, 1.0, 0.0, 2.0)),
     "rectangle-20x12": build_rectangle_grid(20, 12, (0.0, 1.0, 0.0, 0.6)),
-    # the generic path: the 7x5 rectangle's elements in another order
+    # the generic path: the elements of a builder mesh in another order
     "rectangle-permuted": permuted_elements(build_rectangle_grid(7, 5, (0.0, 1.0, 0.0, 2.0))),
+    "interval-permuted": permuted_elements(build_interval_grid(40, -0.5, 1.0)),
 }
 DIFFUSIONS = [
     DiffusionSpec("constant", p=1.5),

@@ -302,9 +302,12 @@ def with_elements(grid, order, grad_coeffs=None):
 def test_rectangle_meshes_take_the_stencil_path():
     for nx, ny in ((2, 2), (7, 5), (3, 8)):
         assembly = build_rectangle_grid(nx, ny, (0.0, 1.0, 0.0, 0.5)).assembly
-        assert assembly.cells == (ny, nx) and not assembly.chain
+        assert assembly.cells == (ny, nx)
         assert assembly.elements is None and assembly.grad_coeffs is None
-    assert build_interval_grid(6, 0.0, 1.0).assembly.cells is None
+    for n in (2, 6, 128):
+        assembly = build_interval_grid(n, 0.0, 1.0).assembly
+        assert assembly.cells == (n,)
+        assert assembly.elements is None and assembly.grad_coeffs is None
 
 
 def test_rectangle_table_with_a_nonzero_dropped_coefficient_takes_the_generic_path():
@@ -317,20 +320,19 @@ def test_rectangle_table_with_a_nonzero_dropped_coefficient_takes_the_generic_pa
 
 
 def test_permuted_rectangle_takes_the_generic_path_and_agrees():
-    grid = build_rectangle_grid(9, 6, (0.0, 1.5, -0.5, 0.5))
-    order = np.random.default_rng(4).permutation(grid.n_elements)
-    generic = with_elements(grid, order)
-    assert generic.assembly.cells is None and not generic.assembly.chain
-    rng = np.random.default_rng(8)
-    values, scale = rng.uniform(-1.0, 2.0, grid.n_nodes), rng.uniform(0.1, 3.0, grid.n_elements)
-    stencil, fallback = grid.assembly, generic.assembly
-
     def close(mine, theirs):
         np.testing.assert_allclose(mine, theirs, rtol=1e-13, atol=1e-13 * np.abs(theirs).max())
 
-    grads = stencil.gradients(values)
-    assert grads.shape == (2, grid.n_elements)
-    close(grads[:, order], fallback.gradients(values))
-    close(stencil.norms(grads)[order], fallback.norms(fallback.gradients(values)))
-    close(stencil.scatter(scale, grads), fallback.scatter(scale[order], grads[:, order]))
-    close(stencil.scatter_diagonal(scale), fallback.scatter_diagonal(scale[order]))
+    for grid in (build_rectangle_grid(9, 6, (0.0, 1.5, -0.5, 0.5)), build_interval_grid(40, -0.5, 1.0)):
+        order = np.random.default_rng(4).permutation(grid.n_elements)
+        generic = with_elements(grid, order)
+        assert generic.assembly.cells is None
+        rng = np.random.default_rng(8)
+        values, scale = rng.uniform(-1.0, 2.0, grid.n_nodes), rng.uniform(0.1, 3.0, grid.n_elements)
+        stencil, fallback = grid.assembly, generic.assembly
+        grads = stencil.gradients(values)
+        assert grads.shape == (grid.dimension, grid.n_elements)
+        close(grads[:, order], fallback.gradients(values))
+        close(stencil.norms(grads)[order], fallback.norms(fallback.gradients(values)))
+        close(stencil.scatter(scale, grads), fallback.scatter(scale[order], grads[:, order]))
+        close(stencil.scatter_diagonal(scale), fallback.scatter_diagonal(scale[order]))

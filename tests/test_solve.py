@@ -323,8 +323,6 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(residual_tolerance=0.0)
     with pytest.raises(ValueError):
-        SolveOptions(shrink=1.0)
-    with pytest.raises(ValueError):
         SolveOptions(initial_step=-1.0)
 
 
