@@ -19,13 +19,10 @@ from .config import ScenarioConfig, load_config
 from .energy import EnergyBreakdown, energy, energy_grad, residual_norm
 from .errors import BoundaryViolationError, ConfigError, InvariantViolation, PlapLabError
 from .grid import (
-    ElementVectorField,
     Grid,
     ScalarField,
     build_interval_grid,
     build_rectangle_grid,
-    gradient,
-    integrate_elementwise,
     integrate_nodal,
 )
 from .model import (
@@ -56,7 +53,6 @@ from .solve import (
     MultiStartResult,
     SolveOptions,
     SolveReport,
-    critical_point_from,
     first_eigenvalue,
     minimize,
     multi_start,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import classify_cone, comparability_delta, neumann_integral_condition
-from .config import ScenarioConfig, load_config
+from .config import BUILTIN_SCENARIOS, ScenarioConfig, load_config
 from .errors import BoundaryViolationError, ConfigError, InvariantViolation, PlapLabError
 from .grid import ScalarField
 from .model import audit_diffusion, audit_growth, audit_subhomogeneity
@@ -303,9 +303,8 @@ def _cmd_path(config: ScenarioConfig, out: Path, u_source, v_source, say) -> int
 
 
 def _cmd_eigen(config: ScenarioConfig, out: Path, seed, say) -> int:
-    grid = config.build_grid()
     opts = config.solve_options(seed)
-    report = first_eigenvalue(grid, config.eigen_p, opts)
+    report = first_eigenvalue(config.build_problem().grid, config.eigen_p, opts)
     _write_csv(
         out / "eigen.csv",
         ["lambda1", "p", "iterations", "converged", "residual"],
@@ -376,7 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", required=True, help="config file path or builtin id (E1..E7)")
+        p.add_argument(
+            "--config",
+            required=True,
+            help=f"config file path or builtin id ({', '.join(BUILTIN_SCENARIOS)})",
+        )
         p.add_argument("--out", default="plaplab_out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")

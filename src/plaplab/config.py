@@ -2,14 +2,16 @@
 
 The format is one ``section.key = value`` pair per line, ``#`` comments, blank
 lines ignored. Coefficient values use the term grammar of
-:mod:`plaplab.coefficients`. Parsing, serialization, and re-parsing round-trip
-exactly (canonical 17-significant-digit floats), which keeps experiment
-provenance trivially checkable.
+:mod:`plaplab.coefficients`. Each key is one row of ``KEYS``, and parsing,
+defaults, validation and serialization all loop over that table. Parsing,
+serialization, and re-parsing round-trip exactly (canonical 17-significant-digit
+floats), which keeps experiment provenance trivially checkable.
 """
 
 import importlib.resources
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coefficients import CoefficientDef, _format_number
 from .errors import ConfigError
@@ -17,6 +19,7 @@ from .grid import Grid, build_interval_grid, build_rectangle_grid
 from .model import (
     BOUNDARY_KINDS,
     DIFFUSION_FAMILIES,
+    NEGATIVE_EXTENSIONS,
     REACTION_FAMILIES,
     DiffusionSpec,
     ProblemSpec,
@@ -55,53 +58,103 @@ def parse_entries(text: str) -> dict[str, str]:
     return entries
 
 
-class _Reader:
-    """Typed access over the raw entry dict with consumed-key tracking."""
+_REQUIRED = object()
 
-    def __init__(self, entries: dict[str, str]):
-        self.entries = dict(entries)
-        self.seen: set[str] = set()
 
-    def _raw(self, key: str, default=None, required=False):
-        if key in self.entries:
-            self.seen.add(key)
-            return self.entries[key]
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+@dataclass(frozen=True)
+class _Copy:
+    """A default that copies the value of an earlier field."""
 
-    def text(self, key, default=None, required=False, choices=None):
-        value = self._raw(key, default, required)
-        if value is not None and choices is not None and value not in choices:
-            raise ConfigError(f"{key}: expected one of {choices}, got {value!r}")
-        return value
+    field: str
 
-    def real(self, key, default=None, required=False):
-        value = self._raw(key, default, required)
-        if value is None or isinstance(value, float):
-            return value
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: the field it sets, its kind, default and accepted values.
+
+    ``minimum`` is inclusive for integers and exclusive for reals; a string
+    names an earlier field the value must exceed. ``planar`` keys exist only
+    in 2D configs.
+    """
+
+    name: str
+    field: str
+    kind: str  # "text", "integer", "real" or "coefficient"
+    default: object = _REQUIRED
+    choices: tuple | None = None
+    minimum: float | str | None = None
+    planar: bool = False
+
+
+KEYS = (
+    _Key("scenario_id", "scenario_id", "text"),
+    _Key("description", "description", "text", ""),
+    _Key("grid.dimension", "dimension", "integer", 1, choices=(1, 2)),
+    _Key("grid.n", "n", "integer", minimum=2),
+    _Key("grid.xmin", "xmin", "real", 0.0),
+    _Key("grid.xmax", "xmax", "real", 1.0, minimum="xmin"),
+    _Key("grid.ny", "ny", "integer", _Copy("n"), minimum=2, planar=True),
+    _Key("grid.ymin", "ymin", "real", 0.0, planar=True),
+    _Key("grid.ymax", "ymax", "real", 1.0, minimum="ymin", planar=True),
+    _Key("diffusion.family", "diffusion_family", "text", "constant", choices=DIFFUSION_FAMILIES),
+    _Key("diffusion.p", "p", "real", minimum=1.0),
+    _Key("diffusion.r", "diffusion_r", "real", None),
+    _Key("reaction.family", "reaction_family", "text", choices=REACTION_FAMILIES),
+    _Key("reaction.q", "q", "real", minimum=1.0),
+    _Key("reaction.r", "reaction_r", "real", None),
+    _Key("reaction.p", "reaction_p", "real", None),
+    _Key("reaction.a", "a", "coefficient", None),
+    _Key("reaction.b", "b", "coefficient", None),
+    _Key("reaction.negative_extension", "negative_extension", "text", "zero",
+         choices=NEGATIVE_EXTENSIONS),
+    _Key("reaction.sigma", "declared_growth", "real", None),
+    _Key("boundary", "boundary", "text", choices=BOUNDARY_KINDS),
+    _Key("solver.max_iterations", "max_iterations", "integer", None, minimum=0),
+    _Key("solver.residual_tolerance", "residual_tolerance", "real", 1e-9, minimum=0.0),
+    _Key("solver.n_starts", "n_starts", "integer", 20, minimum=2),
+    _Key("solver.seed", "seed", "integer", 0, minimum=0),
+    _Key("solver.initial_step", "initial_step", "real", 1.0, minimum=0.0),
+    _Key("solver.init", "init_spec", "text", "random"),
+    _Key("path.q", "path_q", "real", _Copy("q"), minimum=1.0),
+    _Key("path.samples", "path_samples", "integer", 41, minimum=3),
+    _Key("eigen.p", "eigen_p", "real", _Copy("p"), minimum=1.0),
+)
+
+_PARSE = {"text": str, "integer": int, "real": float, "coefficient": CoefficientDef.parse}
+_FORMAT = {
+    "text": str, "integer": str, "real": _format_number, "coefficient": CoefficientDef.serialize
+}
+
+
+def _read(key: _Key, unread: dict[str, str], values: dict):
+    """The key's value, taken out of ``unread``, or its default; checked against its row."""
+    if key.planar and values["dimension"] != 2:
+        return None  # left unread: a 1D config that sets it names an unknown key
+    raw = unread.pop(key.name, None)
+    if raw is not None:
         try:
-            return float(value)
+            value = _PARSE[key.kind](raw)
         except ValueError as exc:
-            raise ConfigError(f"{key}: not a number: {value!r}") from exc
-
-    def integer(self, key, default=None, required=False):
-        value = self._raw(key, default, required)
-        if value is None or isinstance(value, int):
-            return value
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer: {value!r}") from exc
-
-    def coefficient(self, key, default=None):
-        value = self._raw(key, None)
-        if value is None:
-            return default
-        return CoefficientDef.parse(value)
-
-    def unknown_keys(self) -> list[str]:
-        return sorted(set(self.entries) - self.seen)
+            raise ConfigError(f"{key.name}: not a valid {key.kind}: {raw!r}") from exc
+    elif key.default is _REQUIRED:
+        raise ConfigError(f"missing required key {key.name!r}")
+    elif isinstance(key.default, _Copy):
+        value = values[key.default.field]
+    else:
+        value = key.default
+    if value is None:
+        return None
+    if key.kind == "real" and not math.isfinite(value):
+        raise ConfigError(f"{key.name}: must be finite, got {value}")
+    if key.choices is not None and value not in key.choices:
+        raise ConfigError(f"{key.name}: expected one of {key.choices}, got {value!r}")
+    bound, named = key.minimum, ""
+    if isinstance(bound, str):
+        bound, named = values[bound], f"{bound} = "
+    if bound is not None and (value < bound if key.kind == "integer" else not value > bound):
+        relation = "at least" if key.kind == "integer" else "greater than"
+        raise ConfigError(f"{key.name}: must be {relation} {named}{bound}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -110,8 +163,11 @@ class ScenarioConfig:
     description: str
     dimension: int
     n: int
-    ny: int
-    extents: tuple
+    xmin: float
+    xmax: float
+    ny: int | None
+    ymin: float | None
+    ymax: float | None
     diffusion_family: str
     p: float
     diffusion_r: float | None
@@ -140,49 +196,14 @@ class ScenarioConfig:
 
     @staticmethod
     def from_entries(entries: dict[str, str]) -> "ScenarioConfig":
-        r = _Reader(entries)
-        scenario_id = r.text("scenario_id", required=True)
-        description = r.text("description", default="")
-        dimension = r.integer("grid.dimension", default=1)
-        if dimension not in (1, 2):
-            raise ConfigError(f"grid.dimension: must be 1 or 2, got {dimension}")
-        n = r.integer("grid.n", required=True)
-        xmin = r.real("grid.xmin", default=0.0)
-        xmax = r.real("grid.xmax", default=1.0)
-        if dimension == 2:
-            ny = r.integer("grid.ny", default=n)
-            ymin = r.real("grid.ymin", default=0.0)
-            ymax = r.real("grid.ymax", default=1.0)
-            extents = (xmin, xmax, ymin, ymax)
-        else:
-            ny = 0
-            extents = (xmin, xmax)
+        values: dict = {}
+        unread = dict(entries)
+        for key in KEYS:
+            values[key.field] = _read(key, unread, values)
+        if unread:
+            raise ConfigError(f"unknown config keys: {', '.join(sorted(unread))}")
 
-        diffusion_family = r.text(
-            "diffusion.family", default="constant", choices=DIFFUSION_FAMILIES
-        )
-        p = r.real("diffusion.p", required=True)
-        diffusion_r = r.real("diffusion.r")
-
-        reaction_family = r.text("reaction.family", required=True, choices=REACTION_FAMILIES)
-        q = r.real("reaction.q", required=True)
-        reaction_r = r.real("reaction.r")
-        reaction_p = r.real("reaction.p")
-        a = r.coefficient("reaction.a")
-        b = r.coefficient("reaction.b")
-        negative_extension = r.text(
-            "reaction.negative_extension", default="zero", choices=("zero", "odd", "none")
-        )
-        declared_growth = r.real("reaction.sigma")
-
-        boundary = r.text("boundary", required=True, choices=BOUNDARY_KINDS)
-
-        max_iterations = r.integer("solver.max_iterations")
-        residual_tolerance = r.real("solver.residual_tolerance", default=1e-9)
-        n_starts = r.integer("solver.n_starts", default=20)
-        seed = r.integer("solver.seed", default=0)
-        initial_step = r.real("solver.initial_step", default=1.0)
-        init_spec = r.text("solver.init", default="random")
+        init_spec = values["init_spec"]
         if init_spec != "random":
             try:
                 constant = float(init_spec.removeprefix("const:"))
@@ -194,96 +215,39 @@ class ScenarioConfig:
                     f"solver.init: expected 'random' or 'const:<finite value>', got {init_spec!r}"
                 )
 
-        path_q = r.real("path.q", default=q)
-        path_samples = r.integer("path.samples", default=41)
-        eigen_p = r.real("eigen.p", default=p)
-
-        unknown = r.unknown_keys()
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-        config = ScenarioConfig(
-            scenario_id=scenario_id,
-            description=description,
-            dimension=dimension,
-            n=n,
-            ny=ny,
-            extents=extents,
-            diffusion_family=diffusion_family,
-            p=p,
-            diffusion_r=diffusion_r,
-            reaction_family=reaction_family,
-            q=q,
-            reaction_r=reaction_r,
-            reaction_p=reaction_p,
-            a=a,
-            b=b,
-            negative_extension=negative_extension,
-            declared_growth=declared_growth,
-            boundary=boundary,
-            max_iterations=max_iterations,
-            residual_tolerance=residual_tolerance,
-            n_starts=n_starts,
-            seed=seed,
-            initial_step=initial_step,
-            init_spec=init_spec,
-            path_q=path_q,
-            path_samples=path_samples,
-            eigen_p=eigen_p,
-        )
+        config = ScenarioConfig(**values)
         config.build_problem()  # validate everything before any run
         return config
 
     def serialize(self) -> str:
-        lines = [f"scenario_id = {self.scenario_id}"]
-        if self.description:
-            lines.append(f"description = {self.description}")
-        lines.append(f"grid.dimension = {self.dimension}")
-        lines.append(f"grid.n = {self.n}")
-        lines.append(f"grid.xmin = {_format_number(self.extents[0])}")
-        lines.append(f"grid.xmax = {_format_number(self.extents[1])}")
-        if self.dimension == 2:
-            lines.append(f"grid.ny = {self.ny}")
-            lines.append(f"grid.ymin = {_format_number(self.extents[2])}")
-            lines.append(f"grid.ymax = {_format_number(self.extents[3])}")
-        lines.append(f"diffusion.family = {self.diffusion_family}")
-        lines.append(f"diffusion.p = {_format_number(self.p)}")
-        if self.diffusion_r is not None:
-            lines.append(f"diffusion.r = {_format_number(self.diffusion_r)}")
-        lines.append(f"reaction.family = {self.reaction_family}")
-        lines.append(f"reaction.q = {_format_number(self.q)}")
-        if self.reaction_r is not None:
-            lines.append(f"reaction.r = {_format_number(self.reaction_r)}")
-        if self.reaction_p is not None:
-            lines.append(f"reaction.p = {_format_number(self.reaction_p)}")
-        if self.a is not None:
-            lines.append(f"reaction.a = {self.a.serialize()}")
-        if self.b is not None:
-            lines.append(f"reaction.b = {self.b.serialize()}")
-        lines.append(f"reaction.negative_extension = {self.negative_extension}")
-        if self.declared_growth is not None:
-            lines.append(f"reaction.sigma = {_format_number(self.declared_growth)}")
-        lines.append(f"boundary = {self.boundary}")
-        if self.max_iterations is not None:
-            lines.append(f"solver.max_iterations = {self.max_iterations}")
-        lines.append(f"solver.residual_tolerance = {_format_number(self.residual_tolerance)}")
-        lines.append(f"solver.n_starts = {self.n_starts}")
-        lines.append(f"solver.seed = {self.seed}")
-        lines.append(f"solver.initial_step = {_format_number(self.initial_step)}")
-        lines.append(f"solver.init = {self.init_spec}")
-        lines.append(f"path.q = {_format_number(self.path_q)}")
-        lines.append(f"path.samples = {self.path_samples}")
-        lines.append(f"eigen.p = {_format_number(self.eigen_p)}")
+        """Every key whose value is not None, in table order; an empty description is left out."""
+        lines = []
+        for key in KEYS:
+            value = getattr(self, key.field)
+            if value is None or (key.name == "description" and not value):
+                continue
+            lines.append(f"{key.name} = {_FORMAT[key.kind](value)}")
         return "\n".join(lines) + "\n"
+
+    @property
+    def extents(self) -> tuple:
+        if self.dimension == 1:
+            return (self.xmin, self.xmax)
+        return (self.xmin, self.xmax, self.ymin, self.ymax)
 
     def build_grid(self) -> Grid:
         if self.dimension == 1:
-            return build_interval_grid(self.n, self.extents[0], self.extents[1])
+            return build_interval_grid(self.n, self.xmin, self.xmax)
         return build_rectangle_grid(self.n, self.ny, self.extents)
 
-    def build_problem(self, grid: Grid | None = None) -> ProblemSpec:
-        grid = grid or self.build_grid()
+    def build_problem(self) -> ProblemSpec:
+        """The config's problem, built on first call and shared by later ones."""
+        return self._problem
+
+    @cached_property
+    def _problem(self) -> ProblemSpec:
         try:
+            grid = self.build_grid()
             diffusion = DiffusionSpec(self.diffusion_family, p=self.p, r=self.diffusion_r)
             reaction = ReactionSpec(
                 self.reaction_family,
@@ -320,7 +284,7 @@ def builtin_scenario_text(scenario_id: str) -> str:
 
 
 def load_config(source: str) -> ScenarioConfig:
-    """Load a config from a file path, or by builtin scenario id (E1..E7)."""
+    """Load a config from a file path, or by builtin scenario id (see ``BUILTIN_SCENARIOS``)."""
     if source.upper() in BUILTIN_SCENARIOS:
         return ScenarioConfig.from_text(builtin_scenario_text(source))
     try:

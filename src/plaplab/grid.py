@@ -273,23 +273,6 @@ class ScalarField:
         return ScalarField(self.grid, values)
 
 
-@dataclass(frozen=True)
-class ElementVectorField:
-    """One constant vector per element (e.g. a piecewise-linear gradient)."""
-
-    grid: Grid
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        vectors = _frozen_array(np.copy(self.vectors))
-        expected = (self.grid.n_elements, self.grid.dimension)
-        if vectors.shape != expected:
-            raise ValueError(f"expected vectors of shape {expected}, got {vectors.shape}")
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("element vectors must be finite")
-        object.__setattr__(self, "vectors", vectors)
-
-
 def build_interval_grid(n: int, a: float, b: float) -> Grid:
     """Uniform grid with n elements (n + 1 nodes) on the interval [a, b]."""
     if n < 2:
@@ -388,18 +371,7 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return grid.assembly.gradients(values).T
 
 
-def gradient(u: ScalarField) -> ElementVectorField:
-    return ElementVectorField(u.grid, gradient_values(u.grid, u.values))
-
-
 def integrate_nodal(u: ScalarField) -> float:
     """Lumped-quadrature integral of a nodal field (exact for P1 interpolants)."""
     return float(u.grid.node_mass @ u.values)
 
-
-def integrate_elementwise(grid: Grid, element_values: np.ndarray) -> float:
-    """Integral of a piecewise-constant per-element quantity."""
-    w = np.asarray(element_values, dtype=float)
-    if w.shape != (grid.n_elements,):
-        raise ValueError(f"expected {grid.n_elements} element values, got {w.shape}")
-    return float(grid.element_volume @ w)

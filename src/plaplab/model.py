@@ -247,18 +247,6 @@ class ReactionSpec:
         return self._evaluate(t, a, b, primitive=True)
 
 
-def g_eval(rs: ReactionSpec, grid: Grid, node: int, t):
-    """Reaction value g(x_node, t)."""
-    a, b = rs.coefficient_arrays(grid)
-    return rs.value(a[node], b[node], t)
-
-
-def G_eval(rs: ReactionSpec, grid: Grid, node: int, t):
-    """Reaction primitive at node: integral of g(x_node, s) from 0 to t."""
-    a, b = rs.coefficient_arrays(grid)
-    return rs.primitive(a[node], b[node], t)
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Grid + diffusion + reaction + boundary condition, validated together."""

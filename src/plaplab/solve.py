@@ -68,8 +68,10 @@ class SolveOptions:
     project_nonnegative: bool | None = None
 
     def __post_init__(self):
-        if self.residual_tolerance <= 0 or self.initial_step <= 0:
+        if not (self.residual_tolerance > 0 and self.initial_step > 0):
             raise ValueError("residual tolerance and initial step must be positive")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
 
     def budget(self, grid: Grid) -> int:
         if self.max_iterations is not None:
@@ -255,9 +257,6 @@ def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptio
     the initial scale with the energy decreasing, or (natural boundary) from a
     runaway doubling walk along constant shifts. Coercivity is otherwise the
     caller's concern.
-
-    ``critical_point_from`` is the same function, named for stationary points
-    reached from crafted starts, with no claim of minimality.
     """
     if init.grid is not ps.grid:
         raise ValueError("initial field and problem live on different grids")
@@ -285,9 +284,6 @@ def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptio
         status=status,
         energy_history=np.asarray(history),
     )
-
-
-critical_point_from = minimize
 
 
 @dataclass(frozen=True)

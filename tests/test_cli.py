@@ -274,6 +274,12 @@ def _config_with_init(tmp_path, init):
     return str(cfg)
 
 
+def _config_with_line(tmp_path, line):
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(TINY_BUDGET + line + "\n", encoding="utf-8")
+    return str(cfg)
+
+
 def _nan_solution(tmp_path):
     path = tmp_path / "nan_solution.csv"
     path.write_text("node,x,value\n" + "".join(f"{i},0,nan\n" for i in range(129)), encoding="utf-8")
@@ -290,9 +296,10 @@ def _nan_solution(tmp_path):
         lambda tmp: ["path", "--config", "E1", "--u", _nan_solution(tmp), "--v", "const:0"],
         lambda tmp: ["path", "--config", "E1N_NEG", "--u", "const:-1", "--v", "const:1"],
         lambda tmp: ["path", "--config", "E1", "--u", "const:1", "--v", "const:2"],
+        lambda tmp: ["eigen", "--config", _config_with_line(tmp, "eigen.p = 0.5")],
     ],
     ids=["init-abc", "init-nan", "init-inf", "path-const-nan", "path-file-nan", "path-negative",
-         "path-dirichlet-broken"],
+         "path-dirichlet-broken", "eigen-p-not-above-one"],
 )
 def test_bad_user_fields_exit_with_config_error(tmp_path, capsys, argv):
     code = main([*argv(tmp_path), "--out", str(tmp_path / "o"), "--quiet"])

@@ -1,6 +1,11 @@
+import dataclasses
+import hashlib
+
 import pytest
 
-from plaplab.config import BUILTIN_SCENARIOS, ScenarioConfig, load_config
+import plaplab.config
+from plaplab.cli import main
+from plaplab.config import BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario_text, load_config
 from plaplab.errors import ConfigError
 
 MINIMAL = """
@@ -86,8 +91,7 @@ def test_bad_numbers_and_choices():
         ScenarioConfig.from_text(MINIMAL + "solver.init = middling\n")
 
 
-def test_2d_config_grid():
-    text = """
+FLAT_2D = """
 scenario_id = flat2d
 grid.dimension = 2
 grid.n = 4
@@ -99,7 +103,154 @@ reaction.q = 1.5
 reaction.r = 3.0
 boundary = natural
 """
-    config = ScenarioConfig.from_text(text)
+
+# every key set away from its default, in the order serialization writes them
+ALL_KEYS = """scenario_id = all_keys
+description = every key away from its default
+grid.dimension = 2
+grid.n = 6
+grid.xmin = -1
+grid.xmax = 2
+grid.ny = 5
+grid.ymin = 0.5
+grid.ymax = 1.5
+diffusion.family = power_shift
+diffusion.p = 2.5
+diffusion.r = 3.5
+reaction.family = two_term
+reaction.q = 1.25
+reaction.r = 1.75
+reaction.p = 1.5
+reaction.a = 1*sin(2*pi*x) + 0.29999999999999999
+reaction.b = 0.5*x2^2
+reaction.negative_extension = odd
+reaction.sigma = 3
+boundary = natural
+solver.max_iterations = 500
+solver.residual_tolerance = 9.9999999999999995e-08
+solver.n_starts = 4
+solver.seed = 7
+solver.initial_step = 0.5
+solver.init = const:0.25
+path.q = 1.125
+path.samples = 11
+eigen.p = 3
+"""
+
+# sha256 of serialize(): the canonical text is part of the format
+SERIALIZED_SHA256 = {
+    "E1": "4298b670b56bdd4cb30adf378aafd4df4df3a982dd4e9794989c3a2eb5a5a179",
+    "E2": "2dfbf865c1ce3c739107a26973bf9198bab3cff63b0aa353c779772655857171",
+    "E3": "65cdb01d91b5dce8b3a66676758bc2bca7c278f46531d8660ad6378ceaa39c1d",
+    "E4": "dd1357ff50c250e5f81394f6c6a60816af6a9ae1a5871d9e94498ee0b1ced8ae",
+    "E5": "01c2fd57971e245f284ab00a2991b93d95673f8c5918a447cd9631df68e4ac67",
+    "E6": "705e11b2f2659c0f0356c02d0b6207a0d2de5fa99d94e7f1a6272f21d9b0fa2a",
+    "E6B": "c2456507968424d9b64d85711cbd259cd1d2f7045f401d4a213002cf12fac4b5",
+    "E7": "ea4a67f9d0f68071ced675bb0c13bffc473e7764b0bb129fb32eef0cc61c7ff8",
+    "E1N_POS": "32a86830f10b05b9a32c57990408da67bc3704065690bab8af9d19fb03f4a95e",
+    "E1N_NEG": "5017ff79326a393f901adbc4b38fa4218d1460c83d4083c80008ad490c8e4a66",
+    "flat2d": "ee662107e252ee85407bcc409ee218ca025a530787ff17b7ac9d70bc85744b0d",
+}
+
+
+@pytest.mark.parametrize("name", list(SERIALIZED_SHA256))
+def test_serialized_text_is_pinned(name):
+    config = ScenarioConfig.from_text(FLAT_2D) if name == "flat2d" else load_config(name)
+    digest = hashlib.sha256(config.serialize().encode("utf-8")).hexdigest()
+    assert digest == SERIALIZED_SHA256[name]
+
+
+def test_every_key_round_trips_in_table_order():
+    config = ScenarioConfig.from_text(ALL_KEYS)
+    assert config.serialize() == ALL_KEYS
+    assert ScenarioConfig.from_text(config.serialize()) == config
+
+
+def _e1_with(line: str, dimension: int = 1) -> str:
+    """E1's text with ``line`` in place of the key it sets."""
+    key = line.split("=", 1)[0]
+    text = builtin_scenario_text("E1").replace("dimension = 1", f"dimension = {dimension}")
+    kept = [entry for entry in text.splitlines() if not entry.startswith(key)]
+    return "\n".join([*kept, line]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "line, dimension",
+    [
+        ("grid.n = 1", 1),
+        ("grid.xmax = -1", 1),
+        ("grid.xmax = inf", 1),
+        ("grid.xmin = -inf", 1),
+        ("grid.ny = 1", 2),
+        ("grid.ymax = -1", 2),
+        ("grid.ymin = nan", 2),
+        ("diffusion.p = inf", 1),
+        ("solver.residual_tolerance = -1", 1),
+        ("solver.residual_tolerance = nan", 1),
+        ("solver.initial_step = 0", 1),
+        ("solver.max_iterations = -1", 1),
+        ("solver.seed = -1", 1),
+        ("solver.n_starts = 1", 1),
+        ("path.samples = 2", 1),
+        ("path.q = 0.5", 1),
+        ("eigen.p = 0.5", 1),
+    ],
+)
+def test_values_the_program_cannot_run_are_rejected_at_load(line, dimension):
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_text(_e1_with(line, dimension))
+    assert line.split(" =")[0] in str(err.value)
+
+
+def test_dimension_is_read_as_a_number():
+    config = ScenarioConfig.from_text(FLAT_2D.replace("grid.dimension = 2", "grid.dimension = 02"))
+    assert config == ScenarioConfig.from_text(FLAT_2D)
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_text(MINIMAL + "grid.ny = 3\n")
+    assert "grid.ny" in str(err.value)
+
+
+def _count_grid_builds(monkeypatch) -> list:
+    builds = []
+    for name in ("build_interval_grid", "build_rectangle_grid"):
+        builder = getattr(plaplab.config, name)
+
+        def counting(*args, builder=builder):
+            builds.append(args)
+            return builder(*args)
+
+        monkeypatch.setattr(plaplab.config, name, counting)
+    return builds
+
+
+def test_a_config_load_builds_its_problem_once(monkeypatch):
+    builds = _count_grid_builds(monkeypatch)
+    config = load_config("E1")
+    assert config.build_problem() is config.build_problem()
+    assert len(builds) == 1
+    smaller = dataclasses.replace(config, n=16)
+    assert smaller.build_problem().grid.n_nodes == 17
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve"], ["experiment"], ["eigen"], ["audit"], ["path", "--u", "const:1", "--v", "const:2"]],
+    ids=lambda command: command[0],
+)
+def test_every_subcommand_builds_the_grid_once(tmp_path, monkeypatch, command):
+    cfg = tmp_path / "e4_small.cfg"
+    small = dataclasses.replace(load_config("E4"), n=16, n_starts=2)
+    cfg.write_text(small.serialize(), encoding="utf-8")
+    builds = _count_grid_builds(monkeypatch)
+    out = str(tmp_path / "o")
+    argv = [command[0], "--config", str(cfg), "--out", out, "--quiet", *command[1:]]
+    assert main(argv) in (0, 3)
+    assert len(builds) == 1
+
+
+def test_2d_config_grid():
+    config = ScenarioConfig.from_text(FLAT_2D)
     grid = config.build_grid()
     assert grid.dimension == 2
     assert grid.n_nodes == 5 * 4

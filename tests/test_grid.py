@@ -8,8 +8,7 @@ from plaplab.grid import (
     ScalarField,
     build_interval_grid,
     build_rectangle_grid,
-    gradient,
-    integrate_elementwise,
+    gradient_values,
     integrate_nodal,
 )
 
@@ -75,19 +74,19 @@ def test_boundary_normals_are_unit():
 def test_gradient_exact_on_linear_1d():
     g = build_interval_grid(13, 0.0, 1.0)
     u = ScalarField.from_function(g, lambda x: x)
-    np.testing.assert_allclose(gradient(u).vectors.ravel(), 1.0, atol=1e-12)
+    np.testing.assert_allclose(gradient_values(g, u.values).ravel(), 1.0, atol=1e-12)
 
 
 def test_gradient_of_constant_vanishes():
     g = build_rectangle_grid(4, 4, (0, 1, 0, 1))
     u = ScalarField.constant(g, 3.7)
-    np.testing.assert_allclose(gradient(u).vectors, 0.0, atol=1e-12)
+    np.testing.assert_allclose(gradient_values(g, u.values), 0.0, atol=1e-12)
 
 
 def test_gradient_exact_on_affine_2d():
     g = build_rectangle_grid(5, 3, (0, 2, -1, 1))
     u = ScalarField.from_function(g, lambda x, y: 2 * x + 3 * y)
-    vectors = gradient(u).vectors
+    vectors = gradient_values(g, u.values)
     np.testing.assert_allclose(vectors[:, 0], 2.0, atol=1e-12)
     np.testing.assert_allclose(vectors[:, 1], 3.0, atol=1e-12)
 
@@ -98,7 +97,7 @@ def test_gradient_exact_on_random_affine():
         a, b, c = rng.uniform(-5, 5, 3)
         g = build_rectangle_grid(4, 6, (0, 1, 0, 3))
         u = ScalarField.from_function(g, lambda x, y: a * x + b * y + c)
-        vectors = gradient(u).vectors
+        vectors = gradient_values(g, u.values)
         np.testing.assert_allclose(vectors[:, 0], a, atol=1e-12)
         np.testing.assert_allclose(vectors[:, 1], b, atol=1e-12)
 
@@ -115,13 +114,6 @@ def test_integrate_linear_exact():
     g = build_interval_grid(100, 0.0, 1.0)
     u = ScalarField.from_function(g, lambda x: x)
     assert abs(integrate_nodal(u) - 0.5) <= 1e-12
-
-
-def test_integrate_elementwise_ones():
-    g = build_rectangle_grid(4, 4, (0, 1, 0, 1))
-    assert abs(integrate_elementwise(g, np.ones(g.n_elements)) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        integrate_elementwise(g, np.ones(3))
 
 
 def test_node_masses_sum_to_measure():
@@ -147,7 +139,7 @@ def test_discrete_integration_by_parts_1d(n):
     u = ScalarField.from_function(g, lambda x: np.sin(np.pi * x))
     w_slope = 2.5
     total = float(
-        (gradient(u).vectors[:, 0] * w_slope) @ g.element_volume
+        (gradient_values(g, u.values)[:, 0] * w_slope) @ g.element_volume
     )
     assert abs(total) <= 1e-12 * n
 
@@ -159,7 +151,7 @@ def test_discrete_integration_by_parts_2d():
     vals[g.boundary_nodes] = 0.0
     u = ScalarField(g, vals)
     slope = np.array([1.5, -0.5])
-    total = float((gradient(u).vectors @ slope) @ g.element_volume)
+    total = float((gradient_values(g, u.values) @ slope) @ g.element_volume)
     assert abs(total) <= 1e-12 * g.n_elements
 
 

@@ -9,8 +9,6 @@ from plaplab.model import (
     audit_diffusion,
     audit_growth,
     audit_subhomogeneity,
-    g_eval,
-    G_eval,
 )
 
 DIFFUSIONS = [
@@ -83,36 +81,31 @@ def test_audit_diffusion_families():
 
 def test_pure_subhomogeneous_values():
     rs = ReactionSpec("pure_subhomogeneous", q=1.5, a=1.0)
-    g = build_interval_grid(2, 0.0, 1.0)
-    assert abs(g_eval(rs, g, 0, 1.0) - 1.0) <= 1e-15
-    assert abs(G_eval(rs, g, 0, 1.0) - 2.0 / 3.0) <= 1e-15
+    assert abs(rs.value(rs.a, rs.b, 1.0) - 1.0) <= 1e-15
+    assert abs(rs.primitive(rs.a, rs.b, 1.0) - 2.0 / 3.0) <= 1e-15
 
 
 def test_double_power_balances_at_one():
     rs = ReactionSpec("double_power", q=1.5, r=3.0)
-    g = build_interval_grid(2, 0.0, 1.0)
-    assert g_eval(rs, g, 1, 1.0) == 0.0
+    assert rs.value(rs.a, rs.b, 1.0) == 0.0
 
 
 def test_zero_extension():
     rs = ReactionSpec("pure_subhomogeneous", q=1.5, a=2.0, negative_extension="zero")
-    g = build_interval_grid(2, 0.0, 1.0)
-    assert g_eval(rs, g, 0, -2.0) == 0.0
-    assert G_eval(rs, g, 0, -2.0) == 0.0
+    assert rs.value(rs.a, rs.b, -2.0) == 0.0
+    assert rs.primitive(rs.a, rs.b, -2.0) == 0.0
 
 
 def test_odd_extension():
     rs = ReactionSpec("pure_subhomogeneous", q=1.5, a=2.0, negative_extension="odd")
-    g = build_interval_grid(2, 0.0, 1.0)
-    assert g_eval(rs, g, 0, -2.0) == -g_eval(rs, g, 0, 2.0)
-    assert G_eval(rs, g, 0, -2.0) == G_eval(rs, g, 0, 2.0)
+    assert rs.value(rs.a, rs.b, -2.0) == -rs.value(rs.a, rs.b, 2.0)
+    assert rs.primitive(rs.a, rs.b, -2.0) == rs.primitive(rs.a, rs.b, 2.0)
 
 
 def test_no_extension_rejects_negative():
     rs = ReactionSpec("pure_subhomogeneous", q=1.5, negative_extension="none")
-    g = build_interval_grid(2, 0.0, 1.0)
     with pytest.raises(ValueError):
-        g_eval(rs, g, 0, -1.0)
+        rs.value(rs.a, rs.b, -1.0)
 
 
 REACTIONS = [

@@ -10,7 +10,6 @@ from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import (
     SolveOptions,
     _descent,
-    critical_point_from,
     first_eigenvalue,
     minimize,
     multi_start,
@@ -84,7 +83,7 @@ def test_critical_point_stays_at_trivial_rest():
         ReactionSpec("pure_subhomogeneous", q=1.5, a=0.6),
         "dirichlet_zero",
     )
-    report = critical_point_from(ps, ScalarField.constant(g, 0.0), SolveOptions())
+    report = minimize(ps, ScalarField.constant(g, 0.0), SolveOptions())
     assert report.converged
     assert report.iterations == 0
     assert np.abs(report.solution.values).max() == 0.0
@@ -92,7 +91,7 @@ def test_critical_point_stays_at_trivial_rest():
 
 def test_critical_point_double_power_immediate():
     ps = double_power_problem()
-    report = critical_point_from(ps, ScalarField.constant(ps.grid, 1.0), SolveOptions())
+    report = minimize(ps, ScalarField.constant(ps.grid, 1.0), SolveOptions())
     assert report.converged
     assert report.iterations == 0
 
@@ -105,7 +104,7 @@ def test_logistic_constant_solution():
         ReactionSpec("logistic", q=4.0, p=2.0, a=4.0, b=1.0),
         "natural",
     )
-    report = critical_point_from(ps, ScalarField.constant(g, 1.5), SolveOptions())
+    report = minimize(ps, ScalarField.constant(g, 1.5), SolveOptions())
     assert report.converged
     assert np.abs(report.solution.values - 2.0).max() < 1e-7
 
@@ -324,6 +323,10 @@ def test_solve_options_validation():
         SolveOptions(residual_tolerance=0.0)
     with pytest.raises(ValueError):
         SolveOptions(initial_step=-1.0)
+    with pytest.raises(ValueError):
+        SolveOptions(residual_tolerance=float("nan"))
+    with pytest.raises(ValueError):
+        SolveOptions(max_iterations=-1)
 
 
 def test_descent_stalls_once_the_shrunk_step_is_below_the_stall_step():
