@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .coefficients import CoefficientDef, _format_number
 from .errors import ConfigError
 from .grid import Grid, build_interval_grid, build_rectangle_grid
@@ -249,13 +251,18 @@ class ScenarioConfig:
         try:
             grid = self.build_grid()
             diffusion = DiffusionSpec(self.diffusion_family, p=self.p, r=self.diffusion_r)
+            with np.errstate(all="ignore"):  # a non-finite value is the error below
+                nodal = {k: c.evaluate(grid) for k, c in zip("ab", (self.a, self.b)) if c}
+            for key, values in nodal.items():
+                if not np.isfinite(values).all():
+                    raise ConfigError(f"reaction.{key}: must be finite at every node")
             reaction = ReactionSpec(
                 self.reaction_family,
                 q=self.q,
                 r=self.reaction_r,
                 p=self.reaction_p,
-                a=self.a.evaluate(grid) if self.a is not None else 1.0,
-                b=self.b.evaluate(grid) if self.b is not None else 1.0,
+                a=nodal.get("a", 1.0),
+                b=nodal.get("b", 1.0),
                 negative_extension=self.negative_extension,
                 declared_growth=self.declared_growth,
             )
@@ -264,6 +271,9 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from exc
 
     def solve_options(self, seed_override: int | None = None) -> SolveOptions:
+        minimum = next(key.minimum for key in KEYS if key.field == "seed")
+        if seed_override is not None and seed_override < minimum:
+            raise ConfigError(f"--seed: must be at least {minimum}, got {seed_override}")
         return SolveOptions(
             max_iterations=self.max_iterations,
             residual_tolerance=self.residual_tolerance,

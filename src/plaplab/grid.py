@@ -34,7 +34,6 @@ class Grid:
     element_volume: np.ndarray    # (n_elements,)
     element_grad_coeffs: np.ndarray  # (n_elements, dim + 1, dim)
     boundary_nodes: np.ndarray    # sorted node indices
-    boundary_normals: np.ndarray  # (len(boundary_nodes), dim), unit vectors
     interior_nodes: np.ndarray    # sorted node indices
 
     @property
@@ -289,7 +288,6 @@ def build_interval_grid(n: int, a: float, b: float) -> Grid:
     coeffs[:, 0, 0] = -1.0 / h
     coeffs[:, 1, 0] = 1.0 / h
     boundary = np.array([0, n])
-    normals = np.array([[-1.0], [1.0]])
     interior = np.arange(1, n)
     return Grid(
         dimension=1,
@@ -298,7 +296,6 @@ def build_interval_grid(n: int, a: float, b: float) -> Grid:
         element_volume=_frozen_array(volume),
         element_grad_coeffs=_frozen_array(coeffs),
         boundary_nodes=_frozen_array(boundary, dtype=int),
-        boundary_normals=_frozen_array(normals),
         interior_nodes=_frozen_array(interior, dtype=int),
     )
 
@@ -307,9 +304,7 @@ def build_rectangle_grid(nx: int, ny: int, extents) -> Grid:
     """Structured triangulation of a rectangle: nx*ny cells, two triangles each.
 
     Every cell is split along the same (lower-left to upper-right) diagonal so
-    meshes are deterministic. ``extents`` is (xmin, xmax, ymin, ymax). Corner
-    normals are the normalized sum of the two adjacent face normals; they are
-    reporting aids only and never enter assembly.
+    meshes are deterministic. ``extents`` is (xmin, xmax, ymin, ymax).
     """
     if nx < 2 or ny < 2:
         raise ValueError(f"need at least 2 cells per direction, got nx={nx}, ny={ny}")
@@ -340,19 +335,10 @@ def build_rectangle_grid(nx: int, ny: int, extents) -> Grid:
         coeffs[:, local, 0] = (pj[:, 1] - pk[:, 1]) / det
         coeffs[:, local, 1] = (pk[:, 0] - pj[:, 0]) / det
 
-    ix_all = np.arange((nx + 1) * (ny + 1)) % (nx + 1)
-    iy_all = np.arange((nx + 1) * (ny + 1)) // (nx + 1)
+    iy_all, ix_all = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
     on_boundary = (ix_all == 0) | (ix_all == nx) | (iy_all == 0) | (iy_all == ny)
     boundary = np.flatnonzero(on_boundary)
     interior = np.flatnonzero(~on_boundary)
-
-    ix_b, iy_b = ix_all[boundary], iy_all[boundary]
-    outward = np.zeros((len(boundary), 2))
-    outward[ix_b == 0, 0] = -1.0
-    outward[ix_b == nx, 0] = 1.0
-    outward[iy_b == 0, 1] = -1.0
-    outward[iy_b == ny, 1] = 1.0
-    normals = outward / np.sqrt(_sum_of_squares(outward.T))[:, None]
 
     return Grid(
         dimension=2,
@@ -361,7 +347,6 @@ def build_rectangle_grid(nx: int, ny: int, extents) -> Grid:
         element_volume=_frozen_array(volume),
         element_grad_coeffs=_frozen_array(coeffs),
         boundary_nodes=_frozen_array(boundary, dtype=int),
-        boundary_normals=_frozen_array(normals),
         interior_nodes=_frozen_array(interior, dtype=int),
     )
 

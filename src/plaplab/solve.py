@@ -13,7 +13,8 @@ desk-scale iteration budgets.
 The engine has two objectives. ``_Energy`` is the discrete energy: it owns
 projection at zero, the constant-shift walk of natural-boundary problems and
 the divergence diagnosis. ``_Rayleigh`` is the Rayleigh quotient, unscaled: it
-owns the renormalization of every accepted iterate to unit lumped p-norm.
+owns the renormalization of every accepted iterate to unit lumped p-norm. Both
+share the flux kernel of ``energy.DiffusionPlan`` and its p < 2 weight floor.
 
 Runs are deterministic: identical problem, options, and seed reproduce the
 iterate sequence bitwise (sequential execution, per-start seeded generators).
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (
+    DiffusionPlan,
     EnergyBreakdown,
     check_admissible,
     energy_grad_and_scaling,
@@ -32,7 +34,7 @@ from .energy import (
     energy_total,
 )
 from .grid import Grid, ScalarField
-from .model import ProblemSpec
+from .model import DiffusionSpec, ProblemSpec
 
 DIVERGENCE_ENERGY = -1e12
 DIVERGENCE_DOUBLINGS = 10
@@ -72,6 +74,8 @@ class SolveOptions:
             raise ValueError("residual tolerance and initial step must be positive")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
+        if self.random_seed < 0:
+            raise ValueError(f"random_seed must be nonnegative, got {self.random_seed}")
 
     def budget(self, grid: Grid) -> int:
         if self.max_iterations is not None:
@@ -375,33 +379,12 @@ class EigenReport:
     residual: float
 
 
-def _p_dirichlet_value(grid: Grid, values: np.ndarray, p: float) -> float:
-    """Integral of |grad u|^p."""
-    assembly = grid.assembly
-    return float(grid.element_volume @ assembly.norms(assembly.gradients(values)) ** p)
-
-
-def _p_dirichlet_value_and_grad(grid: Grid, values: np.ndarray, p: float):
-    """Integral of |grad u|^p and its nodal gradient (no 1/p factor)."""
-    assembly = grid.assembly
-    grads = assembly.gradients(values)
-    norms = assembly.norms(grads)
-    value = float(grid.element_volume @ norms**p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weight = np.where(norms > 0.0, norms ** (p - 2.0), 0.0)
-    return value, assembly.scatter(p * grid.element_volume * weight, grads)
-
-
-def _p_mass(grid: Grid, values: np.ndarray, p: float) -> float:
-    """Lumped integral of |u|^p."""
-    return float(grid.node_mass @ np.abs(values) ** p)
-
-
 class _Rayleigh:
     """The Rayleigh quotient as a descent objective, on the zero-boundary space.
 
-    The quotient is 0-homogeneous, so the line search works on unnormalized
-    trial points; renormalization reuses the p-mass of the accepted one.
+    The quotient D(u) / (sum m |u|^p / p), D the value of a constant ``DiffusionPlan``,
+    is 0-homogeneous, so the line search works on unnormalized trial points;
+    renormalization reuses the lumped p-mass, sum m |u|^p, of the accepted one.
     """
 
     project = False
@@ -410,26 +393,27 @@ class _Rayleigh:
 
     def __init__(self, grid: Grid, p: float):
         self.grid = grid
+        self.plan = DiffusionPlan(grid, DiffusionSpec("constant", p))
         self.p = p
-        self.mass_weights = p * grid.node_mass
         self.mass = None  # lumped p-mass of the last trial point
 
     def normalize(self, u: np.ndarray) -> np.ndarray:
-        return u / _p_mass(self.grid, u, self.p) ** (1.0 / self.p)
+        return u / float(self.grid.node_mass @ np.abs(u) ** self.p) ** (1.0 / self.p)
 
     def value(self, u: np.ndarray) -> float:
-        numerator = _p_dirichlet_value(self.grid, u, self.p)
-        self.mass = _p_mass(self.grid, u, self.p)
-        return numerator / self.mass if self.mass > 0 else math.inf
+        numerator = self.plan.diffusion_value(self.plan.gather(u)[1])
+        self.mass = float(self.grid.node_mass @ np.abs(u) ** self.p)
+        return numerator / (self.mass / self.p) if self.mass > 0 else math.inf
 
     def gradient(self, u: np.ndarray):
         grid, p = self.grid, self.p
-        num, num_grad = _p_dirichlet_value_and_grad(grid, u, p)
+        grads, norms = self.plan.gather(u)
+        flux, _ = self.plan.diffusion_flux(grads, norms)
         magnitude = np.abs(u)
-        den = float(grid.node_mass @ magnitude**p)
-        den_grad = self.mass_weights * np.sign(u) * magnitude ** (p - 1.0)
-        rayleigh = num / den
-        g = (num_grad - rayleigh * den_grad) / den
+        mass = float(grid.node_mass @ magnitude**p) / p
+        rayleigh = self.plan.diffusion_value(norms) / mass
+        mass_grad = grid.node_mass * np.sign(u) * magnitude ** (p - 1.0)
+        g = (flux - rayleigh * mass_grad) / mass
         g[grid.boundary_nodes] = 0.0
         return rayleigh, g, None
 
@@ -455,7 +439,7 @@ def first_eigenvalue(grid: Grid, p: float, opts: SolveOptions = SolveOptions()) 
     if float(grid.node_mass @ u) < 0.0:
         u = -u
     return EigenReport(
-        lambda1=_p_dirichlet_value(grid, u, p),
+        lambda1=p * objective.plan.diffusion_value(objective.plan.gather(u)[1]),
         eigenfunction=ScalarField(grid, u),
         rayleigh_history=np.asarray(history),
         iterations=iterations,

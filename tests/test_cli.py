@@ -297,9 +297,13 @@ def _nan_solution(tmp_path):
         lambda tmp: ["path", "--config", "E1N_NEG", "--u", "const:-1", "--v", "const:1"],
         lambda tmp: ["path", "--config", "E1", "--u", "const:1", "--v", "const:2"],
         lambda tmp: ["eigen", "--config", _config_with_line(tmp, "eigen.p = 0.5")],
+        lambda tmp: ["solve", "--config", "E1", "--seed", "-1"],
+        lambda tmp: ["experiment", "--config", "E1", "--seed", "-1"],
+        lambda tmp: ["eigen", "--config", "E1", "--seed", "-1"],
     ],
     ids=["init-abc", "init-nan", "init-inf", "path-const-nan", "path-file-nan", "path-negative",
-         "path-dirichlet-broken", "eigen-p-not-above-one"],
+         "path-dirichlet-broken", "eigen-p-not-above-one", "solve-seed-negative",
+         "experiment-seed-negative", "eigen-seed-negative"],
 )
 def test_bad_user_fields_exit_with_config_error(tmp_path, capsys, argv):
     code = main([*argv(tmp_path), "--out", str(tmp_path / "o"), "--quiet"])

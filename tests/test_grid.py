@@ -29,8 +29,7 @@ def test_interval_grid_partitions_domain(n):
 def test_interval_grid_boundary_orientation():
     g = build_interval_grid(100, -1.0, 1.0)
     assert g.n_nodes == 101
-    normals = dict(zip(g.boundary_nodes.tolist(), g.boundary_normals[:, 0].tolist()))
-    assert normals[0] == -1.0 and normals[100] == 1.0
+    assert g.boundary_nodes.tolist() == [0, 100]
 
 
 def test_interval_grid_rejects_bad_input():
@@ -63,12 +62,6 @@ def test_rectangle_grid_rejects_degenerate_extents():
         build_rectangle_grid(2, 2, (0, 0, 0, 1))
     with pytest.raises(ValueError):
         build_rectangle_grid(1, 2, (0, 1, 0, 1))
-
-
-def test_boundary_normals_are_unit():
-    for g in (build_interval_grid(7, 0, 2), build_rectangle_grid(3, 4, (0, 1, 0, 2))):
-        norms = np.linalg.norm(g.boundary_normals, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 def test_gradient_exact_on_linear_1d():
@@ -217,25 +210,15 @@ def loop_rectangle_grid(nx, ny, extents):
         pj, pk = nodes[elements[:, j]], nodes[elements[:, k]]
         coeffs[:, local, 0] = (pj[:, 1] - pk[:, 1]) / det
         coeffs[:, local, 1] = (pk[:, 0] - pj[:, 0]) / det
-    boundary, normals, interior = [], [], []
+    boundary, interior = [], []
     for node in range(len(nodes)):
         ix, iy = node % (nx + 1), node // (nx + 1)
-        outward = np.zeros(2)
-        if ix == 0:
-            outward += (-1.0, 0.0)
-        if ix == nx:
-            outward += (1.0, 0.0)
-        if iy == 0:
-            outward += (0.0, -1.0)
-        if iy == ny:
-            outward += (0.0, 1.0)
-        if outward.any():
+        if ix in (0, nx) or iy in (0, ny):
             boundary.append(node)
-            normals.append(outward / np.linalg.norm(outward))
         else:
             interior.append(node)
     return Grid(2, nodes, elements, 0.5 * np.abs(det), coeffs, np.array(boundary),
-                np.array(normals), np.array(interior))
+                np.array(interior))
 
 
 @pytest.mark.parametrize("nx,ny", [(2, 2), (7, 5), (3, 8)])

@@ -281,11 +281,20 @@ def test_eigenvalue_unit_square_64():
     assert abs(report.lambda1 - 2 * np.pi**2) <= 1e-1
 
 
-def test_eigenvalue_p_not_two_runs():
-    g = build_interval_grid(50, 0.0, 1.0)
-    report = first_eigenvalue(g, 3.0, SolveOptions(random_seed=3))
-    assert report.converged
-    assert report.lambda1 > 0
+def lindqvist_eigenvalue(p):
+    """First Dirichlet eigenvalue of the 1D p-Laplacian on (0, 1) (Lindqvist, 1995)."""
+    return (p - 1.0) * (2.0 * np.pi / (p * np.sin(np.pi / p))) ** p
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_eigenvalue_p_not_two_matches_closed_form_at_second_order(p):
+    errors = {}
+    for n in (50, 100):
+        report = first_eigenvalue(build_interval_grid(n, 0.0, 1.0), p, SolveOptions(random_seed=3))
+        assert report.converged
+        errors[n] = (report.lambda1 - lindqvist_eigenvalue(p)) / lindqvist_eigenvalue(p)
+        assert abs(errors[n]) <= 10.0 / n**2
+    assert 3.5 <= errors[50] / errors[100] <= 4.5
 
 
 def test_eigenvalue_rejects_bad_p():
@@ -327,6 +336,8 @@ def test_solve_options_validation():
         SolveOptions(residual_tolerance=float("nan"))
     with pytest.raises(ValueError):
         SolveOptions(max_iterations=-1)
+    with pytest.raises(ValueError):
+        SolveOptions(random_seed=-1)
 
 
 def test_descent_stalls_once_the_shrunk_step_is_below_the_stall_step():
