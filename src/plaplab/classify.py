@@ -81,17 +81,16 @@ def classify_cone(
 
     normal_margin = None
     if ps.is_dirichlet:
-        quotients = []
-        interior_mask = ~grid.is_boundary
-        for b in grid.boundary_nodes:
-            nbrs = grid.node_neighbors[b]
-            inner = nbrs[interior_mask[nbrs]]
-            if len(inner) == 0:
-                continue
+        # edges from a boundary node to an interior one, as (boundary, interior)
+        is_boundary = np.zeros(grid.n_nodes, dtype=bool)
+        is_boundary[grid.boundary_nodes] = True
+        on_boundary = is_boundary[grid.edges]
+        crossing = on_boundary[:, 0] != on_boundary[:, 1]
+        pairs = grid.edges[crossing]
+        b, inner = np.where(on_boundary[crossing, :1], pairs, pairs[:, ::-1]).T
+        if len(b):
             dist = np.linalg.norm(grid.nodes[inner] - grid.nodes[b], axis=1)
-            quotients.append(float(((vals[b] - vals[inner]) / dist).max()))
-        if quotients:
-            normal_margin = -max(quotients)
+            normal_margin = -float(((vals[b] - vals[inner]) / dist).max())
 
     if np.all(np.abs(vals) <= tol_zero):
         return ConeClassification(KIND_TRIVIAL, positivity_margin, normal_margin, [])

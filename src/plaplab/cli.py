@@ -21,7 +21,7 @@ from .classify import classify_cone, comparability_delta, neumann_integral_condi
 from .config import BUILTIN_SCENARIOS, ScenarioConfig, load_config
 from .errors import BoundaryViolationError, ConfigError, InvariantViolation, PlapLabError
 from .grid import ScalarField
-from .model import audit_diffusion, audit_growth, audit_subhomogeneity
+from .model import audit_diffusion, audit_growth, audit_subhomogeneity, default_audit_samples
 from .paths import check_endpoints, path_energy_profile, midpoint_energy_test, reaction_pullback_concavity
 from .solve import (
     STATUS_NOT_BOUNDED_BELOW,
@@ -49,16 +49,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _write_solution(path: Path, field: ScalarField) -> None:
     grid = field.grid
-    if grid.dimension == 1:
-        header = ["node", "x", "value"]
-        rows = [[i, grid.nodes[i, 0], field.values[i]] for i in range(grid.n_nodes)]
-    else:
-        header = ["node", "x", "y", "value"]
-        rows = [
-            [i, grid.nodes[i, 0], grid.nodes[i, 1], field.values[i]]
-            for i in range(grid.n_nodes)
-        ]
-    _write_csv(path, header, rows)
+    np.savetxt(
+        path,
+        np.column_stack([np.arange(grid.n_nodes), grid.nodes, field.values]),
+        fmt=["%d"] + ["%.17g"] * (grid.dimension + 1),
+        delimiter=",",
+        header=",".join(["node", *"xy"[: grid.dimension], "value"]),
+        comments="",
+    )
 
 
 def _load_field(source: str, ps) -> ScalarField:
@@ -85,7 +83,18 @@ def _initial_field(config: ScenarioConfig, ps, seed: int) -> ScalarField:
     return ScalarField(ps.grid, init)
 
 
+_CLASSIFICATION_HEADER = [
+    "classification",
+    "positivity_margin",
+    "normal_derivative_margin",
+    "n_dead_core_regions",
+    "dead_core_region_sizes",
+]
+
+
 def _classification_columns(cls) -> list:
+    if cls is None:
+        return [""] * len(_CLASSIFICATION_HEADER)
     return [
         cls.kind,
         cls.positivity_margin,
@@ -105,11 +114,7 @@ _REPORT_HEADER = [
     "energy_total",
     "energy_diffusion",
     "energy_reaction",
-    "classification",
-    "positivity_margin",
-    "normal_derivative_margin",
-    "n_dead_core_regions",
-    "dead_core_region_sizes",
+    *_CLASSIFICATION_HEADER,
     "cluster",
     "delta_vs_reference",
 ]
@@ -126,7 +131,7 @@ def _report_row(config, start, report: SolveReport, cls, cluster="", delta="") -
         report.energy.total,
         report.energy.diffusion_part,
         report.energy.reaction_part,
-        *(_classification_columns(cls) if cls is not None else ["", "", "", "", ""]),
+        *_classification_columns(cls),
         cluster,
         delta,
     ]
@@ -190,18 +195,7 @@ def _cmd_experiment(config: ScenarioConfig, out: Path, seed, say) -> int:
         _write_solution(out / f"solution_c{k}.csv", rep.solution)
     _write_csv(
         out / "clusters.csv",
-        [
-            "cluster",
-            "size",
-            "representative_start",
-            "energy_total",
-            "residual",
-            "classification",
-            "positivity_margin",
-            "normal_derivative_margin",
-            "n_dead_core_regions",
-            "dead_core_region_sizes",
-        ],
+        ["cluster", "size", "representative_start", "energy_total", "residual", *_CLASSIFICATION_HEADER],
         cluster_rows,
     )
     if result.clusters:
@@ -344,9 +338,7 @@ def _cmd_audit(config: ScenarioConfig, out: Path, say) -> int:
     )
     record(
         f"reaction pullback concave at exponent {q_test:g}",
-        reaction_pullback_concavity(
-            ps.reaction, q_test, np.geomspace(1e-6, 1e3, 64), grid=ps.grid
-        ),
+        reaction_pullback_concavity(ps.reaction, q_test, default_audit_samples(), grid=ps.grid),
     )
     if ps.reaction.family == "pure_subhomogeneous" and ps.boundary == "natural":
         integral = neumann_integral_condition(ps)
@@ -416,7 +408,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out!r}: cannot create the directory: {exc}") from exc
         if args.command == "solve":
             return _cmd_solve(config, out, args.seed, args.reference, say)
         if args.command == "experiment":

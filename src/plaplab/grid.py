@@ -83,13 +83,6 @@ class Grid:
         return np.split(keys % n, np.cumsum(counts)[:-1])
 
     @cached_property
-    def is_boundary(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[self.boundary_nodes] = True
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
     def assembly(self) -> "ElementAssembly":
         return ElementAssembly(self)
 

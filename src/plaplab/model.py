@@ -16,7 +16,6 @@ import numpy as np
 from .grid import Grid, ScalarField
 
 DIFFUSION_FAMILIES = ("constant", "power_shift", "saturating")
-REACTION_FAMILIES = ("pure_subhomogeneous", "two_term", "logistic", "double_power")
 NEGATIVE_EXTENSIONS = ("zero", "odd", "none")
 BOUNDARY_KINDS = ("dirichlet_zero", "natural")
 
@@ -86,27 +85,35 @@ def _require_nonnegative(t) -> np.ndarray:
     return t
 
 
-def _as_nodal(coefficient, grid: Grid | None) -> np.ndarray | float:
-    if isinstance(coefficient, ScalarField):
-        return coefficient.values
-    if np.ndim(coefficient) == 0:
-        return float(coefficient)
-    values = np.asarray(coefficient, dtype=float)
-    if grid is not None and values.shape != (grid.n_nodes,):
-        raise ValueError("coefficient field does not match the grid")
-    return values
+# Each reaction family as signed power terms c(x) t^(e - 1) for t >= 0:
+# (sign, coefficient "a" | "b" | 1, field holding the exponent e).
+REACTION_TERMS = {
+    "pure_subhomogeneous": ((1, "a", "q"),),        # a t^(q-1)
+    "two_term": ((1, "a", "q"), (1, "b", "r")),      # a t^(q-1) + b t^(r-1)
+    "logistic": ((1, "a", "p"), (-1, "b", "q")),     # a t^(p-1) - b t^(q-1), q > p
+    "double_power": ((1, 1, "q"), (-1, 1, "r")),     # t^(q-1) - t^(r-1), r > q
+}
+REACTION_FAMILIES = tuple(REACTION_TERMS)
+
+
+def power_sum(terms, t):
+    """Sum of sign * c t^power / divisor over bound terms (see ``ReactionSpec.terms``), t >= 0."""
+    total = None
+    for sign, c, power, divisor in terms:
+        term = t**power if c is None else c * t**power
+        if divisor is not None:
+            term = term / divisor
+        total = term if total is None else total + term if sign > 0 else total - term
+    return total
 
 
 @dataclass(frozen=True)
 class ReactionSpec:
     """Reaction term g(x, t) with nodal coefficients and closed-form primitive.
 
-    Families (t >= 0; behaviour for t < 0 set by ``negative_extension``):
-
-    * ``pure_subhomogeneous``: g = a(x) t^(q-1)
-    * ``two_term``:            g = a(x) t^(q-1) + b(x) t^(r-1)
-    * ``logistic``:            g = a(x) t^(p-1) - b(x) t^(q-1), q > p
-    * ``double_power``:        g = t^(q-1) - t^(r-1), r > q
+    Families are the signed power sums of ``REACTION_TERMS`` for t >= 0;
+    ``negative_extension`` sets the behaviour for t < 0. An exponent field
+    the family does not use enters no formula and no audit.
 
     ``declared_growth`` is the exponent sigma claimed for the polynomial
     growth bound |g| <= C (1 + t^sigma); ``audit_growth`` verifies it.
@@ -146,105 +153,85 @@ class ReactionSpec:
                 raise ValueError(f"double_power needs r > q, got r={self.r}, q={self.q}")
 
     @property
-    def largest_exponent(self) -> float:
-        exps = [self.q]
-        if self.r is not None:
-            exps.append(self.r)
-        if self.p is not None:
-            exps.append(self.p)
-        return max(exps)
+    def exponents(self) -> tuple:
+        """The exponent e of each power term, in table order."""
+        return tuple(getattr(self, field) for _, _, field in REACTION_TERMS[self.family])
 
     @property
     def growth(self) -> float:
         """Effective growth exponent: declared, or the family's natural one."""
         if self.declared_growth is not None:
             return self.declared_growth
-        return self.largest_exponent - 1.0
+        return max(self.exponents) - 1.0
 
     @property
     def natural_subhomogeneity_exponent(self) -> float:
         """Exponent at which the monotone-ratio audit is expected to pass."""
-        if self.family == "logistic":
-            return self.p
-        return self.q
+        return self.exponents[0]
 
-    def coefficient_arrays(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node (a, b) arrays broadcast against the grid."""
-        n = grid.n_nodes
-        a = _as_nodal(self.a, grid)
-        b = _as_nodal(self.b, grid)
-        a = np.full(n, a) if np.ndim(a) == 0 else a
-        b = np.full(n, b) if np.ndim(b) == 0 else b
-        return a, b
+    def coefficients(self, grid: Grid | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) as float arrays of one shape: per node of ``grid`` when given
+        (a field must match it), else of the coefficients' own shape."""
+        a, b = (
+            c.values if isinstance(c, ScalarField) else np.asarray(c, dtype=float)
+            for c in (self.a, self.b)
+        )
+        if grid is None:
+            shape = np.broadcast_shapes(a.shape, b.shape, (1,))
+        else:
+            shape = (grid.n_nodes,)
+            if any(c.ndim and c.shape != shape for c in (a, b)):
+                raise ValueError("coefficient field does not match the grid")
+        return tuple(c if c.shape == shape else np.full(shape, c) for c in (a, b))
 
-    def _positive_value(self, t, a, b):
-        if self.family == "pure_subhomogeneous":
-            return a * t ** (self.q - 1.0)
-        if self.family == "two_term":
-            return a * t ** (self.q - 1.0) + b * t ** (self.r - 1.0)
-        if self.family == "logistic":
-            return a * t ** (self.p - 1.0) - b * t ** (self.q - 1.0)
-        return t ** (self.q - 1.0) - t ** (self.r - 1.0)
+    def terms(self, a, b) -> dict:
+        """The family's power terms with coefficients a, b bound, per kind of
+        ``evaluate``: (sign, coefficient or None for 1, power of t, divisor or None),
+        so that g sums c t^(e-1), G sums (c t^e) / e and dg/dt sums (c (e-1)) t^(e-2)."""
+        bound = {"a": a, "b": b, 1: None}
+        kinds = {"value": [], "primitive": [], "derivative": []}
+        for (sign, name, _), e in zip(REACTION_TERMS[self.family], self.exponents):
+            c = bound[name]
+            kinds["value"].append((sign, c, e - 1.0, None))
+            kinds["primitive"].append((sign, c, e, e))
+            slope = e - 1.0 if c is None else c * (e - 1.0)
+            kinds["derivative"].append((sign, slope, e - 2.0, None))
+        return kinds
 
-    def _positive_primitive(self, t, a, b):
-        if self.family == "pure_subhomogeneous":
-            return a * t**self.q / self.q
-        if self.family == "two_term":
-            return a * t**self.q / self.q + b * t**self.r / self.r
-        if self.family == "logistic":
-            return a * t**self.p / self.p - b * t**self.q / self.q
-        return t**self.q / self.q - t**self.r / self.r
+    def evaluate(self, terms, t, kind: str):
+        """g ("value"), G ("primitive") or dg/dt ("derivative") of bound ``terms`` at t.
 
-    def _positive_derivative(self, t, a, b):
-        q, r, p = self.q, self.r, self.p
-        if self.family == "pure_subhomogeneous":
-            return a * (q - 1.0) * t ** (q - 2.0)
-        if self.family == "two_term":
-            return a * (q - 1.0) * t ** (q - 2.0) + b * (r - 1.0) * t ** (r - 2.0)
-        if self.family == "logistic":
-            return a * (p - 1.0) * t ** (p - 2.0) - b * (q - 1.0) * t ** (q - 2.0)
-        return (q - 1.0) * t ** (q - 2.0) - (r - 1.0) * t ** (r - 2.0)
-
-    def derivative(self, a, b, t):
-        """dg/dt with coefficients a, b; t < 0 follows the negative extension.
-
-        Exponents below 2 make this blow up at t = 0; callers that use it for
-        curvature estimates must floor t away from zero first.
+        t < 0 follows the negative extension: zero, or odd in g (so G is even
+        and dg/dt even, infinite at 0); "none" rejects it. dg/dt also takes
+        the extension at t = 0, where exponents below 2 make it blow up:
+        callers that use it for curvature estimates floor t away from zero.
         """
         t = np.asarray(t, dtype=float)
-        if np.all(t > 0):
-            return self._positive_derivative(t, a, b)
+        derivative = kind == "derivative"
+        lowest = t.min(initial=np.inf)  # NaN takes the extension path
+        if lowest > 0 or (lowest >= 0 and not derivative):
+            return power_sum(terms[kind], t)
         if self.negative_extension == "none":
-            raise ValueError("nonpositive argument with no negative extension declared")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pos = self._positive_derivative(np.abs(t), a, b)
+            side = "nonpositive" if derivative else "negative"
+            raise ValueError(f"{side} argument with no negative extension declared")
+        with np.errstate(divide="ignore", invalid="ignore"):  # dg/dt at t = 0
+            pos = power_sum(terms[kind], np.abs(t))
         if self.negative_extension == "zero":
-            return np.where(t > 0, pos, 0.0)
-        return np.where(t == 0, np.inf, pos)
-
-    def _evaluate(self, t, a, b, primitive: bool):
-        t = np.asarray(t, dtype=float)
-        fn = self._positive_primitive if primitive else self._positive_value
-        if np.all(t >= 0):
-            return fn(t, a, b)
-        return self._extended(fn, t, a, b, primitive)
-
-    def _extended(self, fn, t, a, b, primitive: bool):
-        """fn on |t|, carried over to negative t by the negative extension."""
-        if self.negative_extension == "none":
-            raise ValueError("negative argument with no negative extension declared")
-        pos = fn(np.abs(t), a, b)
-        if self.negative_extension == "zero":
-            return np.where(t >= 0, pos, 0.0)
-        # odd extension: g odd in t, so the primitive is even
-        return pos if primitive else np.where(t >= 0, pos, -pos)
+            return np.where(t > 0 if derivative else t >= 0, pos, 0.0)
+        if derivative:
+            return np.where(t == 0, np.inf, pos)
+        return pos if kind == "primitive" else np.where(t >= 0, pos, -pos)
 
     def value(self, a, b, t):
         """g with coefficient values a, b (scalars or arrays broadcast with t)."""
-        return self._evaluate(t, a, b, primitive=False)
+        return self.evaluate(self.terms(a, b), t, "value")
 
     def primitive(self, a, b, t):
-        return self._evaluate(t, a, b, primitive=True)
+        return self.evaluate(self.terms(a, b), t, "primitive")
+
+    def derivative(self, a, b, t):
+        """dg/dt with coefficients a, b; see ``evaluate`` for t <= 0."""
+        return self.evaluate(self.terms(a, b), t, "derivative")
 
 
 @dataclass(frozen=True)
@@ -269,8 +256,7 @@ class ProblemSpec:
             raise ValueError(
                 f"logistic base exponent {rs.p} must equal the diffusion exponent {p}"
             )
-        # force coefficient shape validation against this grid
-        rs.coefficient_arrays(self.grid)
+        rs.coefficients(self.grid)  # checks field shapes against the grid
 
     @property
     def is_dirichlet(self) -> bool:
@@ -285,7 +271,7 @@ class ProblemSpec:
     @cached_property
     def nodal_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-node (a, b) as read-only copies."""
-        a, b = (np.array(c, dtype=float) for c in self.reaction.coefficient_arrays(self.grid))
+        a, b = (np.array(c) for c in self.reaction.coefficients(self.grid))
         a.setflags(write=False)
         b.setflags(write=False)
         return a, b
@@ -324,14 +310,8 @@ def audit_subhomogeneity(
     t = default_audit_samples() if t_samples is None else np.asarray(t_samples, float)
     if t.ndim != 1 or len(t) < 2 or np.any(t <= 0) or np.any(np.diff(t) <= 0):
         raise ValueError("t_samples must be at least 2 increasing positive values")
-    a = _as_nodal(rs.a, grid)
-    b = _as_nodal(rs.b, grid)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    a, b = np.broadcast_arrays(a, b)
-    ratios = rs._positive_value(t[None, :], a[:, None], b[:, None]) / t[None, :] ** (
-        q_test - 1.0
-    )
+    a, b = rs.coefficients(grid)
+    ratios = rs.value(a[:, None], b[:, None], t[None, :]) / t[None, :] ** (q_test - 1.0)
     increases = np.diff(ratios, axis=1)
     worst = increases.max()
     if worst > tol:
@@ -362,7 +342,7 @@ def audit_growth(
     """
     t = default_audit_samples() if t_samples is None else np.asarray(t_samples, float)
     sigma = rs.growth
-    required = rs.largest_exponent - 1.0
+    required = max(rs.exponents) - 1.0
     if sigma < required - 1e-12:
         return AuditResult(
             False,
@@ -374,10 +354,8 @@ def audit_growth(
             f"sigma={sigma} violates the subcritical inequality for "
             f"N={dimension}, cap={exponent_cap}",
         )
-    a = np.atleast_1d(np.asarray(_as_nodal(rs.a, grid), dtype=float))
-    b = np.atleast_1d(np.asarray(_as_nodal(rs.b, grid), dtype=float))
-    a, b = np.broadcast_arrays(a, b)
-    g = rs._positive_value(t[None, :], a[:, None], b[:, None])
+    a, b = rs.coefficients(grid)
+    g = rs.value(a[:, None], b[:, None], t[None, :])
     c = float(np.max(np.abs(g) / (1.0 + t[None, :] ** sigma)))
     return AuditResult(
         True,

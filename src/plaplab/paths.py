@@ -376,11 +376,7 @@ def reaction_pullback_concavity(
     s = np.asarray(s_grid, dtype=float)
     if s.ndim != 1 or len(s) < 3 or np.any(s <= 0) or np.any(np.diff(s) <= 0):
         raise ValueError("s_grid must be at least 3 increasing positive values")
-    a, b = rs.coefficient_arrays(grid) if grid is not None else (
-        np.atleast_1d(np.asarray(rs.a, dtype=float)),
-        np.atleast_1d(np.asarray(rs.b, dtype=float)),
-    )
-    a, b = np.broadcast_arrays(a, b)
+    a, b = rs.coefficients(grid)
     phi = rs.primitive(a[:, None], b[:, None], s[None, :] ** (1.0 / q))
     left, mid, right = s[:-2], s[1:-1], s[2:]
     w_hi = (mid - left) / (right - left)

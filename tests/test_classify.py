@@ -8,7 +8,7 @@ from plaplab.classify import (
     neumann_integral_condition,
 )
 from plaplab.coefficients import CoefficientDef
-from plaplab.grid import ScalarField, build_interval_grid
+from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 
 
@@ -42,6 +42,37 @@ def test_bump_is_interior_cone_dirichlet():
     assert cls.kind == "interior_cone"
     assert cls.normal_derivative_margin is not None
     assert cls.normal_derivative_margin > 0
+
+
+def reference_normal_margin(grid, vals):
+    """Minus the largest one-sided quotient toward the boundary, node by node."""
+    interior = np.ones(grid.n_nodes, dtype=bool)
+    interior[grid.boundary_nodes] = False
+    quotients = []
+    for b in grid.boundary_nodes:
+        inner = [i for i in grid.node_neighbors[b] if interior[i]]
+        if inner:
+            dist = np.linalg.norm(grid.nodes[inner] - grid.nodes[b], axis=1)
+            quotients.append(float(((vals[b] - vals[inner]) / dist).max()))
+    return -max(quotients) if quotients else None
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [build_interval_grid(128, 0.0, 1.0), build_interval_grid(2, -1.0, 1.0),
+     build_rectangle_grid(7, 3, (0.0, 1.0, 0.0, 2.0)), build_rectangle_grid(2, 2, (0.0, 1.0, 0.0, 1.0))],
+    ids=["interval-128", "interval-2", "rectangle-7x3", "rectangle-2x2"],
+)
+def test_normal_derivative_margin_equals_node_by_node_reference(grid):
+    ps = ProblemSpec(grid, DiffusionSpec("constant", p=2.0), ReactionSpec("pure_subhomogeneous", q=1.5),
+                     "dirichlet_zero")
+    rng = np.random.default_rng(4)
+    for k in range(10):
+        vals = rng.uniform(-1.0, 2.0, grid.n_nodes)
+        if k % 2:
+            vals[grid.boundary_nodes] = 0.0
+        margin = classify_cone(ps, ScalarField(grid, vals)).normal_derivative_margin
+        assert margin == reference_normal_margin(grid, vals)
 
 
 def test_dead_core_middle_third():

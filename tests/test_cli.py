@@ -7,7 +7,7 @@ import pytest
 
 import plaplab.cli
 from plaplab.cli import main
-from plaplab.config import load_config
+from plaplab.config import BUILTIN_SCENARIOS, load_config
 
 SMALL_EIGEN = """
 scenario_id = eig_small
@@ -183,6 +183,100 @@ def test_audit_reports_positive_integral(tmp_path):
     assert "INFO" in text and "unbounded" in text
 
 
+# sha256 of audit.txt per builtin scenario
+AUDIT_DIGESTS = {
+    "E1": "f7580ca7fb8a17e0c33734211b1d659565c1814331c9edcdd67bf28b0265eda6",
+    "E2": "a9763c0a3ddd8b7cbec445f8fe71481efe7fd62de6a5d238e517acbb2ae17ca1",
+    "E3": "034e3f343615218f71c2f60aca67f581e0fe9a89fe5f330351e78a106fdf8ccd",
+    "E4": "2b3b9179c8e3c0a122c9609e10f30d9b62cf40fb0635bc6d604cfd98d0462165",
+    "E5": "629b5500b65521dafbef415b547b351e179d247bda67b3443d6e70c8888383b4",
+    "E6": "d85b865397a1316f601accecd3cc89f19df63675bbba3661012f0b7fc9c502ca",
+    "E6B": "54cbd4617a424f213e387595db367556ab1f0d48a3ae8438f69a26160908d6b9",
+    "E7": "0dd6a61c16dd540078d6b07022bf56d1b80056593862b79c34d3d8eabfa59562",
+    "E1N_POS": "42c7ca5dd11d4f78ef562d0e023f0b7a477b4455ef01deea6b9477b4c22e1861",
+    "E1N_NEG": "ec05daae86d4abb218668961ebc3569226e0f6095e2a87f6d64a97c6c4ca7312",
+}
+
+
+@pytest.mark.parametrize("scenario", BUILTIN_SCENARIOS)
+def test_builtin_audit_text_is_unchanged(tmp_path, scenario):
+    out = tmp_path / scenario
+    assert main(["audit", "--config", scenario, "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256((out / "audit.txt").read_bytes()).hexdigest() == AUDIT_DIGESTS[scenario]
+
+
+# two_term in 2D with p = 1.5: sigma = r - 1 = 0.5 is subcritical, sigma = 8 is not
+TWO_TERM_2D = """scenario_id = two_term_2d
+grid.dimension = 2
+grid.n = 4
+grid.ny = 4
+diffusion.p = 1.5
+reaction.family = two_term
+reaction.q = 1.2
+reaction.r = 1.5
+reaction.b = -1
+boundary = dirichlet_zero
+"""
+
+
+@pytest.mark.parametrize(
+    "base, growth",
+    [("E3", "dimension 1, cap 2): |g| <= C (1 + t^1.5)"),
+     (TWO_TERM_2D, "dimension 2, cap 1.5): |g| <= C (1 + t^0.5)")],
+    ids=["1d-E3", "2d-p1.5"],
+)
+def test_unused_exponent_enters_no_audit(tmp_path, base, growth):
+    text = load_config(base).serialize() if base in BUILTIN_SCENARIOS else base
+    audits = []
+    for k, extra in enumerate(["", "reaction.p = 9\n"]):  # two_term does not use p
+        cfg = tmp_path / f"c{k}.cfg"
+        cfg.write_text(text + extra, encoding="utf-8")
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / f"o{k}"), "--quiet"]) == 0
+        audits.append((tmp_path / f"o{k}" / "audit.txt").read_text(encoding="utf-8"))
+    assert audits[1] == audits[0]
+    assert "FAIL" not in audits[1]
+    assert f"PASS  growth bound ({growth} with" in audits[1]
+
+
+def test_experiment_csvs_are_unchanged(tmp_path):
+    cfg = tmp_path / "e1_small.cfg"
+    cfg.write_text(dataclasses.replace(load_config("E1"), n=48, n_starts=4).serialize(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert digests == {
+        "report.csv": "214d588ca680cbc9ca2051e83b7f12b2f7d9c1f33d7c82ea6fbd4ddd73c776d3",
+        "clusters.csv": "2123262ca9abecd41497d19f6fa8e3ede4df9228de98ac357ed7bbadebef983e",
+        "solution.csv": "5732fd1585d601e30bcfe71ab764168c32815542d50601cb89627c18915cc1e2",
+        "solution_c0.csv": "5732fd1585d601e30bcfe71ab764168c32815542d50601cb89627c18915cc1e2",
+    }
+
+
+def test_2d_solution_csv_is_unchanged(tmp_path):
+    cfg = tmp_path / "rect.cfg"
+    cfg.write_text(
+        """scenario_id = rect
+grid.dimension = 2
+grid.n = 12
+grid.ny = 8
+grid.ymax = 0.5
+diffusion.p = 2.0
+reaction.family = pure_subhomogeneous
+reaction.q = 1.5
+reaction.a = 1*sin(2*pi*x) + 0.3
+boundary = dirichlet_zero
+""",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert read_csv(out / "solution.csv")[0].keys() == {"node", "x", "y", "value"}
+    assert (
+        hashlib.sha256((out / "solution.csv").read_bytes()).hexdigest()
+        == "dcf4c287f8cd0d09ae13994a4f67215d353e20829deac75c7b30b6a76f2f19f5"
+    )
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scenario_id = bad\n", encoding="utf-8")
@@ -280,6 +374,11 @@ def _config_with_line(tmp_path, line):
     return str(cfg)
 
 
+def _file_at_out(tmp_path):
+    (tmp_path / "o").write_text("", encoding="utf-8")
+    return ["audit", "--config", "E1"]
+
+
 def _nan_solution(tmp_path):
     path = tmp_path / "nan_solution.csv"
     path.write_text("node,x,value\n" + "".join(f"{i},0,nan\n" for i in range(129)), encoding="utf-8")
@@ -300,10 +399,11 @@ def _nan_solution(tmp_path):
         lambda tmp: ["solve", "--config", "E1", "--seed", "-1"],
         lambda tmp: ["experiment", "--config", "E1", "--seed", "-1"],
         lambda tmp: ["eigen", "--config", "E1", "--seed", "-1"],
+        _file_at_out,
     ],
     ids=["init-abc", "init-nan", "init-inf", "path-const-nan", "path-file-nan", "path-negative",
          "path-dirichlet-broken", "eigen-p-not-above-one", "solve-seed-negative",
-         "experiment-seed-negative", "eigen-seed-negative"],
+         "experiment-seed-negative", "eigen-seed-negative", "out-is-a-file"],
 )
 def test_bad_user_fields_exit_with_config_error(tmp_path, capsys, argv):
     code = main([*argv(tmp_path), "--out", str(tmp_path / "o"), "--quiet"])

@@ -1,7 +1,8 @@
 """Bitwise regression of the energy kernels and the solvers built on them.
 
 The kernel checks compare the evaluation plan against the direct formulas
-(``einsum`` element gradients, ``np.add.at`` scatter, checked model methods),
+(``einsum`` element gradients, ``np.add.at`` scatter, the checked diffusion
+methods, each reaction family's g, G and dg/dt and both negative extensions),
 written out below as the reference. The solver checks pin status, iteration
 count, final energy and a digest of the solution bytes, recorded with those
 direct formulas; any change of floating-point operations or their order shows
@@ -165,13 +166,53 @@ def reference_scatter(grid, per_local):
     return out
 
 
+def reference_positive(rs, t, primitive):
+    """g or G of the reaction at t >= 0, written out per family."""
+    a, b, q, r, p = rs.a, rs.b, rs.q, rs.r, rs.p
+    if rs.family == "pure_subhomogeneous":
+        return a * t**q / q if primitive else a * t ** (q - 1.0)
+    if rs.family == "two_term":
+        if primitive:
+            return a * t**q / q + b * t**r / r
+        return a * t ** (q - 1.0) + b * t ** (r - 1.0)
+    if rs.family == "logistic":
+        if primitive:
+            return a * t**p / p - b * t**q / q
+        return a * t ** (p - 1.0) - b * t ** (q - 1.0)
+    if primitive:
+        return t**q / q - t**r / r
+    return t ** (q - 1.0) - t ** (r - 1.0)
+
+
+def reference_derivative(rs, t):
+    """dg/dt of the reaction at t > 0, written out per family."""
+    a, b, q, r, p = rs.a, rs.b, rs.q, rs.r, rs.p
+    if rs.family == "pure_subhomogeneous":
+        return a * (q - 1.0) * t ** (q - 2.0)
+    if rs.family == "two_term":
+        return a * (q - 1.0) * t ** (q - 2.0) + b * (r - 1.0) * t ** (r - 2.0)
+    if rs.family == "logistic":
+        return a * (p - 1.0) * t ** (p - 2.0) - b * (q - 1.0) * t ** (q - 2.0)
+    return (q - 1.0) * t ** (q - 2.0) - (r - 1.0) * t ** (r - 2.0)
+
+
+def reference_reaction(rs, t, primitive):
+    """g or G at any t: the zero extension, or g odd (G even) for t < 0."""
+    if np.all(t >= 0):
+        return reference_positive(rs, t, primitive)
+    pos = reference_positive(rs, np.abs(t), primitive)
+    if rs.negative_extension == "zero":
+        return np.where(t >= 0, pos, 0.0)
+    assert rs.negative_extension == "odd"
+    return pos if primitive else np.where(t >= 0, pos, -pos)
+
+
 def reference_parts(ps, values):
     grid, p = ps.grid, ps.diffusion.p
-    a, b = ps.nodal_coefficients
     with np.errstate(over="ignore", invalid="ignore"):
         norm_p = np.linalg.norm(reference_gradients(grid, values), axis=1) ** p
         diffusion = float(grid.element_volume @ (ps.diffusion.primitive(norm_p) / p))
-        reaction = float(grid.node_mass @ ps.reaction.primitive(a, b, values))
+        reaction = float(grid.node_mass @ reference_reaction(ps.reaction, values, True))
     if np.isnan(diffusion):
         diffusion = np.inf
     if np.isnan(reaction):
@@ -190,9 +231,8 @@ def reference_grad_and_scaling(ps, values):
     out = reference_scatter(grid, np.einsum("ed,eld->el", flux, grid.element_grad_coeffs))
     coeff_sq = np.einsum("eld,eld->el", grid.element_grad_coeffs, grid.element_grad_coeffs)
     diag = reference_scatter(grid, scaled_volume[:, None] * coeff_sq)
-    a, b = ps.nodal_coefficients
-    out -= grid.node_mass * ps.reaction.value(a, b, values)
-    slope = ps.reaction.derivative(a, b, np.maximum(np.abs(values), 1e-13))
+    out -= grid.node_mass * reference_reaction(ps.reaction, values, False)
+    slope = reference_derivative(ps.reaction, np.maximum(np.abs(values), 1e-13))
     diag += grid.node_mass * np.maximum(-slope, 0.0)
     if ps.is_dirichlet:
         out[grid.boundary_nodes] = 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plaplab.grid import build_interval_grid
+from plaplab.grid import ScalarField, build_interval_grid
 from plaplab.model import (
     DiffusionSpec,
     ProblemSpec,
@@ -102,6 +102,16 @@ def test_odd_extension():
     assert rs.primitive(rs.a, rs.b, -2.0) == rs.primitive(rs.a, rs.b, 2.0)
 
 
+def test_derivative_extensions_at_and_below_zero():
+    t = np.array([-1.0, 0.0, 1.0])
+    zero = ReactionSpec("pure_subhomogeneous", q=1.5, a=2.0, negative_extension="zero")
+    assert zero.derivative(2.0, 1.0, t).tolist() == [0.0, 0.0, 1.0]
+    odd = ReactionSpec("pure_subhomogeneous", q=1.5, a=2.0, negative_extension="odd")
+    assert odd.derivative(2.0, 1.0, t).tolist() == [1.0, np.inf, 1.0]
+    with pytest.raises(ValueError, match="nonpositive"):
+        ReactionSpec("pure_subhomogeneous", q=1.5, negative_extension="none").derivative(1.0, 1.0, 0.0)
+
+
 def test_no_extension_rejects_negative():
     rs = ReactionSpec("pure_subhomogeneous", q=1.5, negative_extension="none")
     with pytest.raises(ValueError):
@@ -135,6 +145,40 @@ def test_reaction_derivative_matches_slope(rs):
     fd = (rs.value(1.0, 1.0, t + eps) - rs.value(1.0, 1.0, t - eps)) / (2 * eps)
     slope = rs.derivative(1.0, 1.0, t)
     assert (np.abs(fd - slope) / np.maximum(np.abs(slope), 1e-8)).max() <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "rs, exponents",
+    [
+        (ReactionSpec("pure_subhomogeneous", q=1.5), (1.5,)),
+        (ReactionSpec("two_term", q=1.5, r=2.5, p=9.0), (1.5, 2.5)),
+        (ReactionSpec("logistic", q=4.0, p=2.0, r=9.0), (2.0, 4.0)),
+        (ReactionSpec("double_power", q=1.5, r=3.0, p=9.0), (1.5, 3.0)),
+    ],
+    ids=lambda v: v.family if isinstance(v, ReactionSpec) else None,
+)
+def test_only_the_family_exponents_enter_growth_and_audits(rs, exponents):
+    assert rs.exponents == exponents
+    assert rs.natural_subhomogeneity_exponent == exponents[0]
+    assert rs.growth == max(exponents) - 1.0
+    assert audit_growth(rs, dimension=2, exponent_cap=1.5).passed  # sigma = 8 would fail
+
+
+def test_coefficients_per_node_or_own_shape():
+    g = build_interval_grid(4, 0.0, 1.0)
+    a = np.linspace(0.0, 1.0, g.n_nodes)
+    rs = ReactionSpec("two_term", q=1.5, r=2.0, a=ScalarField(g, a), b=2.0)
+    for coefficients in (rs.coefficients(g), rs.coefficients()):
+        assert [c.tolist() for c in coefficients] == [a.tolist(), [2.0] * g.n_nodes]
+    scalar = ReactionSpec("pure_subhomogeneous", q=1.5, a=3)
+    assert [c.tolist() for c in scalar.coefficients()] == [[3.0], [1.0]]
+    assert [c.shape for c in scalar.coefficients(g)] == [(g.n_nodes,)] * 2
+    with pytest.raises(ValueError):
+        ReactionSpec("pure_subhomogeneous", q=1.5, a=np.ones(3)).coefficients(g)
+    ps = ProblemSpec(g, DiffusionSpec("constant", p=2.0), rs, "natural")
+    nodal_a, nodal_b = ps.nodal_coefficients
+    assert not nodal_a.flags.writeable and not np.shares_memory(nodal_a, rs.a.values)
+    assert nodal_b.flags.c_contiguous and nodal_b.tolist() == [2.0] * g.n_nodes
 
 
 def test_reaction_validation():
