@@ -8,6 +8,8 @@ import pytest
 import plaplab.cli
 from plaplab.cli import main
 from plaplab.config import BUILTIN_SCENARIOS, load_config
+from plaplab.grid import ScalarField
+from plaplab.solve import Cluster, MultiStartResult, minimize, random_start
 
 SMALL_EIGEN = """
 scenario_id = eig_small
@@ -275,6 +277,70 @@ boundary = dirichlet_zero
         hashlib.sha256((out / "solution.csv").read_bytes()).hexdigest()
         == "dcf4c287f8cd0d09ae13994a4f67215d353e20829deac75c7b30b6a76f2f19f5"
     )
+
+
+def _e1_config(tmp_path, n):
+    cfg = tmp_path / f"e1_{n}.cfg"
+    cfg.write_text(dataclasses.replace(load_config("E1"), n=n).serialize(), encoding="utf-8")
+    return str(cfg)
+
+
+def _e4_solution(tmp_path):
+    assert main(["solve", "--config", "E4", "--out", str(tmp_path / "ref"), "--quiet"]) == 0
+    return str(tmp_path / "ref" / "solution.csv")
+
+
+# run: (argv without --out, sha256 of each CSV it writes besides the solution files)
+CSV_DIGESTS = {
+    "path-E4-constants": (
+        lambda tmp: ["path", "--config", "E4", "--u", "const:1", "--v", "const:2"],
+        {"path.csv": "510d87dd725f5d9c5d669f7606c6e6819c654a17e4bd0c47bde12e81b412ec04",
+         "path_summary.csv": "eb3c203ac52a84662e0c0d6f2dcc791d8ef6419c6ff2ab5fb6c22475b6f1044c"},
+    ),
+    "eigen-E1-n40": (
+        lambda tmp: ["eigen", "--config", _e1_config(tmp, 40)],
+        {"eigen.csv": "f220e2e1eb7806093a1ef531e4ddd2563f6245ce0b68d1ef0d565a01473d0891",
+         "eigen_history.csv": "442ea3b2b544eb5384b6127c7637876c7c9c15308b15010db9ab9d4458800f92"},
+    ),
+    "solve-E4-reference": (
+        lambda tmp: ["solve", "--config", "E4", "--reference", _e4_solution(tmp)],
+        {"report.csv": "75a837609c97ede1f9b2ff6874fcb9b0f2bb100c1a4ba74a20d41a33c028bb54"},
+    ),
+    "experiment-E1N_POS": (  # no start converges: clusters.csv is its header alone
+        lambda tmp: ["experiment", "--config", "E1N_POS"],
+        {"report.csv": "0a20a718f3b2e1ace5511b843e7c9ea7561f6a57d4a26b64ec1741aeede8b2f3",
+         "clusters.csv": "6078a9ff96b524f14bdad2d1fd5151d1cadd6f8e7200127174d2e7ff22f6c3f3"},
+    ),
+}
+
+
+@pytest.mark.parametrize("run", list(CSV_DIGESTS))
+def test_cli_csvs_are_unchanged(tmp_path, run):
+    argv, expected = CSV_DIGESTS[run]
+    out = tmp_path / "out"
+    assert main([*argv(tmp_path), "--out", str(out), "--quiet"]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected} == expected
+
+
+def test_midpoint_csv_is_unchanged(tmp_path, monkeypatch):
+    def two_clusters(ps, n_starts, opts):
+        # a positive minimizer and the trivial critical point: two nonnegative clusters
+        reports = [minimize(ps, random_start(ps, opts.random_seed), opts),
+                   minimize(ps, ScalarField(ps.grid, np.zeros(ps.grid.n_nodes)), opts)]
+        return MultiStartResult(reports, [Cluster([0], 0), Cluster([1], 1)], 0.0)
+
+    monkeypatch.setattr(plaplab.cli, "multi_start", two_clusters)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", _e1_config(tmp_path, 48), "--out", str(out), "--quiet"]) == 0
+    assert read_csv(out / "midpoint.csv") == [{"cluster_u": "0", "cluster_v": "1", "verdict": "strict",
+                                               "gap": "3.1357931630115082e-06"}]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("midpoint.csv", "clusters.csv", "report.csv")}
+    assert digests == {
+        "midpoint.csv": "5c38d510b710e4b40273293392262389228175c258f389fed1b3a48eae274788",
+        "clusters.csv": "b327fd415a1c8e72efa31724156b3ee7be39a3b1dbf7a6fd21f81df8ff3afb2c",
+        "report.csv": "e005e60a5adf807a13463c1610bfe5835fa1868d46a43ae9d1b2cb547d16b723",
+    }
 
 
 def test_config_error_exit_code(tmp_path):
