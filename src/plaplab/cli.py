@@ -39,12 +39,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, records: list[dict], header=None) -> None:
+    """One row per record, under ``header`` or else the first record's keys."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(header or records[0])
+        for record in records:
+            writer.writerow([_fmt(v) for v in record.values()])
 
 
 def _write_solution(path: Path, field: ScalarField) -> None:
@@ -92,49 +93,34 @@ _CLASSIFICATION_HEADER = [
 ]
 
 
-def _classification_columns(cls) -> list:
+def _classification_columns(cls) -> dict:
     if cls is None:
-        return [""] * len(_CLASSIFICATION_HEADER)
-    return [
-        cls.kind,
-        cls.positivity_margin,
-        "" if cls.normal_derivative_margin is None else cls.normal_derivative_margin,
-        len(cls.dead_core_regions),
-        ";".join(str(len(region)) for region in cls.dead_core_regions),
-    ]
+        return dict.fromkeys(_CLASSIFICATION_HEADER, "")
+    margin = cls.normal_derivative_margin
+    return {
+        "classification": cls.kind,
+        "positivity_margin": cls.positivity_margin,
+        "normal_derivative_margin": "" if margin is None else margin,
+        "n_dead_core_regions": len(cls.dead_core_regions),
+        "dead_core_region_sizes": ";".join(str(len(region)) for region in cls.dead_core_regions),
+    }
 
 
-_REPORT_HEADER = [
-    "scenario_id",
-    "start",
-    "status",
-    "converged",
-    "iterations",
-    "residual",
-    "energy_total",
-    "energy_diffusion",
-    "energy_reaction",
-    *_CLASSIFICATION_HEADER,
-    "cluster",
-    "delta_vs_reference",
-]
-
-
-def _report_row(config, start, report: SolveReport, cls, cluster="", delta="") -> list:
-    return [
-        config.scenario_id,
-        start,
-        report.status,
-        int(report.converged),
-        report.iterations,
-        report.residual,
-        report.energy.total,
-        report.energy.diffusion_part,
-        report.energy.reaction_part,
-        *_classification_columns(cls),
-        cluster,
-        delta,
-    ]
+def _report_record(config, start, report: SolveReport, cls, cluster="", delta="") -> dict:
+    return {
+        "scenario_id": config.scenario_id,
+        "start": start,
+        "status": report.status,
+        "converged": int(report.converged),
+        "iterations": report.iterations,
+        "residual": report.residual,
+        "energy_total": report.energy.total,
+        "energy_diffusion": report.energy.diffusion_part,
+        "energy_reaction": report.energy.reaction_part,
+        **_classification_columns(cls),
+        "cluster": cluster,
+        "delta_vs_reference": delta,
+    }
 
 
 def _cmd_solve(config: ScenarioConfig, out: Path, seed, reference: str | None, say) -> int:
@@ -148,7 +134,7 @@ def _cmd_solve(config: ScenarioConfig, out: Path, seed, reference: str | None, s
         ref = _load_field(reference, ps)
         comp = comparability_delta(report.solution, ref)
         delta = comp.delta if comp.comparable else "incomparable"
-    _write_csv(out / "report.csv", _REPORT_HEADER, [_report_row(config, 0, report, cls, delta=delta)])
+    _write_csv(out / "report.csv", [_report_record(config, 0, report, cls, delta=delta)])
     _write_solution(out / "solution.csv", report.solution)
     say(
         f"{config.scenario_id}: {report.status} after {report.iterations} iterations, "
@@ -173,36 +159,38 @@ def _cmd_experiment(config: ScenarioConfig, out: Path, seed, say) -> int:
 
     # cluster representatives are converged starts: each is classified here once
     classes = [classify_cone(ps, r.solution) if r.converged else None for r in result.reports]
-    rows = [
-        _report_row(config, idx, report, classes[idx], cluster=cluster_of.get(idx, ""))
+    records = [
+        _report_record(config, idx, report, classes[idx], cluster=cluster_of.get(idx, ""))
         for idx, report in enumerate(result.reports)
     ]
-    _write_csv(out / "report.csv", _REPORT_HEADER, rows)
+    _write_csv(out / "report.csv", records)
 
-    cluster_rows = []
+    cluster_records = []
     for k, cluster in enumerate(result.clusters):
         rep = result.representative_report(cluster)
-        cluster_rows.append(
-            [
-                k,
-                len(cluster.members),
-                cluster.representative,
-                rep.energy.total,
-                rep.residual,
-                *_classification_columns(classes[cluster.representative]),
-            ]
+        cluster_records.append(
+            {
+                "cluster": k,
+                "size": len(cluster.members),
+                "representative_start": cluster.representative,
+                "energy_total": rep.energy.total,
+                "residual": rep.residual,
+                **_classification_columns(classes[cluster.representative]),
+            }
         )
         _write_solution(out / f"solution_c{k}.csv", rep.solution)
+    # the one output that can have no rows (no start converged)
     _write_csv(
         out / "clusters.csv",
-        ["cluster", "size", "representative_start", "energy_total", "residual", *_CLASSIFICATION_HEADER],
-        cluster_rows,
+        cluster_records,
+        header=["cluster", "size", "representative_start", "energy_total", "residual",
+                *_CLASSIFICATION_HEADER],
     )
     if result.clusters:
         best = result.representative_report(result.clusters[0])
         _write_solution(out / "solution.csv", best.solution)
 
-    midpoint_rows = []
+    midpoint_records = []
     for i in range(len(result.clusters)):
         for j in range(i + 1, len(result.clusters)):
             u = result.representative_report(result.clusters[i]).solution
@@ -210,11 +198,11 @@ def _cmd_experiment(config: ScenarioConfig, out: Path, seed, say) -> int:
             if np.any(u.values < 0) or np.any(v.values < 0):
                 continue
             test = midpoint_energy_test(ps, u, v, config.path_q)
-            midpoint_rows.append([i, j, test.verdict, test.gap])
-    if midpoint_rows:
-        _write_csv(
-            out / "midpoint.csv", ["cluster_u", "cluster_v", "verdict", "gap"], midpoint_rows
-        )
+            midpoint_records.append(
+                {"cluster_u": i, "cluster_v": j, "verdict": test.verdict, "gap": test.gap}
+            )
+    if midpoint_records:
+        _write_csv(out / "midpoint.csv", midpoint_records)
 
     statuses = ", ".join(result.statuses)
     say(
@@ -247,39 +235,25 @@ def _cmd_path(config: ScenarioConfig, out: Path, u_source, v_source, say) -> int
     except (ValueError, BoundaryViolationError) as exc:
         raise ConfigError(f"path endpoints: {exc}") from exc
     diag = path_energy_profile(ps, u, v, config.path_q, config.path_samples)
-    rows = []
-    n = len(diag.t_samples)
-    for k in range(n):
-        d2_d = diag.second_difference_D[k - 1] if 1 <= k <= n - 2 else ""
-        d2_i = diag.second_difference_I[k - 1] if 1 <= k <= n - 2 else ""
-        rows.append([diag.t_samples[k], diag.diffusion_energy[k], diag.total_energy[k], d2_d, d2_i])
-    _write_csv(
-        out / "path.csv",
-        ["t", "diffusion_energy", "total_energy", "second_diff_D", "second_diff_I"],
-        rows,
-    )
+    columns = {
+        "t": diag.t_samples,
+        "diffusion_energy": diag.diffusion_energy,
+        "total_energy": diag.total_energy,
+        "second_diff_D": ["", *diag.second_difference_D, ""],  # interior samples only
+        "second_diff_I": ["", *diag.second_difference_I, ""],
+    }
+    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    _write_csv(out / "path.csv", records)
     witness = diag.strict_convexity_witness
-    _write_csv(
-        out / "path_summary.csv",
-        [
-            "min_second_difference_D",
-            "min_second_difference_I",
-            "pointwise_max_violation",
-            "strictly_convex_D",
-            "degenerate_constants",
-            "witness_t",
-        ],
-        [
-            [
-                diag.min_second_difference_D,
-                diag.min_second_difference_I,
-                diag.pointwise_max_violation,
-                int(diag.strictly_convex_diffusion),
-                int(diag.degenerate_constant_pair),
-                "" if witness is None else ";".join(_fmt(t) for t in witness),
-            ]
-        ],
-    )
+    summary = {
+        "min_second_difference_D": diag.min_second_difference_D,
+        "min_second_difference_I": diag.min_second_difference_I,
+        "pointwise_max_violation": diag.pointwise_max_violation,
+        "strictly_convex_D": int(diag.strictly_convex_diffusion),
+        "degenerate_constants": int(diag.degenerate_constant_pair),
+        "witness_t": "" if witness is None else ";".join(_fmt(t) for t in witness),
+    }
+    _write_csv(out / "path_summary.csv", [summary])
     mid = midpoint_energy_test(ps, u, v, config.path_q)
     flags = []
     if diag.degenerate_constant_pair:
@@ -287,7 +261,7 @@ def _cmd_path(config: ScenarioConfig, out: Path, u_source, v_source, say) -> int
     if not diag.strictly_convex_diffusion:
         flags.append("diffusion energy not strictly convex along the path")
     say(
-        f"{config.scenario_id}: path over {n} samples, min second differences "
+        f"{config.scenario_id}: path over {len(records)} samples, min second differences "
         f"D {diag.min_second_difference_D:.3g} / I {diag.min_second_difference_I:.3g}, "
         f"midpoint verdict {mid.verdict}"
     )
@@ -299,16 +273,16 @@ def _cmd_path(config: ScenarioConfig, out: Path, u_source, v_source, say) -> int
 def _cmd_eigen(config: ScenarioConfig, out: Path, seed, say) -> int:
     opts = config.solve_options(seed)
     report = first_eigenvalue(config.build_problem().grid, config.eigen_p, opts)
-    _write_csv(
-        out / "eigen.csv",
-        ["lambda1", "p", "iterations", "converged", "residual"],
-        [[report.lambda1, config.eigen_p, report.iterations, int(report.converged), report.residual]],
-    )
-    _write_csv(
-        out / "eigen_history.csv",
-        ["iteration", "rayleigh"],
-        [[k, value] for k, value in enumerate(report.rayleigh_history)],
-    )
+    summary = {
+        "lambda1": report.lambda1,
+        "p": config.eigen_p,
+        "iterations": report.iterations,
+        "converged": int(report.converged),
+        "residual": report.residual,
+    }
+    _write_csv(out / "eigen.csv", [summary])
+    history = enumerate(report.rayleigh_history)
+    _write_csv(out / "eigen_history.csv", [{"iteration": k, "rayleigh": v} for k, v in history])
     _write_solution(out / "solution.csv", report.eigenfunction)
     say(
         f"{config.scenario_id}: first eigenvalue {report.lambda1:.8g} "

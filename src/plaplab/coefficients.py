@@ -168,10 +168,6 @@ class CoefficientDef:
     def parse(text: str) -> "CoefficientDef":
         return CoefficientDef(terms=tuple(_Parser(text).parse()))
 
-    @staticmethod
-    def constant(value: float) -> "CoefficientDef":
-        return CoefficientDef(terms=(Term("constant", float(value)),))
-
     def serialize(self) -> str:
         parts = [_format_term(self.terms[0])]
         for term in self.terms[1:]:

@@ -19,7 +19,7 @@ import numpy as np
 from .energy import check_admissible, energy_parts
 from .errors import InvariantViolation
 from .grid import ScalarField
-from .model import AuditResult, ProblemSpec, ReactionSpec, audit_subhomogeneity
+from .model import AuditResult, ProblemSpec, ReactionSpec, audit_samples, audit_subhomogeneity
 
 STRICTNESS_GAP = 1e-10
 EXACT_1D_TOL = 1e-10
@@ -37,6 +37,15 @@ def check_endpoints(u: ScalarField, v: ScalarField, ps: ProblemSpec | None = Non
         check_admissible(ps, v.values)
 
 
+def _power_mean(u, v, q, t):
+    return ((1.0 - t) * u**q + t * v**q) ** (1.0 / q)
+
+
+def _excess(d_path, d_u, d_v, p, t):
+    """|d_path|^p - ((1 - t) |d_u|^p + t |d_v|^p); nonpositive where the inequality holds."""
+    return np.abs(d_path) ** p - ((1.0 - t) * np.abs(d_u) ** p + t * np.abs(d_v) ** p)
+
+
 def power_path_values(u: np.ndarray, v: np.ndarray, q: float, t: float) -> np.ndarray:
     """Nodal values of the q-power interpolation at parameter t."""
     if not q > 1:
@@ -47,7 +56,7 @@ def power_path_values(u: np.ndarray, v: np.ndarray, q: float, t: float) -> np.nd
         return u.copy()
     if t == 1.0:
         return v.copy()
-    return ((1.0 - t) * u**q + t * v**q) ** (1.0 / q)
+    return _power_mean(u, v, q, t)
 
 
 def power_path(u: ScalarField, v: ScalarField, q: float, t: float) -> ScalarField:
@@ -65,11 +74,8 @@ def edge_difference_violation(ui, uj, vi, vj, p, q, t):
     """
     ui, uj, vi, vj = (np.asarray(x, dtype=float) for x in (ui, uj, vi, vj))
     t = np.asarray(t, dtype=float)
-    gi = ((1.0 - t) * ui**q + t * vi**q) ** (1.0 / q)
-    gj = ((1.0 - t) * uj**q + t * vj**q) ** (1.0 / q)
-    lhs = np.abs(gj - gi) ** p
-    rhs = (1.0 - t) * np.abs(uj - ui) ** p + t * np.abs(vj - vi) ** p
-    return lhs - rhs
+    d_path = _power_mean(uj, vj, q, t) - _power_mean(ui, vi, q, t)
+    return _excess(d_path, uj - ui, vj - vi, p, t)
 
 
 @dataclass(frozen=True)
@@ -116,31 +122,24 @@ def pointwise_hidden_convexity(
         i, j = grid.edges[:, 0], grid.edges[:, 1]
         du = np.abs(u.values[j] - u.values[i])
         dv = np.abs(v.values[j] - v.values[i])
-        dg = np.abs(gamma[j] - gamma[i])
-        lhs = dg**p
-        rhs = (1.0 - t) * du**p + t * dv**p
+        excess = _excess(gamma[j] - gamma[i], du, dv, p, t)
         differs = (u.values[i] != v.values[i]) | (u.values[j] != v.values[j])
         active = differs & ((du + dv) > 0)
     elif mode == "element_gradients":
         assembly = grid.assembly
         gu, gv, gg = (assembly.norms(assembly.gradients(w)) for w in (u.values, v.values, gamma))
-        lhs = gg**p
-        rhs = (1.0 - t) * gu**p + t * gv**p
-        elem_u = u.values[grid.elements]
-        elem_v = v.values[grid.elements]
-        differs = np.any(elem_u != elem_v, axis=1)
+        excess = _excess(gg, gu, gv, p, t)
+        differs = np.any(u.values[grid.elements] != v.values[grid.elements], axis=1)
         active = differs & ((gu + gv) > 0)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    gap = rhs - lhs
-    strict = active & (gap > STRICTNESS_GAP)
     return HiddenConvexityReport(
         mode=mode,
         t=t,
-        max_violation=float((-gap).max()) if len(gap) else 0.0,
+        max_violation=float(excess.max()) if len(excess) else 0.0,
         active_set=active,
-        strict_set=strict,
+        strict_set=active & (excess < -STRICTNESS_GAP),
     )
 
 
@@ -188,17 +187,15 @@ def path_energy_profile(
     total = np.empty(n_samples)
     max_violation = -np.inf
     i, j = grid.edges[:, 0], grid.edges[:, 1]
-    du_p = np.abs(u.values[j] - u.values[i]) ** ps.diffusion.p
-    dv_p = np.abs(v.values[j] - v.values[i]) ** ps.diffusion.p
+    du = u.values[j] - u.values[i]
+    dv = v.values[j] - v.values[i]
     for k, t in enumerate(ts):
         gamma = power_path_values(u.values, v.values, q, t)
         d_part, r_part = energy_parts(ps, gamma)
         diffusion[k] = d_part
         total[k] = d_part - r_part
-        dg_p = np.abs(gamma[j] - gamma[i]) ** ps.diffusion.p
-        max_violation = max(
-            max_violation, float((dg_p - ((1.0 - t) * du_p + t * dv_p)).max())
-        )
+        excess = _excess(gamma[j] - gamma[i], du, dv, ps.diffusion.p, t)
+        max_violation = max(max_violation, float(excess.max()))
 
     d2_D = diffusion[:-2] - 2.0 * diffusion[1:-1] + diffusion[2:]
     d2_I = total[:-2] - 2.0 * total[1:-1] + total[2:]
@@ -373,9 +370,7 @@ def reaction_pullback_concavity(
     reaction energy concave along the path. Checked as a three-point chord
     test, which also handles non-uniform sample grids.
     """
-    s = np.asarray(s_grid, dtype=float)
-    if s.ndim != 1 or len(s) < 3 or np.any(s <= 0) or np.any(np.diff(s) <= 0):
-        raise ValueError("s_grid must be at least 3 increasing positive values")
+    s = audit_samples(s_grid, minimum=3, name="s_grid")
     a, b = rs.coefficients(grid)
     phi = rs.primitive(a[:, None], b[:, None], s[None, :] ** (1.0 / q))
     left, mid, right = s[:-2], s[1:-1], s[2:]

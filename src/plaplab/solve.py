@@ -56,18 +56,12 @@ class SolveOptions:
     """Descent and line-search parameters.
 
     ``max_iterations=None`` resolves to 50000 on 1D grids and 20000 in 2D.
-    ``project_nonnegative=None`` means automatic: iterates are truncated at
-    zero whenever the reaction uses the zero negative extension. Truncation
-    is 1-Lipschitz nodally, so it never increases the discrete energy on
-    interval or right-triangle meshes, and it keeps descent out of the flat
-    negative-value basin that the zero extension creates.
     """
 
     max_iterations: int | None = None
     residual_tolerance: float = 1e-9
     initial_step: float = 1.0
     random_seed: int = 0
-    project_nonnegative: bool | None = None
 
     def __post_init__(self):
         if not (self.residual_tolerance > 0 and self.initial_step > 0):
@@ -261,6 +255,11 @@ def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptio
     the initial scale with the energy decreasing, or (natural boundary) from a
     runaway doubling walk along constant shifts. Coercivity is otherwise the
     caller's concern.
+
+    Iterates are truncated at zero when the reaction uses the zero negative
+    extension. Truncation is 1-Lipschitz nodally, so it never increases the
+    discrete energy on interval or right-triangle meshes, and it keeps descent
+    out of the flat negative-value basin that the zero extension creates.
     """
     if init.grid is not ps.grid:
         raise ValueError("initial field and problem live on different grids")
@@ -270,9 +269,7 @@ def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptio
             "energy is defined on every trial field"
         )
     check_admissible(ps, init.values)
-    project = opts.project_nonnegative
-    if project is None:
-        project = ps.reaction.negative_extension == "zero"
+    project = ps.reaction.negative_extension == "zero"
     values = np.maximum(init.values, 0.0) if project else init.values
     objective = _Energy(ps, values, project)
     values, residual, iterations, status, history = _descent(

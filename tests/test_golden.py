@@ -45,16 +45,13 @@ GOLDEN_SOLVES = {
                 "294fa0ae7a3ecc4460f689f04f39b4b9ad55ebf210f9c664c4020214e6345274"),
     "E1N_NEG": ("converged", 1650, "-0x1.cef520a3e6404p-19",
                 "6985538633e3b10d8d017f93ae1f592de81f94e34559d5e86b19fc54b88929a6"),
-    # unprojected descents: iterates with negative entries
+    # an unprojected descent: iterates with negative entries
     "E1-odd": ("converged", 884, "-0x1.54054ab0919e4p-17",
                "aa1f09c5aaa01a35f2ef92a09aaa0c3e9790ec61931757e3701f4210325a4bc4"),
-    "E2-unprojected": ("converged", 1193, "-0x1.3beb11177d964p-21",
-                       "2a2926f7811d9aa8e6417e2e822e784ae02b391760f987e0d242486aeb60b0d2"),
 }
-# variant: (scenario, config fields, solve-option fields, shift of the random start)
+# variant: (scenario, config fields, shift of the random start)
 SOLVE_VARIANTS = {
-    "E1-odd": ("E1", {"negative_extension": "odd"}, {}, -0.5),
-    "E2-unprojected": ("E2", {}, {"project_nonnegative": False}, 0.0),
+    "E1-odd": ("E1", {"negative_extension": "odd"}, -0.5),
 }
 GOLDEN_DEAD_CORE_2D = ("converged", 198, "-0x1.19a05ceb69f54p-21",
                        "1e1ce772b5718f8d02b78390943971af37e5f7cb45bfa7843aa58d9b8f0e0b93")
@@ -104,7 +101,7 @@ def solve_fingerprint(report):
 
 @pytest.mark.parametrize("scenario", list(GOLDEN_SOLVES))
 def test_builtin_scenario_solve_is_bitwise_unchanged(scenario):
-    name, fields, options, shift = SOLVE_VARIANTS.get(scenario, (scenario, {}, {}, 0.0))
+    name, fields, shift = SOLVE_VARIANTS.get(scenario, (scenario, {}, 0.0))
     config = dataclasses.replace(load_config(name), n=48, **fields)
     ps = config.build_problem()
     if config.init_spec == "random":
@@ -115,7 +112,7 @@ def test_builtin_scenario_solve_is_bitwise_unchanged(scenario):
         values = init.values + shift
         values[ps.grid.boundary_nodes] = 0.0
         init = ScalarField(ps.grid, values)
-    report = minimize(ps, init, dataclasses.replace(config.solve_options(SEED), **options))
+    report = minimize(ps, init, config.solve_options(SEED))
     assert solve_fingerprint(report) == GOLDEN_SOLVES[scenario]
 
 

@@ -243,6 +243,32 @@ def test_subhomogeneity_audit_input_validation():
         audit_subhomogeneity(rs, 1.5, t_samples=np.array([2.0, 1.0]))
 
 
+def _growth(t_samples):
+    return audit_growth(ReactionSpec("pure_subhomogeneous", q=1.5), 1, 2.0, t_samples=t_samples)
+
+
+def _diffusion(family):
+    return lambda t_samples: audit_diffusion(DiffusionSpec(family, p=2.0), t_samples)
+
+
+@pytest.mark.parametrize(
+    "audit, samples",
+    [
+        (_growth, [-1.0, 1.0]),  # passed with C=nan
+        (_growth, [1.0]),  # passed on the one point
+        (_growth, [2.0, 1.0]),
+        (_diffusion("constant"), [1.0]),  # failed in an empty reduction
+        (_diffusion("saturating"), [2.0, 1.0]),  # reported the increasing weight as decreasing
+        (_diffusion("constant"), [0.0, 1.0]),
+    ],
+    ids=["growth-negative", "growth-single", "growth-decreasing", "diffusion-single",
+         "diffusion-decreasing", "diffusion-zero"],
+)
+def test_audits_take_increasing_positive_samples(audit, samples):
+    with pytest.raises(ValueError, match="t_samples must be at least 2 increasing positive values"):
+        audit(np.array(samples))
+
+
 def test_growth_audit_subcritical_in_1d():
     rs = ReactionSpec("pure_subhomogeneous", q=1.5, declared_growth=0.5)
     result = audit_growth(rs, dimension=1, exponent_cap=2.0)
