@@ -39,7 +39,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, records: list[dict], header=None) -> None:
+def _write_csv(path: Path, records: list[dict], header: list[str] | None = None) -> None:
     """One row per record, under ``header`` or else the first record's keys."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
