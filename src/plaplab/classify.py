@@ -90,7 +90,8 @@ def classify_cone(
         b, inner = np.where(on_boundary[crossing, :1], pairs, pairs[:, ::-1]).T
         if len(b):
             dist = np.linalg.norm(grid.nodes[inner] - grid.nodes[b], axis=1)
-            normal_margin = -float(((vals[b] - vals[inner]) / dist).max())
+            # 0 - x, not -x: a field flat at the boundary gets +0, not -0
+            normal_margin = 0.0 - float(((vals[b] - vals[inner]) / dist).max())
 
     if np.all(np.abs(vals) <= tol_zero):
         return ConeClassification(KIND_TRIVIAL, positivity_margin, normal_margin, [])

@@ -345,12 +345,16 @@ def power_product_concavity_grid(
     max_violation = -np.inf
     n_strict = 0
     # ordered pairs ((a, b), (c, d)); loop over a, vectorize over (c, b, d)
+    # into two buffers reused by every turn
+    gap = np.empty((n1, n2, n2))
+    avg = np.empty((n1, n2, n2))
     for a in range(n1):
-        mid = m1[a][:, None, None] * m2[None, :, :]  # (c, b, d)
-        avg = 0.5 * (ff[a][None, :, None] + ff[:, None, :])  # (c, b, d)
-        gap = mid - avg
-        max_violation = max(max_violation, float((-gap).max()))
-        n_strict += int((gap > STRICTNESS_GAP).sum())
+        np.multiply(m1[a][:, None, None], m2, out=gap)  # midpoint values
+        np.add(ff[a][None, :, None], ff[:, None, :], out=avg)
+        avg *= 0.5
+        gap -= avg
+        max_violation = max(max_violation, -float(gap.min()))
+        n_strict += int(np.count_nonzero(gap > STRICTNESS_GAP))
     n_points = n1 * n2
     n_pairs = n_points * n_points - n_points  # ordered, self-pairs excluded
     return ConcavityReport(max_violation=max_violation, n_pairs=n_pairs, n_strict=n_strict)

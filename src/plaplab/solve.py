@@ -1,20 +1,21 @@
 """Energy minimization, multi-start experiments, and the first eigenvalue.
 
 Both minimizations run through one monotone first-order descent engine,
-``_descent``: the direction is the negative nodal gradient, scaled per node by
-a diagonal curvature estimate, and every accepted step satisfies the Armijo
-sufficient-decrease condition under backtracking (up to the floating-point
-resolution of the objective). The trial step per iteration is the two-point
-(Barzilai-Borwein) quotient in the scaled metric. No curvature matrices are
-ever formed; the diagonal scaling is what lets dead-core problems, whose
-reaction slope is unbounded near zero values, reach tight residuals within the
-desk-scale iteration budgets.
+``_descent``: the direction is the nodal gradient preconditioned by the
+objective's P, and every accepted step satisfies the Armijo sufficient-decrease
+condition under backtracking (up to the floating-point resolution of the
+objective). The trial step per iteration is the two-point (Barzilai-Borwein)
+quotient in P's metric.
 
-The engine has two objectives. ``_Energy`` is the discrete energy: it owns
-projection at zero, the constant-shift walk of natural-boundary problems and
-the divergence diagnosis. ``_Rayleigh`` is the Rayleigh quotient, unscaled: it
-owns the renormalization of every accepted iterate to unit lumped p-norm. Both
-share the flux kernel of ``energy.DiffusionPlan`` and its p < 2 weight floor.
+The engine has two objectives. ``_Energy`` is the discrete energy; its P is a
+diagonal curvature estimate, which lets dead-core problems, whose reaction
+slope is unbounded near zero values, reach tight residuals within the
+desk-scale iteration budgets. It owns projection at zero, the constant-shift
+walk of natural-boundary problems and the divergence diagnosis. ``_Rayleigh``
+is the Rayleigh quotient; its P is the weighted stiffness ``WeightedStiffness``
+of the current iterate, and it owns the renormalization of every accepted
+iterate to unit lumped p-norm. Both share the flux kernel of
+``energy.DiffusionPlan`` and its p < 2 weight floor.
 
 Runs are deterministic: identical problem, options, and seed reproduce the
 iterate sequence bitwise (sequential execution, per-start seeded generators).
@@ -44,6 +45,11 @@ MEAN_SHIFT_CADENCE = 8
 # fraction of the first-order decrease an accepted step must achieve
 BACKTRACK_SHRINK = 0.5
 SUFFICIENT_DECREASE = 1e-4
+# The weighted stiffness floors |grad u| here (its weight |grad u|^(p-2) would
+# vanish or blow up on flat elements), and its 2D inner solve stops at this
+# relative residual
+STIFFNESS_GRAD_FLOOR = 1e-6
+INNER_TOLERANCE = 0.1
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -89,15 +95,16 @@ class SolveReport:
 
 
 def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
-    """Scaled Barzilai-Borwein descent with Armijo backtracking on ``objective``.
+    """Preconditioned Barzilai-Borwein descent with Armijo backtracking on ``objective``.
 
-    The objective provides ``gradient(u) -> (value, gradient, scaling)`` (a
-    positive per-node scaling, or None), ``value(u)`` at trial points, the
-    flag ``project`` (truncate trial points at zero), the residual's index
-    ``free``, the ``stall_step`` below which trial step times direction norm
-    gives up, and ``accepted(u, value, iteration) -> (u, value, status)``,
-    run after each accepted step; a status other than None ends the descent.
-    Returns (values, residual, iterations, status, value history).
+    The objective provides ``gradient(u) -> (value, gradient, P)``, where the
+    preconditioner P gives the direction ``P.direction(g)`` (P^-1 g) and the
+    metric ``P.metric(s)`` (P s) of the trial step; ``value(u)`` at trial
+    points, the flag ``project`` (truncate trial points at zero), the
+    residual's index ``free``, the ``stall_step`` below which trial step times
+    direction norm gives up, and ``accepted(u, value, iteration) -> (u, value,
+    status)``, run after each accepted step; a status other than None ends the
+    descent. Returns (values, residual, iterations, status, value history).
     """
     n_sqrt = math.sqrt(len(values))
     eps = float(np.finfo(float).eps)
@@ -106,7 +113,7 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
     prev_u = prev_g = None
     history = []
     for iteration in range(budget + 1):
-        value, g, scaling = objective.gradient(u)
+        value, g, precondition = objective.gradient(u)
         history.append(value)
         g_free = g[objective.free]
         residual = math.sqrt(g_free @ g_free) / n_sqrt
@@ -115,17 +122,16 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
         if iteration == budget:
             return u, residual, iteration, STATUS_MAX_ITERATIONS, history
 
-        # Descent direction: negative gradient scaled by the per-node
-        # curvature estimate (dead-core tails otherwise pin the step size for
-        # the whole mesh). Trial step from the two-point quotient in the
-        # scaled metric, safeguarded, then Armijo-backtracked.
-        direction = g if scaling is None else g / scaling
+        # Descent direction: the preconditioned gradient (a bare gradient
+        # lets dead-core tails or flat elements pin the step size for the
+        # whole mesh). Trial step from the two-point quotient in P's metric,
+        # safeguarded, then Armijo-backtracked.
+        direction = precondition.direction(g)
         if prev_u is not None:
             s = u - prev_u
             y = g - prev_g
             sy = float(s @ y)
-            scaled_s = s if scaling is None else scaling * s
-            trial = float(s @ scaled_s) / sy if sy > 0 else step * 4.0
+            trial = float(s @ precondition.metric(s)) / sy if sy > 0 else step * 4.0
         else:
             trial = step
         if not math.isfinite(trial):
@@ -162,7 +168,9 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
 class _Energy:
     """The discrete energy as a descent objective.
 
-    It looks up the module-level energy functions on every call, so wrappers
+    It is its own preconditioner: the diagonal curvature estimate of its last
+    gradient call, so an iteration allocates no preconditioner object. It
+    looks up the module-level energy functions on every call, so wrappers
     installed on those names see every evaluation.
     """
 
@@ -184,8 +192,14 @@ class _Energy:
         return energy_total(self.ps, u)
 
     def gradient(self, u: np.ndarray):
-        g, scaling = energy_grad_and_scaling(self.ps, u)
-        return self.current, g, scaling
+        g, self.scaling = energy_grad_and_scaling(self.ps, u)
+        return self.current, g, self
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        return g / self.scaling
+
+    def metric(self, s: np.ndarray) -> np.ndarray:
+        return self.scaling * s
 
     def accepted(self, u: np.ndarray, value: float, iteration: int):
         if self.shift_scale is not None and iteration % MEAN_SHIFT_CADENCE == 0:
@@ -376,12 +390,103 @@ class EigenReport:
     residual: float
 
 
+def chain_pivots(bands: list) -> tuple[list, list]:
+    """Pivots and multipliers of the tridiagonal sweep on a chain held at zero at both ends.
+
+    Element i of the chain joins nodes i and i + 1 with stiffness ``bands[i]``;
+    node i of the n - 1 inner ones reads
+    -a[i-1] x[i-1] + (a[i-1] + a[i]) x[i] - a[i] x[i+1]. The pivots are
+    m_i = a_i + s_i, with s_1 = a_0 and s_(i+1) = a_i s_i / m_i: sums and
+    products of positive numbers, so every pivot is positive. (The textbook
+    m_(i+1) = a_i + a_(i+1) - a_i^2 / m_i cancels to an exact zero when the
+    bands span many decades.) The multipliers are a_i / m_i.
+    """
+    pivots, ratios = [], []
+    s = bands[0]
+    for a in bands[1:]:
+        m = a + s
+        r = a / m
+        pivots.append(m)
+        ratios.append(r)
+        s *= r
+    return pivots, ratios
+
+
+def chain_solve(bands: list, rhs: list) -> list:
+    """Nodal solution of the chain system of ``chain_pivots`` for a right-hand
+    side of n + 1 nodal values; both end entries of the solution are zero.
+    Python floats throughout: a loop over lists beats NumPy per-element calls."""
+    pivots, ratios = chain_pivots(bands)
+    scaled = []
+    carry = 0.0
+    for g, m, r in zip(rhs[1:-1], pivots, ratios):
+        y = g + carry
+        scaled.append(y / m)
+        carry = r * y
+    x = [0.0]
+    for q, r in zip(reversed(scaled), reversed(ratios)):
+        x.append(q + r * x[-1])
+    x.append(0.0)
+    x.reverse()
+    return x
+
+
+class WeightedStiffness:
+    """The weighted stiffness K_w of Huang, Li & Liu (J. Sci. Comput. 32, 2007)
+    on the zero-boundary space: (K_w v)_i = sum_e c_e grad v . grad phi_i, with
+    element weights c_e, as a descent preconditioner.
+
+    ``direction`` solves K_w x = g (g zero on the boundary): exactly by
+    ``chain_solve`` on interval chains (``assembly.cells`` one-dimensional),
+    else by matrix-free conjugate gradients preconditioned with K_w's diagonal,
+    stopped at relative residual ``tolerance``. ``metric`` is the product.
+    """
+
+    def __init__(self, assembly, weights: np.ndarray, boundary: np.ndarray):
+        self.assembly = assembly
+        self.weights = weights
+        self.boundary = boundary
+
+    def metric(self, s: np.ndarray) -> np.ndarray:
+        out = self.assembly.scatter(self.weights, self.assembly.gradients(s))
+        out[self.boundary] = 0.0
+        return out
+
+    def direction(self, g: np.ndarray, tolerance: float = INNER_TOLERANCE) -> np.ndarray:
+        assembly = self.assembly
+        if assembly.cells is not None and len(assembly.cells) == 1:
+            bands = self.weights * assembly.coeff_sq[0]  # c_e |grad phi|^2
+            return np.array(chain_solve(bands.tolist(), g.tolist()))
+        diagonal = assembly.scatter_diagonal(self.weights)
+        diagonal[self.boundary] = 1.0
+        x = np.zeros_like(g)
+        r = g.copy()
+        z = r / diagonal
+        d = z
+        rz = float(r @ z)
+        stop = tolerance**2 * float(g @ g)
+        for _ in range(len(g)):
+            kd = self.metric(d)
+            alpha = rz / float(d @ kd)
+            x += alpha * d
+            r -= alpha * kd
+            if float(r @ r) <= stop:
+                break
+            z = r / diagonal
+            rz, rz_old = float(r @ z), rz
+            d = z + (rz / rz_old) * d
+        return x
+
+
 class _Rayleigh:
     """The Rayleigh quotient as a descent objective, on the zero-boundary space.
 
     The quotient D(u) / (sum m |u|^p / p), D the value of a constant ``DiffusionPlan``,
     is 0-homogeneous, so the line search works on unnormalized trial points;
     renormalization reuses the lumped p-mass, sum m |u|^p, of the accepted one.
+    Its preconditioner is the weighted stiffness with element weights
+    volume * max(|grad u|, STIFFNESS_GRAD_FLOOR)^(p-2): for p = 2 the stiffness
+    itself, which makes the descent an inverse iteration.
     """
 
     project = False
@@ -403,16 +508,17 @@ class _Rayleigh:
         return numerator / (self.mass / self.p) if self.mass > 0 else math.inf
 
     def gradient(self, u: np.ndarray):
-        grid, p = self.grid, self.p
-        grads, norms = self.plan.gather(u)
-        flux, _ = self.plan.diffusion_flux(grads, norms)
+        grid, p, plan = self.grid, self.p, self.plan
+        grads, norms = plan.gather(u)
+        flux, _ = plan.diffusion_flux(grads, norms)
         magnitude = np.abs(u)
         mass = float(grid.node_mass @ magnitude**p) / p
-        rayleigh = self.plan.diffusion_value(norms) / mass
+        rayleigh = plan.diffusion_value(norms) / mass
         mass_grad = grid.node_mass * np.sign(u) * magnitude ** (p - 1.0)
         g = (flux - rayleigh * mass_grad) / mass
         g[grid.boundary_nodes] = 0.0
-        return rayleigh, g, None
+        weights = plan.volume * np.maximum(norms, STIFFNESS_GRAD_FLOOR) ** (p - 2.0)
+        return rayleigh, g, WeightedStiffness(plan.assembly, weights, grid.boundary_nodes)
 
     def accepted(self, u: np.ndarray, value: float, iteration: int):
         return u / self.mass ** (1.0 / self.p), value, None

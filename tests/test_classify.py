@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +75,15 @@ def test_normal_derivative_margin_equals_node_by_node_reference(grid):
             vals[grid.boundary_nodes] = 0.0
         margin = classify_cone(ps, ScalarField(grid, vals)).normal_derivative_margin
         assert margin == reference_normal_margin(grid, vals)
+
+
+def test_normal_derivative_margin_of_a_field_flat_at_the_boundary_is_positive_zero():
+    ps = make_problem(n=30)
+    bump = np.zeros(ps.grid.n_nodes)
+    bump[5:-5] = 1.0  # zero on the boundary and next to it
+    for vals in (np.zeros(ps.grid.n_nodes), bump):
+        margin = classify_cone(ps, ScalarField(ps.grid, vals)).normal_derivative_margin
+        assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
 
 
 def test_dead_core_middle_third():

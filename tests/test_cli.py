@@ -299,8 +299,8 @@ CSV_DIGESTS = {
     ),
     "eigen-E1-n40": (
         lambda tmp: ["eigen", "--config", _e1_config(tmp, 40)],
-        {"eigen.csv": "f220e2e1eb7806093a1ef531e4ddd2563f6245ce0b68d1ef0d565a01473d0891",
-         "eigen_history.csv": "442ea3b2b544eb5384b6127c7637876c7c9c15308b15010db9ab9d4458800f92"},
+        {"eigen.csv": "4d6fded7cb457c82a0b2940a0ef8e719e8e22283258c8dec9bd08de653d7f3bb",
+         "eigen_history.csv": "c57a11b4939f16f26d3b362cb565daa59f0656bf587667179a7c2801f7b2e1c7"},
     ),
     "solve-E4-reference": (
         lambda tmp: ["solve", "--config", "E4", "--reference", _e4_solution(tmp)],
@@ -338,8 +338,8 @@ def test_midpoint_csv_is_unchanged(tmp_path, monkeypatch):
                for name in ("midpoint.csv", "clusters.csv", "report.csv")}
     assert digests == {
         "midpoint.csv": "5c38d510b710e4b40273293392262389228175c258f389fed1b3a48eae274788",
-        "clusters.csv": "b327fd415a1c8e72efa31724156b3ee7be39a3b1dbf7a6fd21f81df8ff3afb2c",
-        "report.csv": "e005e60a5adf807a13463c1610bfe5835fa1868d46a43ae9d1b2cb547d16b723",
+        "clusters.csv": "1dd2995ecb472bd1ffcaf5b4de8c0cc129405650d883d7c00dcdb1af8bc60384",
+        "report.csv": "fb46c24d2f81a384d08f2d21c4cb810d433977e84e6c85792e0560739f50e3ed",
     }
 
 

@@ -71,18 +71,18 @@ boundary = dirichlet_zero
 GOLDEN_RECTANGLE_E1 = ("converged", 163, "-0x1.38af2152c0af4p-22",
                        "e6a1def71a0578ad1c5fa721ec9a6d8db7883e6952c2fd51411c59ba6a92c940")
 # (grid, p): (converged, iterations, lambda1.hex(), eigenfunction digest, history digest);
-# the interval-50 pins are those of the quotient D(u) / (sum m |u|^p / p) on the plan's
-# diffusion kernels, with their p < 2 weight floor
+# the pins of the descent preconditioned by the weighted stiffness (tridiagonal
+# sweep on the interval, conjugate gradients on the rectangle)
 GOLDEN_EIGEN = {
-    ("interval-50", 3.0): (True, 433, "0x1.c454081702f3ap+4",
-                           "3aca872a7ecc03aff14a0cd79f13a2cc86215b186f062ecf8c37981459c5caf6",
-                           "c3e774de23e1090a07a17110f37b55b7ef437d955ee3091ac9c973c585e06f72"),
-    ("interval-50", 1.5): (True, 3088, "0x1.545069ac77746p+2",
-                           "2ad4e0fa2923974920613112d698b75cf6c7cb3c8f3262d0ad8dd9b614fc52d5",
-                           "bce28983c4f3b860c82371a08ffad0c8c06e59bcff65bc10b0b0ed621da8e73f"),
-    ("rectangle-24", 2.0): (True, 191, "0x1.3b606ad829456p+4",
-                            "e0ae41931019c7c68b621dc57365308a16edf6516c4778676b1e7dbda8a8e0d4",
-                            "9789ea92ab04fe80261dbd78a26c0559c49e6b7062da624b44ce4e08e02c2700"),
+    ("interval-50", 3.0): (True, 15, "0x1.c454081702f38p+4",
+                           "b26fdbef9a2c8a85278511cd312d9de9163906c342700b39beb337c7d4d049e2",
+                           "48e53dc3bc94f8c3c40dd878ee2d63ebb3c9b6515fd604ff34ae453ace13ccdd"),
+    ("interval-50", 1.5): (True, 12, "0x1.545069ac77746p+2",
+                           "bc95ba5a8876d9c2272403fa36af2383fa207031bf524c772aab4f66cf702cbf",
+                           "7c8e127a35134cd530b6a4ad5bf97c29b685dfe5315193c1c80717ddc5f97841"),
+    ("rectangle-24", 2.0): (True, 14, "0x1.3b606ad829454p+4",
+                            "16f415e6d4310e7cbbb5059de3346dfe4fc1ddfd277feaddb24c98c5fbc06f7c",
+                            "a1077f2b1087a8600c75a24b39ff47f8e8dcec6be32a318d9f9e7f42abafa2b9"),
 }
 EIGEN_GRIDS = {
     "interval-50": lambda: build_interval_grid(50, 0.0, 1.0),

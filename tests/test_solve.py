@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from plaplab.energy import residual_norm
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
@@ -10,6 +13,9 @@ from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import (
     SolveOptions,
     _descent,
+    _Rayleigh,
+    chain_pivots,
+    chain_solve,
     first_eigenvalue,
     minimize,
     multi_start,
@@ -350,7 +356,13 @@ def test_descent_stalls_once_the_shrunk_step_is_below_the_stall_step():
         trials = 0
 
         def gradient(self, u):
-            return 0.0, np.ones_like(u), None
+            return 0.0, np.ones_like(u), self
+
+        def direction(self, g):  # the identity preconditioner
+            return g
+
+        def metric(self, s):
+            return s
 
         def value(self, u):
             self.trials += 1
@@ -367,3 +379,127 @@ def test_descent_stalls_once_the_shrunk_step_is_below_the_stall_step():
     # unit first trial, direction norm 2: trials 1, 1/2, ..., 2^-20 are
     # evaluated, and 2 * 2^-21 falls below the stall step
     assert objective.trials == 21
+
+
+# ---- the preconditioned Rayleigh descent -----------------------------------
+
+
+def rayleigh_preconditioner(grid, p, iterations, seed=3):
+    """The gradient and the weighted stiffness at a real iterate of the eigen descent."""
+    u = first_eigenvalue(grid, p, SolveOptions(random_seed=seed, max_iterations=iterations))
+    _, g, stiffness = _Rayleigh(grid, p).gradient(u.eigenfunction.values)
+    return g, stiffness
+
+
+def banded_chain_solve(bands, rhs):
+    """scipy's banded LU on the chain system of ``chain_pivots``, inner nodes only."""
+    bands = np.asarray(bands)
+    upper = np.concatenate([[0.0], -bands[1:-1]])
+    lower = np.concatenate([-bands[1:-1], [0.0]])
+    x = scipy.linalg.solve_banded((1, 1), np.array([upper, bands[:-1] + bands[1:], lower]),
+                                  np.asarray(rhs)[1:-1])
+    return np.concatenate([[0.0], x, [0.0]])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("iterations", [0, 3, 1000])
+def test_chain_solve_matches_banded_lu_on_real_iterates(p, iterations):
+    g, stiffness = rayleigh_preconditioner(build_interval_grid(200, 0.0, 1.0), p, iterations)
+    bands = stiffness.weights * stiffness.assembly.coeff_sq[0]
+    expected = banded_chain_solve(bands, g)
+    mine = stiffness.direction(g)
+    # early p = 4 iterates have bands spanning seven decades: there the banded
+    # LU is off by 8e-11 relative (the sweep by 5e-16, against 50-digit arithmetic)
+    assert np.abs(mine - expected).max() <= 1e-9 * np.abs(expected).max()
+    # and the product undoes the solve
+    np.testing.assert_allclose(stiffness.metric(mine), g, rtol=0, atol=1e-10 * np.abs(g).max())
+
+
+def test_chain_pivots_stay_positive_on_bands_spanning_nineteen_decades():
+    rng = np.random.default_rng(11)
+    spread = 10.0 ** rng.uniform(-12.0, 7.0, 8192)
+    # a stiff element next to a soft one: a_i - a_i^2 / m_i cancels to exactly 0
+    alternating = np.tile([1e7, 1e-12], 4096)
+    for bands in (spread, alternating, np.sort(spread), np.sort(spread)[::-1]):
+        pivots, ratios = chain_pivots(bands.tolist())
+        assert min(pivots) > 0.0 and len(pivots) == len(bands) - 1
+        assert all(0.0 < r <= 1.0 for r in ratios)
+        x = np.array(chain_solve(bands.tolist(), [0.0] + [1.0] * (len(bands) - 1) + [0.0]))
+        assert np.all(np.isfinite(x)) and np.all(x[1:-1] > 0.0)  # K is an M-matrix
+
+
+def sparse_stiffness(grid, weights):
+    """sum_e c_e grad phi_i . grad phi_j assembled with scipy, interior rows and columns."""
+    coeffs = grid.element_grad_coeffs
+    local = np.einsum("e,eid,ejd->eij", weights, coeffs, coeffs)
+    rows = np.repeat(grid.elements, grid.dimension + 1, axis=1).ravel()
+    cols = np.tile(grid.elements, grid.dimension + 1).ravel()
+    matrix = scipy.sparse.csr_matrix((local.ravel(), (rows, cols)), (grid.n_nodes,) * 2)
+    inner = grid.interior_nodes
+    return matrix[inner][:, inner]
+
+
+def permuted(grid, seed=0):
+    """The same mesh with its element table shuffled: not the builder's table."""
+    order = np.random.default_rng(seed).permutation(grid.n_elements)
+    fields = {"elements": grid.elements[order], "element_volume": grid.element_volume[order],
+              "element_grad_coeffs": grid.element_grad_coeffs[order]}
+    for arr in fields.values():
+        arr.setflags(write=False)
+    return dataclasses.replace(grid, **fields)
+
+
+@pytest.mark.parametrize("mesh", ["rectangle", "permuted-rectangle", "permuted-interval"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_stiffness_cg_matches_a_sparse_direct_solve(mesh, p):
+    grid = {
+        "rectangle": lambda: build_rectangle_grid(14, 10, (0.0, 1.0, 0.0, 0.7)),
+        "permuted-rectangle": lambda: permuted(build_rectangle_grid(14, 10, (0.0, 1.0, 0.0, 0.7))),
+        "permuted-interval": lambda: permuted(build_interval_grid(60, 0.0, 1.0)),
+    }[mesh]()
+    assert (grid.assembly.cells is None) == mesh.startswith("permuted")
+    g, stiffness = rayleigh_preconditioner(grid, p, 4)
+    expected = np.zeros(grid.n_nodes)
+    expected[grid.interior_nodes] = scipy.sparse.linalg.spsolve(
+        sparse_stiffness(grid, stiffness.weights), g[grid.interior_nodes]
+    )
+    mine = stiffness.direction(g, tolerance=1e-13)
+    assert np.abs(mine - expected).max() <= 1e-10 * np.abs(expected).max()
+    assert np.all(mine[grid.boundary_nodes] == 0.0)
+
+
+def test_stiffness_cg_stops_at_its_loose_tolerance():
+    g, stiffness = rayleigh_preconditioner(build_rectangle_grid(24, 24, (0, 1, 0, 1)), 2.0, 2)
+    x = stiffness.direction(g)
+    residual = np.linalg.norm(g - stiffness.metric(x))
+    assert 1e-3 * np.linalg.norm(g) < residual <= 0.1 * np.linalg.norm(g)
+    assert g @ x > 0.0  # a descent direction
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_eigen_n200_converges_to_the_closed_form(p, seed):
+    """The checks the benchmark's ``verify`` workload applies to ``eigen``."""
+    n = 200
+    report = first_eigenvalue(build_interval_grid(n, 0.0, 1.0), p, SolveOptions(random_seed=seed))
+    assert report.converged and report.residual <= 1e-9
+    assert report.iterations <= 100
+    oracle = lindqvist_eigenvalue(p)
+    assert abs(report.lambda1 - oracle) <= 10.0 / n**2 * oracle
+    if p == 2.0:
+        assert abs(report.lambda1 - tridiagonal_oracle(n)) <= 1e-6 * tridiagonal_oracle(n)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_eigen_iterations_stay_bounded_on_a_fine_interval(p):
+    report = first_eigenvalue(build_interval_grid(2048, 0.0, 1.0), p,
+                              SolveOptions(random_seed=3, max_iterations=100))
+    assert report.converged
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_eigen_iterations_stay_bounded_on_a_square(n, p):
+    report = first_eigenvalue(build_rectangle_grid(n, n, (0, 1, 0, 1)), p,
+                              SolveOptions(random_seed=3, max_iterations=100))
+    assert report.converged
