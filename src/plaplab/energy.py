@@ -1,4 +1,4 @@
-"""Discrete energy, its nodal gradient, and the scaled stationarity residual.
+"""Discrete energy, its nodal gradient and preconditioner parts, and the scaled residual.
 
 The energy of a nodal field u is
 
@@ -29,8 +29,12 @@ BOUNDARY_TOL = 1e-12
 GRAD_WEIGHT_FLOOR = 1e-10
 
 # Floor under nodal values when estimating reaction curvature: exponents below
-# 2 give unbounded curvature at 0, which would freeze scaled descent there.
+# 2 give unbounded curvature at 0, which would freeze preconditioned descent there.
 CURVATURE_VALUE_FLOOR = 1e-13
+
+# Floor under |grad u| in the weighted stiffness, whose weight |grad u|^(p-2)
+# would vanish or blow up on flat elements
+STIFFNESS_GRAD_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,14 @@ class DiffusionPlan:
         scaled_volume = self.volume * weight
         return self.assembly.scatter(scaled_volume, grads), scaled_volume
 
+    def stiffness_weights(self, norms: np.ndarray) -> np.ndarray:
+        """Element weights of the weighted stiffness K_w at gradient norms ``norms``:
+        volume * w(|grad u|^p) * max(|grad u|, STIFFNESS_GRAD_FLOOR)^(p-2)."""
+        weight = np.maximum(norms, STIFFNESS_GRAD_FLOOR) ** (self.p - 2.0)
+        if self.weight is not None:
+            weight *= self.weight(norms**self.p)
+        return self.volume * weight
+
 
 class EvaluationPlan(DiffusionPlan):
     """The diffusion kernels plus the reaction of one problem's energy, built by ``ps.plan``."""
@@ -102,21 +114,20 @@ class EvaluationPlan(DiffusionPlan):
             -math.inf if math.isnan(reaction) else reaction,
         )
 
-    def gradient(self, values: np.ndarray, scaling: bool = False):
-        """Nodal energy gradient, with the curvature estimate when ``scaling``."""
+    def gradient(self, values: np.ndarray, curvature: bool = False):
+        """Nodal energy gradient; with ``curvature``, also the parts of the descent's
+        preconditioner: ``stiffness_weights`` and the lumped m * max(-dg/dt, 0)."""
         # held to the end: freed earlier, 2D solves ran 20% slower from page faults
         grads, norms = self.gather(values)
-        out, scaled_volume = self.diffusion_flux(grads, norms)
+        out, _ = self.diffusion_flux(grads, norms)
         out -= self.node_mass * self.reaction.evaluate(self.terms, values, "value")
         if self.frozen is not None:
             out[self.frozen] = 0.0
-        if not scaling:
+        if not curvature:
             return out
-        diag = self.assembly.scatter_diagonal(scaled_volume)
         floored = np.maximum(np.abs(values), CURVATURE_VALUE_FLOOR)
         slope = power_sum(self.terms["derivative"], floored)
-        diag += self.node_mass * np.maximum(-slope, 0.0)
-        return out, np.maximum(diag, 1e-30)
+        return out, self.stiffness_weights(norms), self.node_mass * np.maximum(-slope, 0.0)
 
 
 def check_admissible(ps: ProblemSpec, values: np.ndarray) -> None:
@@ -153,28 +164,17 @@ def energy(ps: ProblemSpec, u: ScalarField) -> EnergyBreakdown:
     return EnergyBreakdown(diffusion, reaction, diffusion - reaction)
 
 
-def energy_grad_values(ps: ProblemSpec, values: np.ndarray) -> np.ndarray:
-    """Nodal partial derivatives of the discrete energy.
+def energy_grad_values(ps: ProblemSpec, values: np.ndarray, curvature: bool = False):
+    """Nodal partial derivatives of the discrete energy (and, with ``curvature``,
+    the preconditioner parts of ``EvaluationPlan.gradient``).
 
     Dirichlet boundary entries are forced to zero (frozen degrees of freedom).
     """
-    return ps.plan.gradient(values)
+    return ps.plan.gradient(values, curvature)
 
 
 def energy_grad(ps: ProblemSpec, u: ScalarField) -> ScalarField:
     return ScalarField(ps.grid, energy_grad_values(ps, _admissible_values(ps, u)))
-
-
-def energy_grad_and_scaling(ps: ProblemSpec, values: np.ndarray):
-    """Gradient plus a positive per-node curvature estimate.
-
-    The estimate is the lumped diagonal of the weighted diffusion operator
-    plus the repulsive part of the reaction slope; it equals the exact Jacobi
-    diagonal for constant-weight diffusion with exponent 2. Solvers use it to
-    scale descent directions across the very unequal nodal stiffness that
-    dead-core tails produce.
-    """
-    return ps.plan.gradient(values, scaling=True)
 
 
 def residual_norm(ps: ProblemSpec, u: ScalarField) -> float:

@@ -124,7 +124,7 @@ class ReactionSpec:
 
     Families are the signed power sums of ``REACTION_TERMS`` for t >= 0;
     ``negative_extension`` sets the behaviour for t < 0. An exponent field
-    the family does not use enters no formula and no audit.
+    the family does not use must be left unset.
 
     ``declared_growth`` is the exponent sigma claimed for the polynomial
     growth bound |g| <= C (1 + t^sigma); ``audit_growth`` verifies it.
@@ -146,10 +146,11 @@ class ReactionSpec:
             raise ValueError(f"unknown negative extension {self.negative_extension!r}")
         if not self.q > 1:
             raise ValueError(f"exponent q must exceed 1, got {self.q}")
-        if self.family == "pure_subhomogeneous":
-            if self.r is not None or self.p is not None:
-                raise ValueError("pure_subhomogeneous takes only the exponent q")
-        elif self.family == "two_term":
+        used = {field for _, _, field in REACTION_TERMS[self.family]}
+        unused = [f for f in ("r", "p") if f not in used and getattr(self, f) is not None]
+        if unused:
+            raise ValueError(f"{self.family} takes no exponent {unused[0]}")
+        if self.family == "two_term":
             if self.r is None or not self.r >= 1:
                 raise ValueError(f"two_term needs r >= 1, got r={self.r}")
         elif self.family == "logistic":

@@ -7,15 +7,15 @@ condition under backtracking (up to the floating-point resolution of the
 objective). The trial step per iteration is the two-point (Barzilai-Borwein)
 quotient in P's metric.
 
-The engine has two objectives. ``_Energy`` is the discrete energy; its P is a
-diagonal curvature estimate, which lets dead-core problems, whose reaction
-slope is unbounded near zero values, reach tight residuals within the
-desk-scale iteration budgets. It owns projection at zero, the constant-shift
-walk of natural-boundary problems and the divergence diagnosis. ``_Rayleigh``
-is the Rayleigh quotient; its P is the weighted stiffness ``WeightedStiffness``
-of the current iterate, and it owns the renormalization of every accepted
-iterate to unit lumped p-norm. Both share the flux kernel of
-``energy.DiffusionPlan`` and its p < 2 weight floor.
+Both objectives take as P the weighted stiffness ``WeightedStiffness`` of the
+current iterate. ``_Energy`` is the discrete energy; its P adds the lumped
+positive reaction curvature (dead-core reaction slopes are unbounded near 0)
+and, on natural-boundary problems, 1e-8 times the lumped mass. It caps each
+step's reach at half the iterate's sup norm, and owns projection at zero, the
+constant-shift walk of natural-boundary problems and the divergence diagnosis.
+``_Rayleigh`` is the Rayleigh quotient; it owns the renormalization of every
+accepted iterate to unit lumped p-norm. Both share ``energy.DiffusionPlan``'s
+flux kernel, its p < 2 weight floor and its stiffness weights.
 
 Runs are deterministic: identical problem, options, and seed reproduce the
 iterate sequence bitwise (sequential execution, per-start seeded generators).
@@ -30,7 +30,7 @@ from .energy import (
     DiffusionPlan,
     EnergyBreakdown,
     check_admissible,
-    energy_grad_and_scaling,
+    energy_grad_values,
     energy_parts,
     energy_total,
 )
@@ -45,11 +45,12 @@ MEAN_SHIFT_CADENCE = 8
 # fraction of the first-order decrease an accepted step must achieve
 BACKTRACK_SHRINK = 0.5
 SUFFICIENT_DECREASE = 1e-4
-# The weighted stiffness floors |grad u| here (its weight |grad u|^(p-2) would
-# vanish or blow up on flat elements), and its 2D inner solve stops at this
+# The weighted stiffness's inner solve off interval chains stops at this
 # relative residual
-STIFFNESS_GRAD_FLOOR = 1e-6
 INNER_TOLERANCE = 0.1
+# On natural-boundary problems the energy's preconditioner adds this multiple
+# of the lumped mass, which makes it definite on the constants
+NATURAL_MASS_SHIFT = 1e-8
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -102,9 +103,10 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
     metric ``P.metric(s)`` (P s) of the trial step; ``value(u)`` at trial
     points, the flag ``project`` (truncate trial points at zero), the
     residual's index ``free``, the ``stall_step`` below which trial step times
-    direction norm gives up, and ``accepted(u, value, iteration) -> (u, value,
-    status)``, run after each accepted step; a status other than None ends the
-    descent. Returns (values, residual, iterations, status, value history).
+    direction norm gives up, the ``reach`` that caps trial step times the
+    direction's sup norm (None or 0: no cap), and ``accepted(u, value, iteration)
+    -> (u, value, status)``, run after each accepted step; a status other than
+    None ends the descent. Returns (values, residual, iterations, status, history).
     """
     n_sqrt = math.sqrt(len(values))
     eps = float(np.finfo(float).eps)
@@ -137,6 +139,10 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
         if not math.isfinite(trial):
             trial = step
         trial = min(max(trial, 1e-13), 1e13)
+        if objective.reach:
+            d_max = float(np.abs(direction).max())
+            if trial * d_max > objective.reach:
+                trial = objective.reach / d_max
 
         # Sufficient decrease is required whenever the value can resolve it;
         # once the demanded decrease sinks below the value's floating-point
@@ -168,8 +174,11 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
 class _Energy:
     """The discrete energy as a descent objective.
 
-    It is its own preconditioner: the diagonal curvature estimate of its last
-    gradient call, so an iteration allocates no preconditioner object. It
+    Its preconditioner is the iterate's weighted stiffness plus the lumped
+    positive reaction curvature (and NATURAL_MASS_SHIFT times the lumped mass
+    on natural-boundary problems). A step moves no node by more than half the
+    iterate's sup norm (``reach``): a full step of this Newton-like direction
+    from a rough start can land every node on the trivial point at once. It
     looks up the module-level energy functions on every call, so wrappers
     installed on those names see every evaluation.
     """
@@ -184,22 +193,21 @@ class _Energy:
         self.initial = self.current
         self.watermark = float(np.abs(values).max())
         self.stall_step = 1e-18 * (1.0 + self.watermark)
+        self.reach = 0.5 * self.watermark
         self.doublings = 0
         self.norm_limit = DIVERGENCE_NORM_FACTOR * (1.0 + self.watermark)
         self.shift_scale = 1.0 if ps.boundary == "natural" else None
+        self.boundary = ps.grid.boundary_nodes if ps.is_dirichlet else np.empty(0, dtype=int)
+        self.mass_shift = None if ps.is_dirichlet else NATURAL_MASS_SHIFT * ps.grid.node_mass
 
     def value(self, u: np.ndarray) -> float:
         return energy_total(self.ps, u)
 
     def gradient(self, u: np.ndarray):
-        g, self.scaling = energy_grad_and_scaling(self.ps, u)
-        return self.current, g, self
-
-    def direction(self, g: np.ndarray) -> np.ndarray:
-        return g / self.scaling
-
-    def metric(self, s: np.ndarray) -> np.ndarray:
-        return self.scaling * s
+        g, weights, shift = energy_grad_values(self.ps, u, curvature=True)
+        if self.mass_shift is not None:
+            shift += self.mass_shift
+        return self.current, g, WeightedStiffness(self.ps.plan.assembly, weights, self.boundary, shift)
 
     def accepted(self, u: np.ndarray, value: float, iteration: int):
         if self.shift_scale is not None and iteration % MEAN_SHIFT_CADENCE == 0:
@@ -211,6 +219,7 @@ class _Energy:
             return u, value, STATUS_NOT_BOUNDED_BELOW
         u_max = float(np.abs(u).max())
         self.stall_step = 1e-18 * (1.0 + u_max)
+        self.reach = 0.5 * u_max
         if u_max >= 2.0 * self.watermark:
             self.doublings += 1
             self.watermark = u_max
@@ -390,74 +399,83 @@ class EigenReport:
     residual: float
 
 
-def chain_pivots(bands: list) -> tuple[list, list]:
-    """Pivots and multipliers of the tridiagonal sweep on a chain held at zero at both ends.
+def chain_pivots(bands: list, shift: list | None = None, natural: bool = False):
+    """Pivots and multipliers of the tridiagonal sweep on a chain of n elements.
 
-    Element i of the chain joins nodes i and i + 1 with stiffness ``bands[i]``;
-    node i of the n - 1 inner ones reads
-    -a[i-1] x[i-1] + (a[i-1] + a[i]) x[i] - a[i] x[i+1]. The pivots are
-    m_i = a_i + s_i, with s_1 = a_0 and s_(i+1) = a_i s_i / m_i: sums and
-    products of positive numbers, so every pivot is positive. (The textbook
-    m_(i+1) = a_i + a_(i+1) - a_i^2 / m_i cancels to an exact zero when the
-    bands span many decades.) The multipliers are a_i / m_i.
+    Element i joins nodes i and i + 1 with stiffness ``bands[i]``, node i
+    carries the shift d_i (n + 1 nodal values, zero when None), and node i's
+    row reads -a[i-1] x[i-1] + (a[i-1] + a[i] + d[i]) x[i] - a[i] x[i+1], with
+    a[-1] = a[n] = 0. The rows are the n - 1 inner nodes of a chain held at
+    zero at both ends, or all n + 1 of a ``natural`` (free) one. The pivots are
+    m_i = a_i + s_i + d_i, with s_(i+1) = a_i (s_i + d_i) / m_i from s_1 = a_0
+    (held) or s_0 = 0 (free): sums and products of nonnegative numbers, so no
+    pivot cancels to zero, as the textbook m_(i+1) = a_i + a_(i+1) + d_(i+1)
+    - a_i^2 / m_i does when the bands span many decades. Multipliers: a_i / m_i.
     """
+    a, s = (bands + [0.0], 0.0) if natural else (bands[1:], bands[0])
+    d = [0.0] * len(a) if shift is None else shift if natural else shift[1:-1]
     pivots, ratios = [], []
-    s = bands[0]
-    for a in bands[1:]:
-        m = a + s
-        r = a / m
+    for a_i, d_i in zip(a, d):
+        s += d_i
+        m = a_i + s
+        r = a_i / m
         pivots.append(m)
         ratios.append(r)
         s *= r
     return pivots, ratios
 
 
-def chain_solve(bands: list, rhs: list) -> list:
+def chain_solve(bands: list, rhs: list, shift: list | None = None, natural: bool = False) -> list:
     """Nodal solution of the chain system of ``chain_pivots`` for a right-hand
-    side of n + 1 nodal values; both end entries of the solution are zero.
+    side of n + 1 nodal values; on a held chain both end entries are zero.
     Python floats throughout: a loop over lists beats NumPy per-element calls."""
-    pivots, ratios = chain_pivots(bands)
+    pivots, ratios = chain_pivots(bands, shift, natural)
     scaled = []
     carry = 0.0
-    for g, m, r in zip(rhs[1:-1], pivots, ratios):
+    for g, m, r in zip(rhs if natural else rhs[1:-1], pivots, ratios):
         y = g + carry
         scaled.append(y / m)
         carry = r * y
-    x = [0.0]
+    x = [0.0]  # the held end, or a zero past the free one
     for q, r in zip(reversed(scaled), reversed(ratios)):
         x.append(q + r * x[-1])
-    x.append(0.0)
-    x.reverse()
-    return x
+    return x[:0:-1] if natural else [0.0, *reversed(x)]
 
 
 class WeightedStiffness:
     """The weighted stiffness K_w of Huang, Li & Liu (J. Sci. Comput. 32, 2007)
-    on the zero-boundary space: (K_w v)_i = sum_e c_e grad v . grad phi_i, with
-    element weights c_e, as a descent preconditioner.
+    plus a nodal shift d, as a descent preconditioner:
+    (P v)_i = sum_e c_e grad v . grad phi_i + d_i v_i, with element weights c_e,
+    on the space held at zero on ``boundary`` (empty: all nodes are free).
 
-    ``direction`` solves K_w x = g (g zero on the boundary): exactly by
+    ``direction`` solves P x = g (g zero on the boundary): exactly by
     ``chain_solve`` on interval chains (``assembly.cells`` one-dimensional),
-    else by matrix-free conjugate gradients preconditioned with K_w's diagonal,
+    else by matrix-free conjugate gradients preconditioned with P's diagonal,
     stopped at relative residual ``tolerance``. ``metric`` is the product.
     """
 
-    def __init__(self, assembly, weights: np.ndarray, boundary: np.ndarray):
+    def __init__(self, assembly, weights: np.ndarray, boundary: np.ndarray, shift=None):
         self.assembly = assembly
         self.weights = weights
         self.boundary = boundary
+        self.shift = shift
 
     def metric(self, s: np.ndarray) -> np.ndarray:
         out = self.assembly.scatter(self.weights, self.assembly.gradients(s))
+        if self.shift is not None:
+            out += self.shift * s
         out[self.boundary] = 0.0
         return out
 
     def direction(self, g: np.ndarray, tolerance: float = INNER_TOLERANCE) -> np.ndarray:
-        assembly = self.assembly
+        assembly, shift = self.assembly, self.shift
         if assembly.cells is not None and len(assembly.cells) == 1:
             bands = self.weights * assembly.coeff_sq[0]  # c_e |grad phi|^2
-            return np.array(chain_solve(bands.tolist(), g.tolist()))
+            shift = None if shift is None else shift.tolist()
+            return np.array(chain_solve(bands.tolist(), g.tolist(), shift, not len(self.boundary)))
         diagonal = assembly.scatter_diagonal(self.weights)
+        if shift is not None:
+            diagonal += shift
         diagonal[self.boundary] = 1.0
         x = np.zeros_like(g)
         r = g.copy()
@@ -492,6 +510,7 @@ class _Rayleigh:
     project = False
     free = slice(None)  # the gradient is zeroed on the boundary
     stall_step = 1e-18  # iterates have unit p-norm
+    reach = None  # the quotient is 0-homogeneous: no step is too long
 
     def __init__(self, grid: Grid, p: float):
         self.grid = grid
@@ -517,7 +536,7 @@ class _Rayleigh:
         mass_grad = grid.node_mass * np.sign(u) * magnitude ** (p - 1.0)
         g = (flux - rayleigh * mass_grad) / mass
         g[grid.boundary_nodes] = 0.0
-        weights = plan.volume * np.maximum(norms, STIFFNESS_GRAD_FLOOR) ** (p - 2.0)
+        weights = plan.stiffness_weights(norms)
         return rayleigh, g, WeightedStiffness(plan.assembly, weights, grid.boundary_nodes)
 
     def accepted(self, u: np.ndarray, value: float, iteration: int):

@@ -227,17 +227,19 @@ boundary = dirichlet_zero
      (TWO_TERM_2D, "dimension 2, cap 1.5): |g| <= C (1 + t^0.5)")],
     ids=["1d-E3", "2d-p1.5"],
 )
-def test_unused_exponent_enters_no_audit(tmp_path, base, growth):
+def test_unused_exponent_is_a_config_error(tmp_path, capsys, base, growth):
     text = load_config(base).serialize() if base in BUILTIN_SCENARIOS else base
-    audits = []
+    codes = []
     for k, extra in enumerate(["", "reaction.p = 9\n"]):  # two_term does not use p
         cfg = tmp_path / f"c{k}.cfg"
         cfg.write_text(text + extra, encoding="utf-8")
-        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / f"o{k}"), "--quiet"]) == 0
-        audits.append((tmp_path / f"o{k}" / "audit.txt").read_text(encoding="utf-8"))
-    assert audits[1] == audits[0]
-    assert "FAIL" not in audits[1]
-    assert f"PASS  growth bound ({growth} with" in audits[1]
+        codes.append(main(["audit", "--config", str(cfg), "--out", str(tmp_path / f"o{k}"), "--quiet"]))
+    assert codes == [0, 2]
+    assert "two_term takes no exponent p" in capsys.readouterr().err
+    audit = (tmp_path / "o0" / "audit.txt").read_text(encoding="utf-8")
+    assert "FAIL" not in audit
+    assert f"PASS  growth bound ({growth} with" in audit
+    assert not (tmp_path / "o1").exists()
 
 
 def test_experiment_csvs_are_unchanged(tmp_path):
@@ -247,10 +249,10 @@ def test_experiment_csvs_are_unchanged(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert digests == {
-        "report.csv": "214d588ca680cbc9ca2051e83b7f12b2f7d9c1f33d7c82ea6fbd4ddd73c776d3",
-        "clusters.csv": "2123262ca9abecd41497d19f6fa8e3ede4df9228de98ac357ed7bbadebef983e",
-        "solution.csv": "5732fd1585d601e30bcfe71ab764168c32815542d50601cb89627c18915cc1e2",
-        "solution_c0.csv": "5732fd1585d601e30bcfe71ab764168c32815542d50601cb89627c18915cc1e2",
+        "report.csv": "fb9bf415d0d75ca8b4ceff8bc72509a7f5128ca243880e27c743a4cb4a71f481",
+        "clusters.csv": "5345ae42469fc2a88d8913f4fc8aba69d8072acff9c34d3a5dd28aa8688fb452",
+        "solution.csv": "2a02f3857c914c5a24fbc1b0541cd2a07dc1219c0f4af6b58e74cddb44fa278a",
+        "solution_c0.csv": "2a02f3857c914c5a24fbc1b0541cd2a07dc1219c0f4af6b58e74cddb44fa278a",
     }
 
 
@@ -275,7 +277,7 @@ boundary = dirichlet_zero
     assert read_csv(out / "solution.csv")[0].keys() == {"node", "x", "y", "value"}
     assert (
         hashlib.sha256((out / "solution.csv").read_bytes()).hexdigest()
-        == "dcf4c287f8cd0d09ae13994a4f67215d353e20829deac75c7b30b6a76f2f19f5"
+        == "2970a53d3d6e1b881159e0bad5365dcc6ce303d876cd46663ebb8cc4d32670d1"
     )
 
 
@@ -304,11 +306,11 @@ CSV_DIGESTS = {
     ),
     "solve-E4-reference": (
         lambda tmp: ["solve", "--config", "E4", "--reference", _e4_solution(tmp)],
-        {"report.csv": "75a837609c97ede1f9b2ff6874fcb9b0f2bb100c1a4ba74a20d41a33c028bb54"},
+        {"report.csv": "a81c9a3fe32b6e5acee473e09f238e266a003ee600f72e164455066d69cd6eee"},
     ),
     "experiment-E1N_POS": (  # no start converges: clusters.csv is its header alone
         lambda tmp: ["experiment", "--config", "E1N_POS"],
-        {"report.csv": "0a20a718f3b2e1ace5511b843e7c9ea7561f6a57d4a26b64ec1741aeede8b2f3",
+        {"report.csv": "e32ac5bd9f655478a273ac63bcf56e7d7f6a539c5857e852b41e8ae78fa69b52",
          "clusters.csv": "6078a9ff96b524f14bdad2d1fd5151d1cadd6f8e7200127174d2e7ff22f6c3f3"},
     ),
 }
@@ -333,13 +335,13 @@ def test_midpoint_csv_is_unchanged(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["experiment", "--config", _e1_config(tmp_path, 48), "--out", str(out), "--quiet"]) == 0
     assert read_csv(out / "midpoint.csv") == [{"cluster_u": "0", "cluster_v": "1", "verdict": "strict",
-                                               "gap": "3.1357931630115082e-06"}]
+                                               "gap": "3.1357746949706129e-06"}]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("midpoint.csv", "clusters.csv", "report.csv")}
     assert digests == {
-        "midpoint.csv": "5c38d510b710e4b40273293392262389228175c258f389fed1b3a48eae274788",
-        "clusters.csv": "1dd2995ecb472bd1ffcaf5b4de8c0cc129405650d883d7c00dcdb1af8bc60384",
-        "report.csv": "fb46c24d2f81a384d08f2d21c4cb810d433977e84e6c85792e0560739f50e3ed",
+        "midpoint.csv": "d21469b64d71717018579f3f3c58c5c42bdbf489e47ea86307fcf31727e64730",
+        "clusters.csv": "cef07cb2b83537d594ab86cc7e2511e96856e53af74eea4ece014480ad738286",
+        "report.csv": "5e6fe9f045ecdc7181fee9fc3332adc416ce0a430ecd6596cfe738038b8e108f",
     }
 
 
@@ -414,16 +416,16 @@ def test_experiment_classifies_each_converged_start_once(tmp_path, capsys, monke
     assert main(["experiment", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
     reports = read_csv(out / "report.csv")
     assert len(calls) == sum(row["converged"] == "1" for row in reports) == 6
-    # the representative is start 4; the files are those written when every
+    # the representative is start 3; the files are those written when every
     # representative was classified again for clusters.csv and the summary
-    assert read_csv(out / "clusters.csv")[0]["representative_start"] == "4"
+    assert read_csv(out / "clusters.csv")[0]["representative_start"] == "3"
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("report.csv", "clusters.csv")
     }
     assert digests == {
-        "report.csv": "0c79d68c851cc35c6bfdd36590870fd2455758d2551042bca9ed33f8f0df6774",
-        "clusters.csv": "5059430f512dcb21c40ae0153baa499826e9874fadd3d9f810a6a505983742f1",
+        "report.csv": "b08b6bc359a502adac5245ba5fbb421b85b5d13de68390b93db8ce46f4652305",
+        "clusters.csv": "6504b32f5c087352fbe789b6bcc71eb215226e3728816b8722bd17af30d51f67",
     }
     assert "cluster 0: 6 member(s), energy -4.95368e-07, dead_core" in capsys.readouterr().out
 

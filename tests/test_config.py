@@ -106,7 +106,7 @@ boundary = natural
 
 # every key set away from its default, in the order serialization writes them
 ALL_KEYS = """scenario_id = all_keys
-description = every key away from its default
+description = every key but reaction.p away from its default
 grid.dimension = 2
 grid.n = 6
 grid.xmin = -1
@@ -120,7 +120,6 @@ diffusion.r = 3.5
 reaction.family = two_term
 reaction.q = 1.25
 reaction.r = 1.75
-reaction.p = 1.5
 reaction.a = 1*sin(2*pi*x) + 0.29999999999999999
 reaction.b = 0.5*x2^2
 reaction.negative_extension = odd
@@ -161,9 +160,16 @@ def test_serialized_text_is_pinned(name):
 
 
 def test_every_key_round_trips_in_table_order():
-    config = ScenarioConfig.from_text(ALL_KEYS)
-    assert config.serialize() == ALL_KEYS
-    assert ScenarioConfig.from_text(config.serialize()) == config
+    # no family takes both reaction.r and reaction.p: logistic carries the second
+    logistic = ALL_KEYS.replace(
+        "reaction.family = two_term\nreaction.q = 1.25\nreaction.r = 1.75\n",
+        "reaction.family = logistic\nreaction.q = 3.5\nreaction.p = 2.5\n",
+    )
+    assert "reaction.p = 2.5" in logistic
+    for text in (ALL_KEYS, logistic):
+        config = ScenarioConfig.from_text(text)
+        assert config.serialize() == text
+        assert ScenarioConfig.from_text(config.serialize()) == config
 
 
 def _e1_with(line: str, dimension: int = 1) -> str:

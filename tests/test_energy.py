@@ -8,7 +8,6 @@ import pytest
 from plaplab.energy import (
     energy,
     energy_grad,
-    energy_grad_and_scaling,
     energy_total,
     residual_norm,
 )
@@ -233,12 +232,12 @@ def test_evaluation_plan_holds_only_read_only_arrays(grid):
         "natural",
     )
     values = np.cos(3.0 * grid.nodes[:, 0])
-    first = (energy_total(ps, values), *energy_grad_and_scaling(ps, values))
+    first = (energy_total(ps, values), *ps.plan.gradient(values, curvature=True))
     for owner in (ps.plan, ps.plan.assembly):
         arrays = [v for v in vars(owner).values() if isinstance(v, np.ndarray)]
         assert arrays and not any(arr.flags.writeable for arr in arrays)
     assert a.flags.writeable  # the caller's coefficient array is left alone
-    second = (energy_total(ps, values), *energy_grad_and_scaling(ps, values))
+    second = (energy_total(ps, values), *ps.plan.gradient(values, curvature=True))
     assert first[0] == second[0]
     for x, y in zip(first[1:], second[1:]):
         np.testing.assert_array_equal(x, y)
@@ -255,7 +254,7 @@ def test_problem_and_grid_are_freed_without_the_cycle_collector(dimension):
         ps = ProblemSpec(grid, DiffusionSpec("constant", p=2.0),
                          ReactionSpec("pure_subhomogeneous", q=1.5), "natural")
         energy_total(ps, np.ones(grid.n_nodes))
-        energy_grad_and_scaling(ps, np.ones(grid.n_nodes))
+        ps.plan.gradient(np.ones(grid.n_nodes), curvature=True)
         refs = (weakref.ref(ps), weakref.ref(grid))
         del ps, grid
         assert all(ref() is None for ref in refs)

@@ -16,45 +16,48 @@ import numpy as np
 import pytest
 
 from plaplab.config import ScenarioConfig, load_config
-from plaplab.energy import energy_grad_and_scaling, energy_grad_values, energy_parts, energy_total
+from plaplab.energy import energy_grad_values, energy_parts, energy_total
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import SolveOptions, first_eigenvalue, minimize, random_start
 
 SEED = 5
 
-# scenario: (status, iterations, energy.total.hex(), sha256 of solution bytes)
+# scenario: (status, iterations, energy.total.hex(), sha256 of solution bytes);
+# the pins of the descent preconditioned by the weighted stiffness plus the
+# reaction curvature (each checked against the Jacobi-scaled descent it replaced:
+# CHANGES.md)
 GOLDEN_SOLVES = {
-    "E1": ("converged", 1041, "-0x1.54054ab08f6bep-17",
-           "3b1bff422b48bbb71cb306e7cd6526c24159e269cf695cdbfade2c56a5eb2227"),
-    "E2": ("converged", 338, "-0x1.3beb11174dad2p-21",
-           "fbc5996abc79949b3631cbdb72b97a1c8e39783147a0068ff1729cb76af1b573"),
-    "E3": ("converged", 911, "-0x1.512a065b39798p-17",
-           "cb8908f32b9254e7f8cd59504494428347f63d4b8d51e3d85adea427e88cee37"),
-    "E4": ("converged", 8, "-0x1.5555555555556p-2",
-           "8af00ed3bd8b97b2a8145b358520d60a75069647cc4ced2c87dfcaedeed22c71"),
-    "E5": ("converged", 466, "-0x1.e0005f8557a94p-10",
-           "5da17387c266c43cc72e15f05b7ea9e748c27b8b0cf066bfee78333fc5bfcf64"),
-    "E6": ("converged", 6, "-0x1.fffffffffffffp+1",
-           "0cc3c42ccc85964aeade2ca741feea863a561c95950835d8eea42be6e35b6015"),
-    "E6B": ("converged", 1212, "-0x1.4c962f028c828p-17",
-            "5ed5ad40c077e408fb77e95b82f3af5e9d353983e4abc0b8bde2a181405c1d74"),
-    "E7": ("converged", 877, "0x1.d88966d1fb1d4p-53",
-           "015a1208ac04f3654e8aaafb107b87d75c4e278f35fa7959d1a3f045123c996a"),
-    "E1N_POS": ("not_bounded_below", 1, "-0x1.54abf3d076fedp+17",
-                "294fa0ae7a3ecc4460f689f04f39b4b9ad55ebf210f9c664c4020214e6345274"),
-    "E1N_NEG": ("converged", 1650, "-0x1.cef520a3e6404p-19",
-                "6985538633e3b10d8d017f93ae1f592de81f94e34559d5e86b19fc54b88929a6"),
+    "E1": ("converged", 16, "-0x1.54054ab09eec8p-17",
+           "46a828a62345362a80a8e19e4bd3ab14f26506acd4c9c608e09291738261d97d"),
+    "E2": ("converged", 27, "-0x1.3beb1117809b8p-21",
+           "bf3c4634bbb1859c069cda6e53e960b741b40bd12843db1923f0a34f4964c93f"),
+    "E3": ("converged", 16, "-0x1.512a065b36792p-17",
+           "b4ca74d2ed526f3ecb57b16a6df9917b82398564ecc280379be2a49a926e9e7d"),
+    "E4": ("converged", 7, "-0x1.5555555555554p-2",
+           "8e8e59c76c7a850cea4222154052d6d96e8c5239cc0bdd3f764a1fdcaf47a5f6"),
+    "E5": ("converged", 12, "-0x1.e0005f8557af0p-10",
+           "ad9d2e4bf0fe983f5cd1e05c89acdad50218b138c5201d17bfb1eab63f743d6b"),
+    "E6": ("converged", 7, "-0x1.fffffffffffffp+1",
+           "15fe0abeb6f35141878e00faf0e1e5d6763489f69545ef4fbbb110bffb2a10c8"),
+    "E6B": ("converged", 20, "-0x1.4c962f02a3988p-17",
+            "f4bc3d1e7301eeaefdb20619f3800e92b5c286826d73bc2a738c4aebb969fe49"),
+    "E7": ("converged", 25, "0x1.61fc2ec952ccfp-51",
+           "5534e6cfa397154b4370db10c345e320ba59ab58e2961ec284d0a6c0771a082f"),
+    "E1N_POS": ("not_bounded_below", 1, "-0x1.53e36048cff83p+17",
+                "576a5532a4824bb08c0961988bc0b1eaef1836e5ef76835b0bcef81832216f8f"),
+    "E1N_NEG": ("converged", 22, "-0x1.cef520a4a3cfcp-19",
+                "e528631a0ddee9e73b92dd95ad8fc66c826c1260f472d73882918cdba3b7792a"),
     # an unprojected descent: iterates with negative entries
-    "E1-odd": ("converged", 884, "-0x1.54054ab0919e4p-17",
-               "aa1f09c5aaa01a35f2ef92a09aaa0c3e9790ec61931757e3701f4210325a4bc4"),
+    "E1-odd": ("converged", 16, "-0x1.54054ab0a8f5ap-17",
+               "bf245c35b646d30031a01fbd28cd5dd1645357816234660e15bf53477716ab98"),
 }
 # variant: (scenario, config fields, shift of the random start)
 SOLVE_VARIANTS = {
     "E1-odd": ("E1", {"negative_extension": "odd"}, -0.5),
 }
-GOLDEN_DEAD_CORE_2D = ("converged", 198, "-0x1.19a05ceb69f54p-21",
-                       "1e1ce772b5718f8d02b78390943971af37e5f7cb45bfa7843aa58d9b8f0e0b93")
+GOLDEN_DEAD_CORE_2D = ("converged", 25, "-0x1.19a05ceb18d58p-21",
+                       "300742d3448d4313c53c0ab8b7832ffffea35ea15dc0f3646d731bba753bca98")
 # the benchmark's 2D E1-type problem on a non-square 20x12 rectangle
 RECTANGLE_E1 = """scenario_id = RECT_E1
 grid.dimension = 2
@@ -68,8 +71,8 @@ reaction.q = 1.5
 reaction.a = 1*sin(2*pi*x) + 0.3
 boundary = dirichlet_zero
 """
-GOLDEN_RECTANGLE_E1 = ("converged", 163, "-0x1.38af2152c0af4p-22",
-                       "e6a1def71a0578ad1c5fa721ec9a6d8db7883e6952c2fd51411c59ba6a92c940")
+GOLDEN_RECTANGLE_E1 = ("converged", 25, "-0x1.38af215ef5084p-22",
+                       "d03c729c77b99784ad980d93d9dccbb8c93c5842c8f970ead13f03c06fd6d8b5")
 # (grid, p): (converged, iterations, lambda1.hex(), eigenfunction digest, history digest);
 # the pins of the descent preconditioned by the weighted stiffness (tridiagonal
 # sweep on the interval, conjugate gradients on the rectangle)
@@ -217,7 +220,9 @@ def reference_parts(ps, values):
     return diffusion, reaction
 
 
-def reference_grad_and_scaling(ps, values):
+def reference_grad_and_curvature(ps, values):
+    """The gradient, the weighted stiffness's element weights and the positive
+    reaction curvature: what the plan's gradient returns to the descent."""
     grid, p = ps.grid, ps.diffusion.p
     grads = reference_gradients(grid, values)
     norms = np.linalg.norm(grads, axis=1)
@@ -226,14 +231,12 @@ def reference_grad_and_scaling(ps, values):
     scaled_volume = grid.element_volume * weight
     flux = scaled_volume[:, None] * grads
     out = reference_scatter(grid, np.einsum("ed,eld->el", flux, grid.element_grad_coeffs))
-    coeff_sq = np.einsum("eld,eld->el", grid.element_grad_coeffs, grid.element_grad_coeffs)
-    diag = reference_scatter(grid, scaled_volume[:, None] * coeff_sq)
     out -= grid.node_mass * reference_reaction(ps.reaction, values, False)
-    slope = reference_derivative(ps.reaction, np.maximum(np.abs(values), 1e-13))
-    diag += grid.node_mass * np.maximum(-slope, 0.0)
     if ps.is_dirichlet:
         out[grid.boundary_nodes] = 0.0
-    return out, np.maximum(diag, 1e-30)
+    stiffness = grid.element_volume * (ps.diffusion.value(norms**p) * np.maximum(norms, 1e-6) ** (p - 2.0))
+    slope = reference_derivative(ps.reaction, np.maximum(np.abs(values), 1e-13))
+    return out, stiffness, grid.node_mass * np.maximum(-slope, 0.0)
 
 
 def permuted_elements(grid):
@@ -303,11 +306,10 @@ def test_plan_kernels_equal_reference_formulas(grid_name, diffusion, boundary, e
             expected_parts = reference_parts(ps, values)
             assert [x.hex() for x in parts] == [x.hex() for x in expected_parts]
             assert energy_total(ps, values) == expected_parts[0] - expected_parts[1]
-            grad, scaling = energy_grad_and_scaling(ps, values)
-            expected_grad, expected_scaling = reference_grad_and_scaling(ps, values)
-            assert same_bits(grad, expected_grad)
-            assert same_bits(scaling, expected_scaling)
-            assert same_bits(energy_grad_values(ps, values), expected_grad)
+            expected = reference_grad_and_curvature(ps, values)
+            for mine, reference in zip(ps.plan.gradient(values, curvature=True), expected):
+                assert same_bits(mine, reference)
+            assert same_bits(energy_grad_values(ps, values), expected[0])
 
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))

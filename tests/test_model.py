@@ -151,9 +151,9 @@ def test_reaction_derivative_matches_slope(rs):
     "rs, exponents",
     [
         (ReactionSpec("pure_subhomogeneous", q=1.5), (1.5,)),
-        (ReactionSpec("two_term", q=1.5, r=2.5, p=9.0), (1.5, 2.5)),
-        (ReactionSpec("logistic", q=4.0, p=2.0, r=9.0), (2.0, 4.0)),
-        (ReactionSpec("double_power", q=1.5, r=3.0, p=9.0), (1.5, 3.0)),
+        (ReactionSpec("two_term", q=1.5, r=2.5), (1.5, 2.5)),
+        (ReactionSpec("logistic", q=4.0, p=2.0), (2.0, 4.0)),
+        (ReactionSpec("double_power", q=1.5, r=3.0), (1.5, 3.0)),
     ],
     ids=lambda v: v.family if isinstance(v, ReactionSpec) else None,
 )
@@ -161,7 +161,22 @@ def test_only_the_family_exponents_enter_growth_and_audits(rs, exponents):
     assert rs.exponents == exponents
     assert rs.natural_subhomogeneity_exponent == exponents[0]
     assert rs.growth == max(exponents) - 1.0
-    assert audit_growth(rs, dimension=2, exponent_cap=1.5).passed  # sigma = 8 would fail
+    assert audit_growth(rs, dimension=2, exponent_cap=1.5).passed
+
+
+@pytest.mark.parametrize(
+    "family, exponents, unused",
+    [
+        ("pure_subhomogeneous", {"q": 1.5}, "r"),
+        ("pure_subhomogeneous", {"q": 1.5}, "p"),
+        ("two_term", {"q": 1.5, "r": 2.5}, "p"),
+        ("logistic", {"q": 4.0, "p": 2.0}, "r"),
+        ("double_power", {"q": 1.5, "r": 3.0}, "p"),
+    ],
+)
+def test_every_family_rejects_an_exponent_it_does_not_use(family, exponents, unused):
+    with pytest.raises(ValueError, match=f"{family} takes no exponent {unused}"):
+        ReactionSpec(family, **exponents, **{unused: 9.0})
 
 
 def test_coefficients_per_node_or_own_shape():

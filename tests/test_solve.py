@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,18 +8,22 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from plaplab.config import BUILTIN_SCENARIOS, load_config
 from plaplab.energy import residual_norm
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import (
     SolveOptions,
     _descent,
+    _Energy,
     _Rayleigh,
     chain_pivots,
     chain_solve,
     first_eigenvalue,
+    lumped_l2_distance,
     minimize,
     multi_start,
+    random_start,
 )
 
 
@@ -353,6 +358,7 @@ def test_descent_stalls_once_the_shrunk_step_is_below_the_stall_step():
         project = False
         free = slice(None)
         stall_step = 1e-6
+        reach = None
         trials = 0
 
         def gradient(self, u):
@@ -428,14 +434,125 @@ def test_chain_pivots_stay_positive_on_bands_spanning_nineteen_decades():
         assert np.all(np.isfinite(x)) and np.all(x[1:-1] > 0.0)  # K is an M-matrix
 
 
-def sparse_stiffness(grid, weights):
-    """sum_e c_e grad phi_i . grad phi_j assembled with scipy, interior rows and columns."""
+def unshifted_sweep(bands, rhs):
+    """The held-chain sweep before shifts and free ends: m_i = a_i + s_i,
+    s_(i+1) = a_i s_i / m_i."""
+    pivots, ratios, s = [], [], bands[0]
+    for a in bands[1:]:
+        m = a + s
+        pivots.append(m)
+        ratios.append(a / m)
+        s *= a / m
+    scaled, carry = [], 0.0
+    for g, m, r in zip(rhs[1:-1], pivots, ratios):
+        y = g + carry
+        scaled.append(y / m)
+        carry = r * y
+    x = [0.0]
+    for q, r in zip(reversed(scaled), reversed(ratios)):
+        x.append(q + r * x[-1])
+    return [0.0, *reversed(x)]
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_chain_solve_without_shift_is_the_unshifted_sweep_bitwise(p):
+    g, stiffness = rayleigh_preconditioner(build_interval_grid(200, 0.0, 1.0), p, 3)
+    bands = (stiffness.weights * stiffness.assembly.coeff_sq[0]).tolist()
+    expected = unshifted_sweep(bands, g.tolist())
+    assert chain_solve(bands, g.tolist()) == expected
+    assert chain_solve(bands, g.tolist(), [0.0] * len(g)) == expected
+
+
+def chain_matrix(bands, shift, natural):
+    """The chain system of ``chain_pivots`` as (row nodes, banded lower/diagonal/upper)."""
+    bands, shift = np.asarray(bands), np.asarray(shift)
+    a = np.concatenate([[0.0], bands, [0.0]])
+    diagonal = a[:-1] + a[1:] + shift
+    rows = np.arange(len(shift)) if natural else np.arange(1, len(bands))
+    off = -a[rows[1:]]
+    return rows, np.array([np.concatenate([[0.0], off]), diagonal[rows], np.concatenate([off, [0.0]])])
+
+
+def exact_chain_solve(bands, rhs, shift, natural):
+    """Gaussian elimination on the chain system in exact rational arithmetic."""
+    rows, (upper, diagonal, lower) = chain_matrix(bands, shift, natural)
+    # the diagonal in exact sums: a float sum would round away a small shift
+    a = [Fraction(0), *map(Fraction, bands), Fraction(0)]
+    exact_diagonal = [a[i] + a[i + 1] + Fraction(shift[i]) for i in rows]
+    m, y = [exact_diagonal[0]], [Fraction(rhs[rows[0]])]
+    for k in range(1, len(rows)):
+        factor = Fraction(lower[k - 1]) / m[-1]
+        m.append(exact_diagonal[k] - factor * Fraction(upper[k]))
+        y.append(Fraction(rhs[rows[k]]) - factor * y[-1])
+    x = [y[-1] / m[-1]]
+    for k in range(len(rows) - 2, -1, -1):
+        x.append((y[k] - Fraction(upper[k + 1]) * x[-1]) / m[k])
+    out = np.zeros(len(shift))
+    out[rows] = [float(v) for v in reversed(x)]
+    return out
+
+
+def wide_chains(n, natural, seed=5):
+    """Bands and shifts spanning 1e-8 to 1e11: random, sorted, alternating, and
+    the 1e-8 mass shift alone; with a random right-hand side (zero at held ends)."""
+    rng = np.random.default_rng(seed)
+    random_shift = 10.0 ** rng.uniform(-8.0, 11.0, n + 1) * (rng.uniform(size=n + 1) < 0.5)
+    for bands, shift in [
+        (10.0 ** rng.uniform(-8.0, 11.0, n), random_shift),
+        (np.sort(10.0 ** rng.uniform(-8.0, 11.0, n)), random_shift),
+        (np.tile([1e11, 1e-8], n // 2), random_shift),
+        (10.0 ** rng.uniform(-8.0, 11.0, n), np.full(n + 1, 1e-8)),
+    ]:
+        rhs = rng.normal(size=n + 1)
+        if not natural:
+            rhs[[0, -1]] = 0.0
+        yield bands, shift, rhs
+
+
+@pytest.mark.parametrize("natural", [False, True], ids=["held", "free"])
+def test_shifted_chain_solve_is_exact_to_roundoff_on_bands_spanning_nineteen_decades(natural):
+    for bands, shift, rhs in wide_chains(60, natural):
+        mine = np.array(chain_solve(bands.tolist(), rhs.tolist(), shift.tolist(), natural))
+        exact = exact_chain_solve(bands, rhs, shift, natural)
+        rows = slice(None) if natural else slice(1, -1)
+        # componentwise: no pivot cancels, so every entry keeps its relative accuracy
+        assert np.all(np.abs(mine - exact)[rows] <= 1e-12 * np.abs(exact)[rows])
+        if not natural:
+            assert mine[0] == mine[-1] == 0.0
+
+
+@pytest.mark.parametrize("natural", [False, True], ids=["held", "free"])
+def test_shifted_chain_solve_matches_banded_lu(natural):
+    """Against LAPACK where its banded LU is accurate: bands from 1e-8 to 1e11
+    that vary monotonically. (On random or alternating spans, or with shifts
+    far below the bands, as the 1e-8 mass shift, the LU can lose every digit
+    or find the matrix singular, while the sweep stays at roundoff: the exact
+    test above.)"""
+    rng = np.random.default_rng(7)
+    n = 400
+    for bands in (np.geomspace(1e-8, 1e11, n), np.geomspace(1e11, 1e-8, n)):
+        for shift in (10.0 ** rng.uniform(-2.0, 6.0, n + 1), np.zeros(n + 1)):
+            if natural and not shift.any():
+                continue  # a free chain needs a shift
+            rhs = rng.normal(size=n + 1)
+            if not natural:
+                rhs[[0, -1]] = 0.0
+            rows, banded = chain_matrix(bands, shift, natural)
+            expected = np.zeros(n + 1)
+            expected[rows] = scipy.linalg.solve_banded((1, 1), banded, rhs[rows])
+            mine = np.array(chain_solve(bands.tolist(), rhs.tolist(), shift.tolist(), natural))
+            assert np.abs(mine - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+def sparse_stiffness(grid, weights, nodes=None):
+    """sum_e c_e grad phi_i . grad phi_j assembled with scipy, on the rows and
+    columns of ``nodes`` (default: the interior nodes)."""
     coeffs = grid.element_grad_coeffs
     local = np.einsum("e,eid,ejd->eij", weights, coeffs, coeffs)
     rows = np.repeat(grid.elements, grid.dimension + 1, axis=1).ravel()
     cols = np.tile(grid.elements, grid.dimension + 1).ravel()
     matrix = scipy.sparse.csr_matrix((local.ravel(), (rows, cols)), (grid.n_nodes,) * 2)
-    inner = grid.interior_nodes
+    inner = grid.interior_nodes if nodes is None else nodes
     return matrix[inner][:, inner]
 
 
@@ -503,3 +620,145 @@ def test_eigen_iterations_stay_bounded_on_a_square(n, p):
     report = first_eigenvalue(build_rectangle_grid(n, n, (0, 1, 0, 1)), p,
                               SolveOptions(random_seed=3, max_iterations=100))
     assert report.converged
+
+
+# ---- the preconditioned energy descent -------------------------------------
+
+
+def coefficient_problem(grid, p=2.0, q=1.5, dead_core=False, boundary="dirichlet_zero"):
+    """The benchmark's E1-type coefficient sin(2 pi x) + 0.3, or its dead-core
+    coefficient 1 - 200 on the middle fifth (1D) or the middle square (2D)."""
+    x = grid.nodes[:, 0]
+    if dead_core:
+        inside = np.all(np.abs(grid.nodes - 0.5) <= (0.1 if grid.dimension == 1 else 0.15), axis=1)
+        a = 1.0 - 200.0 * inside
+    else:
+        a = np.sin(2 * np.pi * x) + 0.3
+    return ProblemSpec(grid, DiffusionSpec("constant", p=p),
+                       ReactionSpec("pure_subhomogeneous", q=q, a=a), boundary)
+
+
+def builtin_solve(name, seed, n=128, **fields):
+    config = dataclasses.replace(load_config(name), n=n, **fields)
+    ps = config.build_problem()
+    if config.init_spec == "random":
+        init = random_start(ps, seed)
+    else:
+        init = ScalarField.constant(ps.grid, float(config.init_spec.split(":", 1)[1]))
+    return ps, minimize(ps, init, config.solve_options(seed))
+
+
+@pytest.mark.parametrize("name", [s for s in BUILTIN_SCENARIOS if s != "E1N_POS"])
+def test_every_bounded_builtin_converges_within_fifty_iterations(name):
+    for seed in (1, 2, 3):
+        _, report = builtin_solve(name, seed)
+        assert report.converged and report.iterations <= 50, (seed, report.iterations)
+
+
+@pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_energy_iterations_stay_bounded_on_a_fine_interval(n, p):
+    ps = coefficient_problem(build_interval_grid(n, 0.0, 1.0), p=p)
+    report = minimize(ps, random_start(ps, 1), SolveOptions(random_seed=1, max_iterations=100))
+    assert report.converged and np.abs(report.solution.values).max() > 1e-3
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("dead_core", [False, True], ids=["e1", "dead_core"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_energy_iterations_stay_bounded_on_a_square(n, dead_core, p):
+    ps = coefficient_problem(build_rectangle_grid(n, n, (0, 1, 0, 1)), p=p, dead_core=dead_core)
+    report = minimize(ps, random_start(ps, 1), SolveOptions(random_seed=1, max_iterations=50))
+    assert report.converged and np.abs(report.solution.values).max() > 1e-4
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_singular_p_converges_on_an_interval(n):
+    """p = 1.5, q = 1.2: no iteration bound is claimed (27-30 iterations at
+    n = 128 and about 100 at 512 from these seeds)."""
+    ps = coefficient_problem(build_interval_grid(n, 0.0, 1.0), p=1.5, q=1.2)
+    for seed in (1, 2):
+        report = minimize(ps, random_start(ps, seed), SolveOptions(random_seed=seed, max_iterations=2000))
+        assert report.converged and np.abs(report.solution.values).max() > 1e-4
+
+
+def test_dead_core_starts_never_stop_at_the_trivial_point():
+    """A full preconditioned step from a rough start can put every node on the
+    trivial point, which is critical under projection: the step cap keeps 250
+    seeded E2 starts off it."""
+    assert_one_nontrivial_cluster("E2", 250, sup=3e-4)
+
+
+def test_negative_mean_natural_starts_reach_the_nontrivial_minimizer():
+    assert_one_nontrivial_cluster("E1N_NEG", 60, sup=2e-3)
+
+
+def assert_one_nontrivial_cluster(name, n_starts, sup):
+    """Every seeded start of the builtin converges, within multi_start's cluster
+    threshold of the first, to a solution of sup norm above ``sup``."""
+    config = load_config(name)
+    ps = config.build_problem()
+    solutions = []
+    for seed in range(n_starts):
+        report = minimize(ps, random_start(ps, seed), config.solve_options(seed))
+        assert report.converged and np.abs(report.solution.values).max() > sup, seed
+        solutions.append(report.solution.values)
+    threshold = 1e-5 * np.sqrt(ps.grid.measure)
+    assert max(lumped_l2_distance(ps.grid, u, solutions[0]) for u in solutions) <= threshold
+
+
+def test_dead_core_2d_starts_never_stop_at_the_trivial_point():
+    ps = coefficient_problem(build_rectangle_grid(24, 24, (0, 1, 0, 1)), dead_core=True)
+    for seed in range(20):
+        report = minimize(ps, random_start(ps, seed), SolveOptions(random_seed=seed))
+        assert report.converged and np.abs(report.solution.values).max() > 3e-4, seed
+
+
+def test_step_cap_does_not_hold_a_descent_at_zero():
+    """At u = 0 the cap (half the sup norm) would be zero: it is lifted there."""
+    ps = ProblemSpec(build_interval_grid(64, 0.0, 1.0), DiffusionSpec("constant", p=2.0),
+                     ReactionSpec("two_term", q=1.5, r=1.0, a=1.0, b=1.0), "dirichlet_zero")
+    report = minimize(ps, ScalarField.constant(ps.grid, 0.0), SolveOptions())
+    assert report.converged and report.iterations <= 50
+    assert report.solution.values[ps.free_nodes].min() > 0.0
+
+
+def test_odd_extension_dead_core_converges_from_a_sign_changing_start():
+    """E2 with the odd extension from its n = 48 seed-5 start minus 0.5 ran to
+    the 50,000-iteration cap under the Jacobi-scaled descent."""
+    ps, projected = builtin_solve("E2", 5, n=48)
+    odd = dataclasses.replace(load_config("E2"), n=48, negative_extension="odd").build_problem()
+    values = random_start(odd, 5).values - 0.5
+    values[odd.grid.boundary_nodes] = 0.0
+    report = minimize(odd, ScalarField(odd.grid, values), SolveOptions(random_seed=5))
+    assert report.converged and report.iterations <= 1000
+    assert report.solution.values.min() < 0.0  # a sign-changing critical point
+    assert abs(report.energy.total - projected.energy.total) <= 1e-12 * abs(projected.energy.total)
+
+
+def energy_preconditioner(ps, seed=3):
+    """The gradient and P at a random start of sup norm 2e-8, where a dead
+    core's reaction curvature is large."""
+    values = 1e-8 * random_start(ps, seed).values
+    return _Energy(ps, values, project=True).gradient(values)[1:]
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet_zero", "natural"])
+@pytest.mark.parametrize("mesh", ["interval", "rectangle", "permuted-rectangle"])
+def test_energy_preconditioner_matches_a_sparse_direct_solve(mesh, boundary):
+    grid = {
+        "interval": lambda: build_interval_grid(80, 0.0, 1.0),
+        "rectangle": lambda: build_rectangle_grid(14, 10, (0.0, 1.0, 0.0, 0.7)),
+        "permuted-rectangle": lambda: permuted(build_rectangle_grid(14, 10, (0.0, 1.0, 0.0, 0.7))),
+    }[mesh]()
+    ps = coefficient_problem(grid, p=3.0, dead_core=True, boundary=boundary)
+    g, stiffness = energy_preconditioner(ps)
+    assert stiffness.shift.min() >= (0.0 if boundary == "dirichlet_zero" else 1e-8 * grid.node_mass.min())
+    assert stiffness.shift.max() > 1e2  # the dead core's reaction curvature
+    free = ps.free_nodes
+    matrix = sparse_stiffness(grid, stiffness.weights, free) + scipy.sparse.diags(stiffness.shift[free])
+    expected = np.zeros(grid.n_nodes)
+    expected[free] = scipy.sparse.linalg.spsolve(matrix.tocsc(), g[free])
+    mine = stiffness.direction(g, tolerance=1e-13)
+    assert np.abs(mine - expected).max() <= 1e-9 * np.abs(expected).max()
+    np.testing.assert_allclose(stiffness.metric(mine), g, rtol=0, atol=1e-9 * np.abs(g).max())
