@@ -115,7 +115,6 @@ KEYS = (
     _Key("solver.residual_tolerance", "residual_tolerance", "real", 1e-9, minimum=0.0),
     _Key("solver.n_starts", "n_starts", "integer", 20, minimum=2),
     _Key("solver.seed", "seed", "integer", 0, minimum=0),
-    _Key("solver.initial_step", "initial_step", "real", 1.0, minimum=0.0),
     _Key("solver.init", "init_spec", "text", "random"),
     _Key("path.q", "path_q", "real", _Copy("q"), minimum=1.0),
     _Key("path.samples", "path_samples", "integer", 41, minimum=3),
@@ -186,7 +185,6 @@ class ScenarioConfig:
     residual_tolerance: float
     n_starts: int
     seed: int
-    initial_step: float
     init_spec: str
     path_q: float
     path_samples: int
@@ -277,7 +275,6 @@ class ScenarioConfig:
         return SolveOptions(
             max_iterations=self.max_iterations,
             residual_tolerance=self.residual_tolerance,
-            initial_step=self.initial_step,
             random_seed=self.seed if seed_override is None else seed_override,
         )
 

@@ -261,9 +261,6 @@ class ScalarField:
         coords = [grid.nodes[:, k] for k in range(grid.dimension)]
         return ScalarField(grid, np.asarray(fn(*coords), dtype=float))
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
 
 def build_interval_grid(n: int, a: float, b: float) -> Grid:
     """Uniform grid with n elements (n + 1 nodes) on the interval [a, b]."""

@@ -5,17 +5,19 @@ Both minimizations run through one monotone first-order descent engine,
 objective's P, and every accepted step satisfies the Armijo sufficient-decrease
 condition under backtracking (up to the floating-point resolution of the
 objective). The trial step per iteration is the two-point (Barzilai-Borwein)
-quotient in P's metric.
+quotient in P's metric; the first trial is the full preconditioned step,
+which P itself scales (capped by the energy's reach; for the quotient, an
+inverse-iteration step).
 
 Both objectives take as P the weighted stiffness ``WeightedStiffness`` of the
 current iterate. ``_Energy`` is the discrete energy; its P adds the lumped
 positive reaction curvature (dead-core reaction slopes are unbounded near 0)
 and, on natural-boundary problems, 1e-8 times the lumped mass. It caps each
-step's reach at half the iterate's sup norm, and owns projection at zero, the
-constant-shift walk of natural-boundary problems and the divergence diagnosis.
-``_Rayleigh`` is the Rayleigh quotient; it owns the renormalization of every
-accepted iterate to unit lumped p-norm. Both share ``energy.DiffusionPlan``'s
-flux kernel, its p < 2 weight floor and its stiffness weights.
+step's reach at half the iterate's sup norm, and owns projection at zero and
+the divergence diagnosis. ``_Rayleigh`` is the Rayleigh quotient; it owns the
+renormalization of every accepted iterate to unit lumped p-norm. Both share
+``energy.DiffusionPlan``'s flux kernel, its p < 2 weight floor and its
+stiffness weights.
 
 Runs are deterministic: identical problem, options, and seed reproduce the
 iterate sequence bitwise (sequential execution, per-start seeded generators).
@@ -40,7 +42,8 @@ from .model import DiffusionSpec, ProblemSpec
 DIVERGENCE_ENERGY = -1e12
 DIVERGENCE_DOUBLINGS = 10
 DIVERGENCE_NORM_FACTOR = 1e3
-MEAN_SHIFT_CADENCE = 8
+# The first trial step, in units of the preconditioned gradient
+INITIAL_STEP = 1.0
 # Armijo backtracking: the factor a rejected trial step shrinks by, and the
 # fraction of the first-order decrease an accepted step must achieve
 BACKTRACK_SHRINK = 0.5
@@ -67,12 +70,11 @@ class SolveOptions:
 
     max_iterations: int | None = None
     residual_tolerance: float = 1e-9
-    initial_step: float = 1.0
     random_seed: int = 0
 
     def __post_init__(self):
-        if not (self.residual_tolerance > 0 and self.initial_step > 0):
-            raise ValueError("residual tolerance and initial step must be positive")
+        if not self.residual_tolerance > 0:
+            raise ValueError("residual tolerance must be positive")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
         if self.random_seed < 0:
@@ -92,7 +94,7 @@ class SolveReport:
     iterations: int
     converged: bool
     status: str
-    energy_history: np.ndarray = None
+    energy_history: np.ndarray
 
 
 def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
@@ -104,21 +106,25 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
     points, the flag ``project`` (truncate trial points at zero), the
     residual's index ``free``, the ``stall_step`` below which trial step times
     direction norm gives up, the ``reach`` that caps trial step times the
-    direction's sup norm (None or 0: no cap), and ``accepted(u, value, iteration)
-    -> (u, value, status)``, run after each accepted step; a status other than
-    None ends the descent. Returns (values, residual, iterations, status, history).
+    direction's sup norm (None or 0: no cap), and ``accepted(u, value) ->
+    (u, status)``, run after each accepted step; a status other than None ends
+    the descent once the returned ``u``'s gradient and residual are in. The
+    first trial step is INITIAL_STEP, then the two-point quotient. Returns
+    (values, residual, iterations, status, history).
     """
     n_sqrt = math.sqrt(len(values))
     eps = float(np.finfo(float).eps)
     u = values
-    step = opts.initial_step
-    prev_u = prev_g = None
+    step = INITIAL_STEP
+    prev_u = prev_g = status = None
     history = []
     for iteration in range(budget + 1):
         value, g, precondition = objective.gradient(u)
         history.append(value)
         g_free = g[objective.free]
         residual = math.sqrt(g_free @ g_free) / n_sqrt
+        if status is not None:
+            return u, residual, iteration, status, history
         if residual <= opts.residual_tolerance:
             return u, residual, iteration, STATUS_CONVERGED, history
         if iteration == budget:
@@ -165,10 +171,7 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
                 return u, residual, iteration, STATUS_STALLED, history
 
         prev_u, prev_g, step = u, g, trial
-        u, value, status = objective.accepted(candidate, trial_value, iteration)
-        if status is not None:
-            history.append(value)
-            return u, residual, iteration + 1, status, history
+        u, status = objective.accepted(candidate, trial_value)
 
 
 class _Energy:
@@ -196,7 +199,6 @@ class _Energy:
         self.reach = 0.5 * self.watermark
         self.doublings = 0
         self.norm_limit = DIVERGENCE_NORM_FACTOR * (1.0 + self.watermark)
-        self.shift_scale = 1.0 if ps.boundary == "natural" else None
         self.boundary = ps.grid.boundary_nodes if ps.is_dirichlet else np.empty(0, dtype=int)
         self.mass_shift = None if ps.is_dirichlet else NATURAL_MASS_SHIFT * ps.grid.node_mass
 
@@ -209,14 +211,10 @@ class _Energy:
             shift += self.mass_shift
         return self.current, g, WeightedStiffness(self.ps.plan.assembly, weights, self.boundary, shift)
 
-    def accepted(self, u: np.ndarray, value: float, iteration: int):
-        if self.shift_scale is not None and iteration % MEAN_SHIFT_CADENCE == 0:
-            u, value, unbounded = self._shift_walk(u, value)
-            if unbounded:
-                return u, value, STATUS_NOT_BOUNDED_BELOW
+    def accepted(self, u: np.ndarray, value: float):
         self.current = value
         if value < DIVERGENCE_ENERGY:
-            return u, value, STATUS_NOT_BOUNDED_BELOW
+            return u, STATUS_NOT_BOUNDED_BELOW
         u_max = float(np.abs(u).max())
         self.stall_step = 1e-18 * (1.0 + u_max)
         self.reach = 0.5 * u_max
@@ -231,53 +229,18 @@ class _Energy:
             and u_max >= self.norm_limit
             and value < min(self.initial, 0.0)
         )
-        return u, value, STATUS_NOT_BOUNDED_BELOW if diverged else None
-
-    def _shift_walk(self, u: np.ndarray, value: float):
-        """Scalar search along constant shifts (natural boundary condition only).
-
-        The diffusion energy cannot see constant shifts, so descent creeps
-        along that mode; a doubling walk on the shift handles it directly. Ten
-        straight energy-decreasing doublings past the norm limit is the
-        unbounded-energy diagnosis (the known escape ray for noncoercive
-        natural-BC problems). Downward shifts on projected problems stop where
-        a node would clamp, so the walk cannot tunnel across basins to the
-        trivial critical point. Returns (values, energy, unbounded).
-        """
-        best_c = 0.0
-        best_e = value
-        best_u = u
-        down_limit = float(u.min()) if self.project else np.inf
-        for sign in (1.0, -1.0):
-            c = sign * self.shift_scale
-            doublings = 0
-            while abs(c) <= 1e14 and (sign > 0 or abs(c) <= down_limit):
-                candidate = u + c
-                e_candidate = energy_total(self.ps, candidate)
-                if not (math.isfinite(e_candidate) and e_candidate < best_e):
-                    break
-                best_c, best_e, best_u = c, e_candidate, candidate
-                doublings += 1
-                if doublings >= DIVERGENCE_DOUBLINGS and abs(c) >= self.norm_limit:
-                    return best_u, best_e, True
-                c *= 2.0
-            if best_c != 0.0:
-                break
-        if best_c != 0.0:
-            self.shift_scale = max(abs(best_c) * 0.5, 1e-14)
-        else:
-            self.shift_scale = max(self.shift_scale * 0.25, 1e-14)
-        return best_u, best_e, False
+        return u, STATUS_NOT_BOUNDED_BELOW if diverged else None
 
 
 def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Descend from ``init`` until the stationarity residual meets tolerance.
 
     Divergence is reported with status ``not_bounded_below``; it is diagnosed
-    from an energy below -1e12, from ten cumulative norm doublings far above
-    the initial scale with the energy decreasing, or (natural boundary) from a
-    runaway doubling walk along constant shifts. Coercivity is otherwise the
-    caller's concern.
+    from an energy below -1e12, or from ten cumulative norm doublings far above
+    the initial scale with the energy decreasing. On natural-boundary problems
+    the preconditioner's mass shift sees the constants, so an escape along them
+    is a run of full preconditioned steps and trips the same rules. Coercivity
+    is otherwise the caller's concern.
 
     Iterates are truncated at zero when the reaction uses the zero negative
     extension. Truncation is 1-Lipschitz nodally, so it never increases the
@@ -539,8 +502,8 @@ class _Rayleigh:
         weights = plan.stiffness_weights(norms)
         return rayleigh, g, WeightedStiffness(plan.assembly, weights, grid.boundary_nodes)
 
-    def accepted(self, u: np.ndarray, value: float, iteration: int):
-        return u / self.mass ** (1.0 / self.p), value, None
+    def accepted(self, u: np.ndarray, value: float):
+        return u / self.mass ** (1.0 / self.p), None
 
 
 def first_eigenvalue(grid: Grid, p: float, opts: SolveOptions = SolveOptions()) -> EigenReport:

@@ -65,9 +65,10 @@ def test_subhomogeneous_exponent_out_of_range_rejected():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError) as err:
-        ScenarioConfig.from_text(MINIMAL + "solver.turbo = yes\n")
-    assert "solver.turbo" in str(err.value)
+    for key in ("solver.turbo", "solver.initial_step"):  # the second is a retired key
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_text(MINIMAL + f"{key} = 1\n")
+        assert f"unknown config keys: {key}" in str(err.value)
 
 
 def test_duplicate_key_rejected():
@@ -129,7 +130,6 @@ solver.max_iterations = 500
 solver.residual_tolerance = 9.9999999999999995e-08
 solver.n_starts = 4
 solver.seed = 7
-solver.initial_step = 0.5
 solver.init = const:0.25
 path.q = 1.125
 path.samples = 11
@@ -138,17 +138,17 @@ eigen.p = 3
 
 # sha256 of serialize(): the canonical text is part of the format
 SERIALIZED_SHA256 = {
-    "E1": "4298b670b56bdd4cb30adf378aafd4df4df3a982dd4e9794989c3a2eb5a5a179",
-    "E2": "2dfbf865c1ce3c739107a26973bf9198bab3cff63b0aa353c779772655857171",
-    "E3": "65cdb01d91b5dce8b3a66676758bc2bca7c278f46531d8660ad6378ceaa39c1d",
-    "E4": "dd1357ff50c250e5f81394f6c6a60816af6a9ae1a5871d9e94498ee0b1ced8ae",
-    "E5": "01c2fd57971e245f284ab00a2991b93d95673f8c5918a447cd9631df68e4ac67",
-    "E6": "705e11b2f2659c0f0356c02d0b6207a0d2de5fa99d94e7f1a6272f21d9b0fa2a",
-    "E6B": "c2456507968424d9b64d85711cbd259cd1d2f7045f401d4a213002cf12fac4b5",
-    "E7": "ea4a67f9d0f68071ced675bb0c13bffc473e7764b0bb129fb32eef0cc61c7ff8",
-    "E1N_POS": "32a86830f10b05b9a32c57990408da67bc3704065690bab8af9d19fb03f4a95e",
-    "E1N_NEG": "5017ff79326a393f901adbc4b38fa4218d1460c83d4083c80008ad490c8e4a66",
-    "flat2d": "ee662107e252ee85407bcc409ee218ca025a530787ff17b7ac9d70bc85744b0d",
+    "E1": "8e4f3b67684e34056fa4cb86e494b72bedf156b450bbf406efe1b2f11fc3b290",
+    "E2": "082abc4cbea2bf53d9db7e9aefc564f74dd33d39877930cf29e246d7b8eccb55",
+    "E3": "af32e1c4f20eb734647884041a56efc9169df406fcfe4b6c92c8e768ed306a21",
+    "E4": "89d4bf52d2c3c5366bda7fd7462d3e4b179330d5d8bbcfed82e8b6c2a9ee09d8",
+    "E5": "c1ef0827269871108f7d15ae3274bd238638578ac7bd9125d3224d07b86b911f",
+    "E6": "4ab374c360ce1bede5b6589880dc7bfce87efb9b6d0a8b48c8fe470c1dea910d",
+    "E6B": "e47ed52d03f60e8b99eaae4354e81bb5b3274dd81a3e846f39a474842b0c834f",
+    "E7": "045207ea8e9d8f158b2a3c5d2c743beb8b03ed1e9a2aec33b2ea076a890466e2",
+    "E1N_POS": "d070e56bbce5dc0c21a1a3041df6595e5ea4d552764813361bf975555555a7f9",
+    "E1N_NEG": "e4c93795a100e05b7b3ed63b0529810b2e7bc3304bd9e6e2afe58b80d625681f",
+    "flat2d": "1f42b3388788791ed5082e8df78ea0f2461dc3bc16956b39e32cd284e8ee50cb",
 }
 
 
@@ -193,7 +193,6 @@ def _e1_with(line: str, dimension: int = 1) -> str:
         ("diffusion.p = inf", 1),
         ("solver.residual_tolerance = -1", 1),
         ("solver.residual_tolerance = nan", 1),
-        ("solver.initial_step = 0", 1),
         ("solver.max_iterations = -1", 1),
         ("solver.seed = -1", 1),
         ("solver.n_starts = 1", 1),

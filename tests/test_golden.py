@@ -44,8 +44,9 @@ GOLDEN_SOLVES = {
             "f4bc3d1e7301eeaefdb20619f3800e92b5c286826d73bc2a738c4aebb969fe49"),
     "E7": ("converged", 25, "0x1.61fc2ec952ccfp-51",
            "5534e6cfa397154b4370db10c345e320ba59ab58e2961ec284d0a6c0771a082f"),
-    "E1N_POS": ("not_bounded_below", 1, "-0x1.53e36048cff83p+17",
-                "576a5532a4824bb08c0961988bc0b1eaef1836e5ef76835b0bcef81832216f8f"),
+    # diagnosed by the norm-doubling rule
+    "E1N_POS": ("not_bounded_below", 20, "-0x1.5fbb1f0f2af69p+18",
+                "f1089cbb66ea926fa63b6c5d29cb23e9f00ecdc6b16845f4931002d59d570736"),
     "E1N_NEG": ("converged", 22, "-0x1.cef520a4a3cfcp-19",
                 "e528631a0ddee9e73b92dd95ad8fc66c826c1260f472d73882918cdba3b7792a"),
     # an unprojected descent: iterates with negative entries

@@ -61,17 +61,33 @@ def test_zero_reaction_dirichlet_goes_to_zero():
     assert np.abs(report.solution.values).max() < 1e-7
 
 
-def test_unbounded_below_detected():
-    g = build_interval_grid(64, 0.0, 1.0)
+@pytest.mark.parametrize(
+    "grid, p",
+    [
+        (lambda: build_interval_grid(64, 0.0, 1.0), 2.0),
+        (lambda: build_interval_grid(2048, 0.0, 1.0), 2.0),
+        (lambda: build_rectangle_grid(32, 32, (0.0, 1.0, 0.0, 1.0)), 2.0),
+        (lambda: build_rectangle_grid(32, 32, (0.0, 1.0, 0.0, 1.0)), 3.0),
+    ],
+    ids=["1d-n64", "1d-n2048", "2d-32-p2", "2d-32-p3"],
+)
+def test_unbounded_below_detected(grid, p):
+    # a positive-mean coefficient on a natural problem: the energy falls without
+    # bound along the constants, which the divergence rules must diagnose
+    g = grid()
     ps = ProblemSpec(
         g,
-        DiffusionSpec("constant", p=2.0),
+        DiffusionSpec("constant", p=p),
         ReactionSpec("pure_subhomogeneous", q=1.5, a=1.0),
         "natural",
     )
-    report = minimize(ps, ScalarField.constant(g, 0.7), SolveOptions())
+    report = minimize(ps, random_start(ps, 1), SolveOptions())
     assert report.status == "not_bounded_below"
     assert not report.converged
+    assert report.iterations <= 40  # 20-29 measured
+    # the residual is that of the returned solution, not of the iterate before it
+    assert report.residual == residual_norm(ps, report.solution)
+    assert len(report.energy_history) == report.iterations + 1
 
 
 def test_minimize_requires_negative_extension():
@@ -158,9 +174,8 @@ def test_max_iterations_reported():
         ReactionSpec("pure_subhomogeneous", q=1.5, a=a),
         "dirichlet_zero",
     )
-    report = minimize(ps, ScalarField.constant(g, 0.0).with_values(
-        np.zeros(g.n_nodes) + 0.5 * np.sin(np.pi * g.nodes[:, 0])
-    ), SolveOptions(max_iterations=3))
+    init = ScalarField(g, 0.5 * np.sin(np.pi * g.nodes[:, 0]))
+    report = minimize(ps, init, SolveOptions(max_iterations=3))
     assert report.status == "max_iterations"
     assert not report.converged
     assert report.iterations == 3
@@ -342,8 +357,6 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(residual_tolerance=0.0)
     with pytest.raises(ValueError):
-        SolveOptions(initial_step=-1.0)
-    with pytest.raises(ValueError):
         SolveOptions(residual_tolerance=float("nan"))
     with pytest.raises(ValueError):
         SolveOptions(max_iterations=-1)
@@ -374,7 +387,7 @@ def test_descent_stalls_once_the_shrunk_step_is_below_the_stall_step():
             self.trials += 1
             return math.inf
 
-        def accepted(self, u, value, iteration):
+        def accepted(self, u, value):
             raise AssertionError("no step can be accepted")
 
     objective = Rejecting()
