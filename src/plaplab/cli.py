@@ -49,15 +49,13 @@ def _write_csv(path: Path, records: list[dict], header: list[str] | None = None)
 
 
 def _write_solution(path: Path, field: ScalarField) -> None:
+    """The bytes ``np.savetxt`` writes for these columns, one format per row."""
     grid = field.grid
-    np.savetxt(
-        path,
-        np.column_stack([np.arange(grid.n_nodes), grid.nodes, field.values]),
-        fmt=["%d"] + ["%.17g"] * (grid.dimension + 1),
-        delimiter=",",
-        header=",".join(["node", *"xy"[: grid.dimension], "value"]),
-        comments="",
-    )
+    row = ",".join(["%d"] + ["%.17g"] * (grid.dimension + 1)) + "\n"
+    columns = np.column_stack([np.arange(grid.n_nodes), grid.nodes, field.values])
+    header = ",".join(["node", *"xy"[: grid.dimension], "value"])
+    text = header + "\n" + "".join(row % tuple(r) for r in columns.tolist())
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def _load_field(source: str, ps) -> ScalarField:

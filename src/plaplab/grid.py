@@ -112,13 +112,19 @@ class ElementAssembly:
     ``einsum``. Either way they are planar, (dim, n_elements) in element
     order, so norms add whole component rows, and the scatter is one
     ``np.bincount`` over the column-major element table, which adds in the
-    order of an ``np.add.at`` pass per local node. (Slice adds into the node
-    array were slower on 129-node chains and on 32^2 and 64^2 meshes.)
+    order of an ``np.add.at`` pass per local node. (Slice adds of element terms
+    into the node array were slower on 129-node chains and 32^2 and 64^2 meshes.)
 
     Both paths are bitwise equal to the ``einsum`` gather and the
     ``np.add.at`` scatter: dropped terms are exact zeros and kept ones keep
     their order. Only the sign of a zero element term may differ, which
     squaring (norms) and the zero-started node sums (scatter) erase.
+
+    On structured meshes the weighted stiffness, ``scatter`` of scale times
+    gradients, is also a sum over axis-aligned edges (a hypotenuse's cotangent
+    weight is 0): ``edge_bands`` adds scale * c^2 onto each edge once, and
+    ``band_product`` and ``band_diagonal`` apply it by node-array slices,
+    equal to ``scatter`` and ``scatter_diagonal`` to roundoff.
 
     Only read-only tables are kept, so one instance serves concurrent solves,
     and no reference to the grid, so a grid is freed as soon as its last user
@@ -150,6 +156,21 @@ class ElementAssembly:
                 ((d, Ellipsis, e), _under(corners[e][j], cells), _under(corners[e][k], cells),
                  _frozen_array(c[..., e, j, d]), _frozen_array(c[..., e, k, d]))
                 for d, e, (j, k) in _KEPT[dim]
+            )
+            # per kept pair, its edge: the axis it runs along (component d runs
+            # along axis dim - 1 - d), its element per cell, its band slice and
+            # c^2; per axis, the band shape and the node slices at the edges' ends
+            self.band_terms = tuple(
+                (dim - 1 - d, e, _under(min(corners[e][j], corners[e][k]), cells),
+                 _frozen_array(c[..., e, j, d] * c[..., e, j, d]))
+                for d, e, (j, k) in _KEPT[dim]
+            )
+            self.band_shapes = tuple(
+                tuple(n - (i == axis) for i, n in enumerate(self.node_shape)) for axis in range(dim)
+            )
+            self.edge_ends = tuple(
+                (_under((0,) * dim, shape), _under(tuple(int(i == axis) for i in range(dim)), shape))
+                for axis, shape in enumerate(self.band_shapes)
             )
 
     def gradients(self, values: np.ndarray) -> np.ndarray:
@@ -183,6 +204,33 @@ class ElementAssembly:
     def _to_nodes(self, local: np.ndarray) -> np.ndarray:
         """Sum element contributions, shape (dim + 1, n_elements), into the nodes."""
         return np.bincount(self.index, local.ravel(), self.n_nodes)
+
+    def edge_bands(self, scale: np.ndarray) -> list:
+        """Per node-array axis, each edge's weight: scale * c^2 summed over its elements."""
+        per_cell = scale.reshape(self.grads_shape[1:])
+        bands = [np.zeros(shape) for shape in self.band_shapes]
+        for axis, e, under, c_sq in self.band_terms:
+            bands[axis][under] += per_cell[..., e] * c_sq
+        return bands
+
+    def band_product(self, bands: list, values: np.ndarray) -> np.ndarray:
+        """``scatter(scale, gradients(values))`` from ``edge_bands(scale)``, by edges."""
+        nodes = values.reshape(self.node_shape)
+        out = np.zeros(self.node_shape)
+        for band, (lo, hi) in zip(bands, self.edge_ends):
+            f = nodes[hi] - nodes[lo]
+            f *= band
+            out[lo] -= f
+            out[hi] += f
+        return out.reshape(-1)
+
+    def band_diagonal(self, bands: list) -> np.ndarray:
+        """``scatter_diagonal(scale)`` from ``edge_bands(scale)``."""
+        out = np.zeros(self.node_shape)
+        for band, (lo, hi) in zip(bands, self.edge_ends):
+            out[lo] += band
+            out[hi] += band
+        return out.reshape(-1)
 
 
 def _sum_of_squares(planar: np.ndarray) -> np.ndarray:

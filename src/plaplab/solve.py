@@ -414,7 +414,9 @@ class WeightedStiffness:
     ``direction`` solves P x = g (g zero on the boundary): exactly by
     ``chain_solve`` on interval chains (``assembly.cells`` one-dimensional),
     else by matrix-free conjugate gradients preconditioned with P's diagonal,
-    stopped at relative residual ``tolerance``. ``metric`` is the product.
+    stopped at relative residual ``tolerance``. ``metric`` is the product. On
+    builder meshes (``assembly.cells``) the sweep's bands, the product and the
+    diagonal come from per-edge bands built once; others gather and scatter.
     """
 
     def __init__(self, assembly, weights: np.ndarray, boundary: np.ndarray, shift=None):
@@ -422,21 +424,27 @@ class WeightedStiffness:
         self.weights = weights
         self.boundary = boundary
         self.shift = shift
+        self.bands = None if assembly.cells is None else assembly.edge_bands(weights)
 
     def metric(self, s: np.ndarray) -> np.ndarray:
-        out = self.assembly.scatter(self.weights, self.assembly.gradients(s))
+        if self.bands is None:
+            out = self.assembly.scatter(self.weights, self.assembly.gradients(s))
+        else:
+            out = self.assembly.band_product(self.bands, s)
         if self.shift is not None:
             out += self.shift * s
         out[self.boundary] = 0.0
         return out
 
     def direction(self, g: np.ndarray, tolerance: float = INNER_TOLERANCE) -> np.ndarray:
-        assembly, shift = self.assembly, self.shift
-        if assembly.cells is not None and len(assembly.cells) == 1:
-            bands = self.weights * assembly.coeff_sq[0]  # c_e |grad phi|^2
+        assembly, bands, shift = self.assembly, self.bands, self.shift
+        if bands is not None and len(bands) == 1:
             shift = None if shift is None else shift.tolist()
-            return np.array(chain_solve(bands.tolist(), g.tolist(), shift, not len(self.boundary)))
-        diagonal = assembly.scatter_diagonal(self.weights)
+            return np.array(chain_solve(bands[0].tolist(), g.tolist(), shift, not len(self.boundary)))
+        if bands is None:
+            diagonal = assembly.scatter_diagonal(self.weights)
+        else:
+            diagonal = assembly.band_diagonal(bands)
         if shift is not None:
             diagonal += shift
         diagonal[self.boundary] = 1.0

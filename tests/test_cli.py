@@ -8,7 +8,7 @@ import pytest
 import plaplab.cli
 from plaplab.cli import main
 from plaplab.config import BUILTIN_SCENARIOS, load_config
-from plaplab.grid import ScalarField
+from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.solve import Cluster, MultiStartResult, minimize, random_start
 
 SMALL_EIGEN = """
@@ -249,11 +249,29 @@ def test_experiment_csvs_are_unchanged(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert digests == {
-        "report.csv": "fb9bf415d0d75ca8b4ceff8bc72509a7f5128ca243880e27c743a4cb4a71f481",
-        "clusters.csv": "5345ae42469fc2a88d8913f4fc8aba69d8072acff9c34d3a5dd28aa8688fb452",
-        "solution.csv": "2a02f3857c914c5a24fbc1b0541cd2a07dc1219c0f4af6b58e74cddb44fa278a",
-        "solution_c0.csv": "2a02f3857c914c5a24fbc1b0541cd2a07dc1219c0f4af6b58e74cddb44fa278a",
+        "report.csv": "258a19f867c5f59e57e5be687cc15b1dfea5dd2ae11271e781f65df5acd95491",
+        "clusters.csv": "3b1373c3962045ee6eb7fb95fc01fc3aa7eff5025f74effe1d2b0dc07ea10657",
+        "solution.csv": "92edbfa34c9aa41d79b32f21047ebc71e4c57f5f27037b4fbc86999072603ae2",
+        "solution_c0.csv": "92edbfa34c9aa41d79b32f21047ebc71e4c57f5f27037b4fbc86999072603ae2",
     }
+
+
+@pytest.mark.parametrize("grid", [build_interval_grid(9, -0.5, 1.0),
+                                  build_rectangle_grid(4, 3, (0.0, 1.0, -0.3, 0.6))], ids=["1d", "2d"])
+def test_solution_csv_bytes_equal_savetxt(tmp_path, grid):
+    values = np.random.default_rng(0).uniform(-2.0, 2.0, grid.n_nodes)
+    values[:4] = [-0.0, 5e-324, 1e300, -1e300]
+    field = ScalarField(grid, values)
+    plaplab.cli._write_solution(tmp_path / "mine.csv", field)
+    np.savetxt(
+        tmp_path / "savetxt.csv",
+        np.column_stack([np.arange(grid.n_nodes), grid.nodes, field.values]),
+        fmt=["%d"] + ["%.17g"] * (grid.dimension + 1),
+        delimiter=",",
+        header=",".join(["node", *"xy"[: grid.dimension], "value"]),
+        comments="",
+    )
+    assert (tmp_path / "mine.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 def test_2d_solution_csv_is_unchanged(tmp_path):
@@ -277,7 +295,7 @@ boundary = dirichlet_zero
     assert read_csv(out / "solution.csv")[0].keys() == {"node", "x", "y", "value"}
     assert (
         hashlib.sha256((out / "solution.csv").read_bytes()).hexdigest()
-        == "2970a53d3d6e1b881159e0bad5365dcc6ce303d876cd46663ebb8cc4d32670d1"
+        == "88bfc839f3dcc25726cdbf161e45f1d352f4621127bfa5c3483215cd6f2ee1a7"
     )
 
 
@@ -301,8 +319,8 @@ CSV_DIGESTS = {
     ),
     "eigen-E1-n40": (
         lambda tmp: ["eigen", "--config", _e1_config(tmp, 40)],
-        {"eigen.csv": "4d6fded7cb457c82a0b2940a0ef8e719e8e22283258c8dec9bd08de653d7f3bb",
-         "eigen_history.csv": "c57a11b4939f16f26d3b362cb565daa59f0656bf587667179a7c2801f7b2e1c7"},
+        {"eigen.csv": "f3df5ef8150c956416b2c04cce111e9d80b72d7b4168b53a038fd66c65bac6fb",
+         "eigen_history.csv": "e1c044144267bf95ddd49754a174b51f2b487090e039e9a497b2dbcf1082f096"},
     ),
     "solve-E4-reference": (
         lambda tmp: ["solve", "--config", "E4", "--reference", _e4_solution(tmp)],
@@ -335,13 +353,13 @@ def test_midpoint_csv_is_unchanged(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["experiment", "--config", _e1_config(tmp_path, 48), "--out", str(out), "--quiet"]) == 0
     assert read_csv(out / "midpoint.csv") == [{"cluster_u": "0", "cluster_v": "1", "verdict": "strict",
-                                               "gap": "3.1357746949706129e-06"}]
+                                               "gap": "3.1357746949706045e-06"}]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("midpoint.csv", "clusters.csv", "report.csv")}
     assert digests == {
-        "midpoint.csv": "d21469b64d71717018579f3f3c58c5c42bdbf489e47ea86307fcf31727e64730",
-        "clusters.csv": "cef07cb2b83537d594ab86cc7e2511e96856e53af74eea4ece014480ad738286",
-        "report.csv": "5e6fe9f045ecdc7181fee9fc3332adc416ce0a430ecd6596cfe738038b8e108f",
+        "midpoint.csv": "10e8ee0e40ff235a32d485047737d76cc54075c2b69120b460e4b7bd42ae377d",
+        "clusters.csv": "84525637c27235d4988cb91cb3d92be9d4b6a58c704a105123eeabee22571976",
+        "report.csv": "30163426ec51cafbb074d452e9caef37ab3880f897606310076f7525bfb8b1bd",
     }
 
 

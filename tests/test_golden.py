@@ -25,30 +25,31 @@ SEED = 5
 
 # scenario: (status, iterations, energy.total.hex(), sha256 of solution bytes);
 # the pins of the descent preconditioned by the weighted stiffness plus the
-# reaction curvature (each checked against the Jacobi-scaled descent it replaced:
-# CHANGES.md)
+# reaction curvature (each checked against the Jacobi-scaled descent it replaced,
+# then re-captured, within a few ulps, when P's products moved to per-edge
+# bands: CHANGES.md)
 GOLDEN_SOLVES = {
-    "E1": ("converged", 16, "-0x1.54054ab09eec8p-17",
-           "46a828a62345362a80a8e19e4bd3ab14f26506acd4c9c608e09291738261d97d"),
+    "E1": ("converged", 16, "-0x1.54054ab09eecap-17",
+           "5093c4c85ef8a14f1c2835c3537c7110e857ec9adb5178e60a28d7484ad67a7d"),
     "E2": ("converged", 27, "-0x1.3beb1117809b8p-21",
-           "bf3c4634bbb1859c069cda6e53e960b741b40bd12843db1923f0a34f4964c93f"),
+           "17e6b4c48f758bc93fb64a6d3eb3427f859d286bded05c7c730d5e9048fc4087"),
     "E3": ("converged", 16, "-0x1.512a065b36792p-17",
            "b4ca74d2ed526f3ecb57b16a6df9917b82398564ecc280379be2a49a926e9e7d"),
     "E4": ("converged", 7, "-0x1.5555555555554p-2",
            "8e8e59c76c7a850cea4222154052d6d96e8c5239cc0bdd3f764a1fdcaf47a5f6"),
-    "E5": ("converged", 12, "-0x1.e0005f8557af0p-10",
-           "ad9d2e4bf0fe983f5cd1e05c89acdad50218b138c5201d17bfb1eab63f743d6b"),
+    "E5": ("converged", 12, "-0x1.e0005f8557aeep-10",
+           "116160cc18e6ce9ade3d1d2e17180020d6e8f9941718525231bcf8f2b366cbf6"),
     "E6": ("converged", 7, "-0x1.fffffffffffffp+1",
            "15fe0abeb6f35141878e00faf0e1e5d6763489f69545ef4fbbb110bffb2a10c8"),
-    "E6B": ("converged", 20, "-0x1.4c962f02a3988p-17",
-            "f4bc3d1e7301eeaefdb20619f3800e92b5c286826d73bc2a738c4aebb969fe49"),
+    "E6B": ("converged", 20, "-0x1.4c962f02a398cp-17",
+            "a3569190a161081d73064418933683f2f773a7fce8ae83e78f09cf3d3bf999bc"),
     "E7": ("converged", 25, "0x1.61fc2ec952ccfp-51",
            "5534e6cfa397154b4370db10c345e320ba59ab58e2961ec284d0a6c0771a082f"),
     # diagnosed by the norm-doubling rule
     "E1N_POS": ("not_bounded_below", 20, "-0x1.5fbb1f0f2af69p+18",
                 "f1089cbb66ea926fa63b6c5d29cb23e9f00ecdc6b16845f4931002d59d570736"),
     "E1N_NEG": ("converged", 22, "-0x1.cef520a4a3cfcp-19",
-                "e528631a0ddee9e73b92dd95ad8fc66c826c1260f472d73882918cdba3b7792a"),
+                "857f24e3a1ea97cd9bb0489144f9d26b47acfb82b53d96259f92f086b28a5cf9"),
     # an unprojected descent: iterates with negative entries
     "E1-odd": ("converged", 16, "-0x1.54054ab0a8f5ap-17",
                "bf245c35b646d30031a01fbd28cd5dd1645357816234660e15bf53477716ab98"),
@@ -57,8 +58,8 @@ GOLDEN_SOLVES = {
 SOLVE_VARIANTS = {
     "E1-odd": ("E1", {"negative_extension": "odd"}, -0.5),
 }
-GOLDEN_DEAD_CORE_2D = ("converged", 25, "-0x1.19a05ceb18d58p-21",
-                       "300742d3448d4313c53c0ab8b7832ffffea35ea15dc0f3646d731bba753bca98")
+GOLDEN_DEAD_CORE_2D = ("converged", 25, "-0x1.19a05ceb18d5ep-21",
+                       "f8addbe583be79d33d407fab33f9a37463360d17f81b78c476f655b04b6b017a")
 # the benchmark's 2D E1-type problem on a non-square 20x12 rectangle
 RECTANGLE_E1 = """scenario_id = RECT_E1
 grid.dimension = 2
@@ -72,21 +73,22 @@ reaction.q = 1.5
 reaction.a = 1*sin(2*pi*x) + 0.3
 boundary = dirichlet_zero
 """
-GOLDEN_RECTANGLE_E1 = ("converged", 25, "-0x1.38af215ef5084p-22",
-                       "d03c729c77b99784ad980d93d9dccbb8c93c5842c8f970ead13f03c06fd6d8b5")
+GOLDEN_RECTANGLE_E1 = ("converged", 25, "-0x1.38af215ef5080p-22",
+                       "58a74fe1cf6f458f655cc99fea5d409aad6230322f5d613d1c156658a60ac0f6")
 # (grid, p): (converged, iterations, lambda1.hex(), eigenfunction digest, history digest);
 # the pins of the descent preconditioned by the weighted stiffness (tridiagonal
-# sweep on the interval, conjugate gradients on the rectangle)
+# sweep on the interval, conjugate gradients on the rectangle; products on
+# per-edge bands)
 GOLDEN_EIGEN = {
-    ("interval-50", 3.0): (True, 15, "0x1.c454081702f38p+4",
-                           "b26fdbef9a2c8a85278511cd312d9de9163906c342700b39beb337c7d4d049e2",
-                           "48e53dc3bc94f8c3c40dd878ee2d63ebb3c9b6515fd604ff34ae453ace13ccdd"),
-    ("interval-50", 1.5): (True, 12, "0x1.545069ac77746p+2",
-                           "bc95ba5a8876d9c2272403fa36af2383fa207031bf524c772aab4f66cf702cbf",
-                           "7c8e127a35134cd530b6a4ad5bf97c29b685dfe5315193c1c80717ddc5f97841"),
-    ("rectangle-24", 2.0): (True, 14, "0x1.3b606ad829454p+4",
-                            "16f415e6d4310e7cbbb5059de3346dfe4fc1ddfd277feaddb24c98c5fbc06f7c",
-                            "a1077f2b1087a8600c75a24b39ff47f8e8dcec6be32a318d9f9e7f42abafa2b9"),
+    ("interval-50", 3.0): (True, 15, "0x1.c454081702f3cp+4",
+                           "b969b780ae3c776015f7a87cf92e912c7d600b0fd43aca0f71b3a1fcb4d23850",
+                           "601627c7041ce38ed3aba8e01050fdf745d19c80936113f1c7f32e1baffdc54f"),
+    ("interval-50", 1.5): (True, 12, "0x1.545069ac77748p+2",
+                           "2555b4990281fd987a64a284791cbf39acd45035f77160355c21a21b56f98145",
+                           "a0bf107d279719cf1bd6c87ce2b616f667277d920f0a6ae52346322d4098b05c"),
+    ("rectangle-24", 2.0): (True, 14, "0x1.3b606ad829456p+4",
+                            "bb90cfbedaf2e7c535693e08a1d15db41406fdeb3cf417aea3f68d3f16917a14",
+                            "96f4ada22b729c7585cc88ee0531646c21cad27327c4664191af7ef71a33a0b8"),
 }
 EIGEN_GRIDS = {
     "interval-50": lambda: build_interval_grid(50, 0.0, 1.0),

@@ -10,10 +10,11 @@ import scipy.sparse.linalg
 
 from plaplab.config import BUILTIN_SCENARIOS, load_config
 from plaplab.energy import residual_norm
-from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
+from plaplab.grid import ElementAssembly, ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import (
     SolveOptions,
+    WeightedStiffness,
     _descent,
     _Energy,
     _Rayleigh,
@@ -604,6 +605,61 @@ def test_stiffness_cg_stops_at_its_loose_tolerance():
     residual = np.linalg.norm(g - stiffness.metric(x))
     assert 1e-3 * np.linalg.norm(g) < residual <= 0.1 * np.linalg.norm(g)
     assert g @ x > 0.0  # a descent direction
+
+
+BUILDER_MESHES = {
+    "interval-128": lambda: build_interval_grid(128, 0.0, 1.0),
+    "square-32": lambda: build_rectangle_grid(32, 32, (0.0, 1.0, 0.0, 1.0)),
+    "rectangle-20x12": lambda: build_rectangle_grid(20, 12, (0.0, 1.0, 0.0, 0.6)),
+    "rectangle-7x5": lambda: build_rectangle_grid(7, 5, (0.0, 1.0, 0.0, 1.0)),
+}
+
+
+def stiffness_on(grid, natural, seed=0):
+    """A weighted stiffness with element weights spanning 1e-8...1e8 and a nodal shift."""
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** rng.uniform(-8.0, 8.0, grid.n_elements)
+    shift = rng.uniform(0.0, 1.0, grid.n_nodes)
+    boundary = np.empty(0, dtype=int) if natural else grid.boundary_nodes
+    return WeightedStiffness(grid.assembly, weights, boundary, shift)
+
+
+@pytest.mark.parametrize("natural", [False, True], ids=["dirichlet", "natural"])
+@pytest.mark.parametrize("mesh", list(BUILDER_MESHES))
+def test_edge_bands_apply_the_element_scatter(mesh, natural):
+    def close(mine, theirs):
+        assert np.abs(mine - theirs).max() <= 1e-13 * np.abs(theirs).max()
+
+    grid = BUILDER_MESHES[mesh]()
+    assembly = grid.assembly
+    stiffness = stiffness_on(grid, natural)
+    weights, shift, boundary = stiffness.weights, stiffness.shift, stiffness.boundary
+    v = np.random.default_rng(1).normal(size=grid.n_nodes)
+    product = assembly.scatter(weights, assembly.gradients(v))
+    close(assembly.band_product(stiffness.bands, v), product)
+    close(assembly.band_diagonal(stiffness.bands), assembly.scatter_diagonal(weights))
+    if grid.dimension == 1:  # the chain sweep's bands, c_e |grad phi|^2, bitwise
+        assert np.array_equal(stiffness.bands[0], weights * assembly.coeff_sq[0])
+    expected = product + shift * v
+    expected[boundary] = 0.0
+    close(stiffness.metric(v), expected)
+
+
+@pytest.mark.parametrize("natural", [False, True], ids=["dirichlet", "natural"])
+@pytest.mark.parametrize("mesh", list(BUILDER_MESHES))
+def test_builder_mesh_stiffness_skips_the_element_gather_and_scatter(mesh, natural, monkeypatch):
+    grid = BUILDER_MESHES[mesh]()
+    stiffness = stiffness_on(grid, natural)
+
+    def refuse(*args):
+        raise AssertionError("element gather or scatter on a builder mesh")
+
+    for name in ("gradients", "scatter", "scatter_diagonal"):
+        monkeypatch.setattr(ElementAssembly, name, refuse)
+    g = np.random.default_rng(2).normal(size=grid.n_nodes)
+    g[stiffness.boundary] = 0.0
+    stiffness.metric(g)
+    assert g @ stiffness.direction(g) > 0.0
 
 
 @pytest.mark.parametrize("seed", [3, 17])
