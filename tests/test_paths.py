@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.paths import (
+    SLAB_VALUES,
     edge_difference_violation,
     midpoint_energy_test,
     path_energy_profile,
@@ -228,14 +231,82 @@ def test_concavity_points_version_small_grid():
     assert report.strict_fraction > 0.99
 
 
-def test_concavity_grid_matches_points_version():
-    axis = np.linspace(0.1, 10.0, 12)
-    pts = np.array([(z1, z2) for z1 in axis for z2 in axis])
-    a = power_product_concavity(2.0, 1.5, pts)
-    b = power_product_concavity_grid(2.0, 1.5, axis)
-    assert a.n_pairs == b.n_pairs
-    assert a.n_strict == b.n_strict
-    assert abs(a.max_violation - b.max_violation) <= 1e-15
+def _concavity_axes():
+    rng = np.random.default_rng(15)
+    unsorted_13 = np.r_[rng.uniform(0.0, 10.0, 12), 0.0][rng.permutation(13)]
+    unsorted_7 = np.r_[rng.uniform(0.0, 10.0, 6), 0.0][::-1]
+    repeated = np.r_[1.0, 2.0, 2.0, 3.0, 0.5, 0.5, 4.0, 5.0, 6.0, 7.0]
+    rows = SLAB_VALUES // 50**2  # rows per slab when n2 = 50
+    assert 1 < rows < 30 and 30 % rows, "30 rows must end in a partial slab"
+    return {
+        "square-12": (np.linspace(0.1, 10.0, 12), None),
+        "unsorted-13x7-with-zero": (unsorted_13, unsorted_7),
+        "repeated-entries": (repeated, None),
+        "partial-slab-30x50": (rng.uniform(0.0, 10.0, 30), np.linspace(0.0, 10.0, 50)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_concavity_axes()))
+def test_concavity_grid_matches_points_version(case):
+    axis1, axis2 = _concavity_axes()[case]
+    other = axis1 if axis2 is None else axis2
+    pts = np.array([(z1, z2) for z1 in axis1 for z2 in other])
+    for p, q in ((2.0, 1.5), (3.0, 1.2)):
+        a = power_product_concavity(p, q, pts)
+        b = power_product_concavity_grid(p, q, axis1, axis2)
+        assert a.n_pairs == b.n_pairs
+        assert a.n_strict == b.n_strict
+        assert abs(a.max_violation - b.max_violation) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    ("q", "p", "max_violation_hex", "n_strict"),
+    [
+        (1.5, 2.0, "-0x0.0p+0", 99_990_000),
+        (2.0, 3.0, "-0x0.0p+0", 99_990_000),
+        (1.1, 1.2, "-0x0.0p+0", 99_990_000),
+    ],
+)
+def test_concavity_grid_criterion_2_reports_are_pinned(q, p, max_violation_hex, n_strict):
+    # captured from the ordered-pair sweep that the unordered one replaced
+    report = power_product_concavity_grid(p, q, np.linspace(0.1, 10.0, 100))
+    assert report.max_violation.hex() == max_violation_hex
+    assert report.n_strict == n_strict
+    assert report.n_pairs == 99_990_000
+
+
+def test_concavity_grid_peak_allocation_is_a_few_slabs():
+    axis = np.linspace(0.1, 10.0, 100)
+    tracemalloc.start()
+    try:
+        power_product_concavity_grid(2.0, 1.5, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+GOOD_AXIS = np.linspace(0.1, 1.0, 5)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.r_[-1.0, GOOD_AXIS], np.r_[np.nan, GOOD_AXIS], np.r_[GOOD_AXIS, np.inf], np.array([]),
+     np.outer(GOOD_AXIS, GOOD_AXIS)],
+    ids=["negative", "nan", "inf", "empty", "2d"],
+)
+def test_concavity_grid_rejects_bad_axes(bad):
+    with pytest.raises(ValueError, match="grid axis"):
+        power_product_concavity_grid(2.0, 1.5, bad)
+    with pytest.raises(ValueError, match="grid axis"):
+        power_product_concavity_grid(2.0, 1.5, GOOD_AXIS, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_concavity_points_rejects_non_finite_points(bad):
+    pts = np.array([[0.5, 1.0], [1.0, bad], [2.0, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        power_product_concavity(2.0, 1.5, pts)
 
 
 def test_concavity_boundary_pair_strict():
