@@ -48,9 +48,11 @@ class DiffusionPlan:
     """Read-only tables and kernels of a diffusion energy on one grid.
 
     The kernels validate nothing (the public functions below check their
-    inputs) and repeat the floating-point operations of the direct formulas
-    (``einsum`` gradients, ``np.add.at`` scatter, checked model methods) in
-    the same order, so their results are bitwise equal to those formulas.
+    inputs). Norms and values repeat the floating-point operations of the
+    direct formulas (``einsum`` gradients, checked model methods) in the same
+    order, so they are bitwise equal to those formulas; the flux applies the
+    weighted stiffness on edges (``ElementAssembly.band_product``), equal to
+    the element sum of scale * grad u . grad(hat) to roundoff.
     """
 
     def __init__(self, grid: Grid, diffusion: DiffusionSpec):
@@ -62,10 +64,9 @@ class DiffusionPlan:
         self.weight = None if constant else diffusion._weight
         self.weight_primitive = None if constant else diffusion._weight_primitive
 
-    def gather(self, values: np.ndarray):
-        """Element gradients of a nodal field and their norms."""
-        grads = self.assembly.gradients(values)
-        return grads, self.assembly.norms(grads)
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Element gradient norms of a nodal field."""
+        return self.assembly.norms(self.assembly.gradients(values))
 
     def diffusion_value(self, norms: np.ndarray) -> float:
         """sum volume * W(norms^p) / p; overflows follow the caller's ``np.errstate``."""
@@ -75,14 +76,15 @@ class DiffusionPlan:
         norm_p /= self.p  # in place on the fresh array: same bits as norm_p / p
         return float(self.volume @ norm_p)
 
-    def diffusion_flux(self, grads: np.ndarray, norms: np.ndarray):
-        """Nodal gradient of the value, and the volumes times w |grad u|^(p-2) it scatters."""
+    def diffusion_flux(self, values: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """Nodal gradient of the value: the weighted stiffness with element
+        weights volume * w |grad u|^(p-2), applied to ``values``."""
         p = self.p
         weight = (np.maximum(norms, GRAD_WEIGHT_FLOOR) if p < 2 else norms) ** (p - 2.0)
         if self.weight is not None:
             weight = self.weight(norms**p) * weight
-        scaled_volume = self.volume * weight
-        return self.assembly.scatter(scaled_volume, grads), scaled_volume
+        assembly = self.assembly
+        return assembly.band_product(assembly.edge_bands(self.volume * weight), values)
 
     def stiffness_weights(self, norms: np.ndarray) -> np.ndarray:
         """Element weights of the weighted stiffness K_w at gradient norms ``norms``:
@@ -106,7 +108,7 @@ class EvaluationPlan(DiffusionPlan):
     def energy_parts(self, values: np.ndarray) -> tuple[float, float]:
         """(diffusion, reaction) parts; infinities where the energy overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            diffusion = self.diffusion_value(self.gather(values)[1])
+            diffusion = self.diffusion_value(self.gather(values))
             primitive = self.reaction.evaluate(self.terms, values, "primitive")
             reaction = float(self.node_mass @ primitive)
         return (
@@ -117,9 +119,8 @@ class EvaluationPlan(DiffusionPlan):
     def gradient(self, values: np.ndarray, curvature: bool = False):
         """Nodal energy gradient; with ``curvature``, also the parts of the descent's
         preconditioner: ``stiffness_weights`` and the lumped m * max(-dg/dt, 0)."""
-        # held to the end: freed earlier, 2D solves ran 20% slower from page faults
-        grads, norms = self.gather(values)
-        out, _ = self.diffusion_flux(grads, norms)
+        norms = self.gather(values)
+        out = self.diffusion_flux(values, norms)
         out -= self.node_mass * self.reaction.evaluate(self.terms, values, "value")
         if self.frozen is not None:
             out[self.frozen] = 0.0

@@ -2,8 +2,8 @@
 
 Grids are immutable after construction and safe to share between concurrent
 solves. All discrete calculus used by the energy and path modules lives here:
-piecewise-linear element gradients, lumped (node-mass) quadrature, and the
-edge list used by the pointwise convexity checks.
+piecewise-linear element gradients, the weighted stiffness on edges, lumped
+(node-mass) quadrature, and the edge list used by the pointwise convexity checks.
 """
 
 import math
@@ -101,30 +101,29 @@ _KEPT = {
 
 
 class ElementAssembly:
-    """Element gradients of nodal fields and their scatter back to the nodes.
+    """Element gradients of nodal fields, and the weighted stiffness on edges.
 
-    Two paths, chosen from the element table: on structured meshes (the
-    element table ``build_interval_grid`` or ``build_rectangle_grid`` writes,
-    with axis-aligned cells: the hat-gradient components the stencil drops
-    are checked to be exactly zero) each gradient component is the kept
-    terms of the ``einsum`` sum, multiplied from shifted slices of the node
-    array of shape ``cells + 1``; on any other mesh, gradients are an
-    ``einsum``. Either way they are planar, (dim, n_elements) in element
-    order, so norms add whole component rows, and the scatter is one
-    ``np.bincount`` over the column-major element table, which adds in the
-    order of an ``np.add.at`` pass per local node. (Slice adds of element terms
-    into the node array were slower on 129-node chains and 32^2 and 64^2 meshes.)
+    Gradients take one of two paths, chosen from the element table: on
+    structured meshes (the element table ``build_interval_grid`` or
+    ``build_rectangle_grid`` writes, with axis-aligned cells: the
+    hat-gradient components the stencil drops are checked to be exactly
+    zero) each gradient component is the kept terms of the ``einsum`` sum,
+    multiplied from shifted slices of the node array of shape ``cells + 1``;
+    on any other mesh, gradients are an ``einsum``. Either way they are
+    planar, (dim, n_elements) in element order, so norms add whole component
+    rows, and bitwise equal to the ``einsum`` gather: dropped terms are exact
+    zeros and kept ones keep their order. Only the sign of a zero element
+    term may differ, which squaring (norms) erases.
 
-    Both paths are bitwise equal to the ``einsum`` gather and the
-    ``np.add.at`` scatter: dropped terms are exact zeros and kept ones keep
-    their order. Only the sign of a zero element term may differ, which
-    squaring (norms) and the zero-started node sums (scatter) erase.
-
-    On structured meshes the weighted stiffness, ``scatter`` of scale times
-    gradients, is also a sum over axis-aligned edges (a hypotenuse's cotangent
-    weight is 0): ``edge_bands`` adds scale * c^2 onto each edge once, and
-    ``band_product`` and ``band_diagonal`` apply it by node-array slices,
-    equal to ``scatter`` and ``scatter_diagonal`` to roundoff.
+    The weighted stiffness (K_c v)_i = sum_e c_e grad v . grad(hat_i) is a
+    sum over edges on any P1 mesh: each element's local stiffness has zero
+    row sums, so (K_c v)_i = sum_j w_ij (v_i - v_j), with edge weights
+    w_ij = -sum_e c_e grad(hat_i) . grad(hat_j), negative across an obtuse
+    angle. ``edge_bands(c)`` builds the weights, ``band_product`` applies
+    K_c and ``band_diagonal`` is its diagonal. On structured meshes a
+    hypotenuse's weight is 0: the bands are one array per node-array axis,
+    applied by node-array slices. On other meshes they are one flat array
+    over ``grid.edges``, built and applied by ``np.bincount``.
 
     Only read-only tables are kept, so one instance serves concurrent solves,
     and no reference to the grid, so a grid is freed as soon as its last user
@@ -135,43 +134,47 @@ class ElementAssembly:
         self.n_nodes = grid.n_nodes
         self.cells = _structured_cells(grid)  # (n,) or (ny, nx)
         coeffs = grid.element_grad_coeffs
-        # hat-function gradients (component, local node, element) and their squared norms
-        planar = _frozen_array(coeffs.transpose(2, 1, 0))
-        self.hat_grads = tuple(planar)
-        self.coeff_sq = _frozen_array(_sum_of_squares(planar))
-        self.index = _frozen_array(grid.elements.T.ravel(), dtype=int)
-        structured = self.cells is not None
-        self.elements = None if structured else grid.elements
-        self.grad_coeffs = None if structured else coeffs
-        if structured:
-            dim, cells = grid.dimension, self.cells
-            corners = _CORNERS[dim]
-            c = coeffs.reshape(*cells, len(corners), dim + 1, dim)
-            self.node_shape = tuple(n + 1 for n in cells)
-            self.grads_shape = (dim, *cells, len(corners))
-            self.planar_shape = (dim, grid.n_elements)
-            # per kept pair: where its sum goes in the gradients, then the node
-            # slices and the coefficients of its two terms
-            self.stencil = tuple(
-                ((d, Ellipsis, e), _under(corners[e][j], cells), _under(corners[e][k], cells),
-                 _frozen_array(c[..., e, j, d]), _frozen_array(c[..., e, k, d]))
-                for d, e, (j, k) in _KEPT[dim]
-            )
-            # per kept pair, its edge: the axis it runs along (component d runs
-            # along axis dim - 1 - d), its element per cell, its band slice and
-            # c^2; per axis, the band shape and the node slices at the edges' ends
-            self.band_terms = tuple(
-                (dim - 1 - d, e, _under(min(corners[e][j], corners[e][k]), cells),
-                 _frozen_array(c[..., e, j, d] * c[..., e, j, d]))
-                for d, e, (j, k) in _KEPT[dim]
-            )
-            self.band_shapes = tuple(
-                tuple(n - (i == axis) for i, n in enumerate(self.node_shape)) for axis in range(dim)
-            )
-            self.edge_ends = tuple(
-                (_under((0,) * dim, shape), _under(tuple(int(i == axis) for i in range(dim)), shape))
-                for axis, shape in enumerate(self.band_shapes)
-            )
+        if self.cells is None:
+            self.elements, self.grad_coeffs = grid.elements, coeffs
+            # per (local pair j < k, element): the pair's index into grid.edges
+            # and -grad(hat_j) . grad(hat_k); per edge, its two ends
+            n, edges = grid.n_nodes, grid.edges
+            pairs = [(j, k) for k in range(grid.dimension + 1) for j in range(k)]
+            ends = np.sort(grid.elements[:, pairs], axis=2)  # (n_elements, pair, end)
+            index = np.searchsorted(edges[:, 0] * n + edges[:, 1], ends[..., 0] * n + ends[..., 1])
+            self.edge_index = _frozen_array(index.T.ravel(), dtype=int)
+            self.edge_coeffs = _frozen_array([-(coeffs[:, j] * coeffs[:, k]).sum(1) for j, k in pairs])
+            self.edge_ends = tuple(_frozen_array(edges[:, end], dtype=int) for end in (0, 1))
+            return
+        self.elements = self.grad_coeffs = None
+        dim, cells = grid.dimension, self.cells
+        corners = _CORNERS[dim]
+        c = coeffs.reshape(*cells, len(corners), dim + 1, dim)
+        self.node_shape = tuple(n + 1 for n in cells)
+        self.grads_shape = (dim, *cells, len(corners))
+        self.planar_shape = (dim, grid.n_elements)
+        # per kept pair: where its sum goes in the gradients, then the node
+        # slices and the coefficients of its two terms
+        self.stencil = tuple(
+            ((d, Ellipsis, e), _under(corners[e][j], cells), _under(corners[e][k], cells),
+             _frozen_array(c[..., e, j, d]), _frozen_array(c[..., e, k, d]))
+            for d, e, (j, k) in _KEPT[dim]
+        )
+        # per kept pair, its edge: the axis it runs along (component d runs
+        # along axis dim - 1 - d), its element per cell, its band slice and
+        # c^2; per axis, the band shape and the node slices at the edges' ends
+        self.band_terms = tuple(
+            (dim - 1 - d, e, _under(min(corners[e][j], corners[e][k]), cells),
+             _frozen_array(c[..., e, j, d] * c[..., e, j, d]))
+            for d, e, (j, k) in _KEPT[dim]
+        )
+        self.band_shapes = tuple(
+            tuple(n - (i == axis) for i, n in enumerate(self.node_shape)) for axis in range(dim)
+        )
+        self.edge_ends = tuple(
+            (_under((0,) * dim, shape), _under(tuple(int(i == axis) for i in range(dim)), shape))
+            for axis, shape in enumerate(self.band_shapes)
+        )
 
     def gradients(self, values: np.ndarray) -> np.ndarray:
         """Element gradients, shape (dim, n_elements)."""
@@ -188,25 +191,12 @@ class ElementAssembly:
     def norms(self, grads: np.ndarray) -> np.ndarray:
         return np.sqrt(_sum_of_squares(grads))
 
-    def scatter(self, scale: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """Per node, the sum over its elements of scale * grads . grad(hat)."""
-        flux = scale * grads
-        hat = self.hat_grads
-        local = flux[0] * hat[0]
-        for d in range(1, len(flux)):
-            local += flux[d] * hat[d]
-        return self._to_nodes(local)
-
-    def scatter_diagonal(self, scale: np.ndarray) -> np.ndarray:
-        """Per node, the sum over its elements of scale * |grad(hat)|^2."""
-        return self._to_nodes(self.coeff_sq * scale)
-
-    def _to_nodes(self, local: np.ndarray) -> np.ndarray:
-        """Sum element contributions, shape (dim + 1, n_elements), into the nodes."""
-        return np.bincount(self.index, local.ravel(), self.n_nodes)
-
     def edge_bands(self, scale: np.ndarray) -> list:
-        """Per node-array axis, each edge's weight: scale * c^2 summed over its elements."""
+        """The edge weights of K_scale: per node-array axis on structured meshes
+        (scale * c^2 summed over each edge's elements), else one array over ``grid.edges``."""
+        if self.cells is None:
+            lo, _ = self.edge_ends
+            return [np.bincount(self.edge_index, (self.edge_coeffs * scale).ravel(), len(lo))]
         per_cell = scale.reshape(self.grads_shape[1:])
         bands = [np.zeros(shape) for shape in self.band_shapes]
         for axis, e, under, c_sq in self.band_terms:
@@ -214,7 +204,13 @@ class ElementAssembly:
         return bands
 
     def band_product(self, bands: list, values: np.ndarray) -> np.ndarray:
-        """``scatter(scale, gradients(values))`` from ``edge_bands(scale)``, by edges."""
+        """K_scale values from ``edge_bands(scale)``: per edge, f = w (v_hi - v_lo),
+        subtracted at its low end and added at its high end."""
+        if self.cells is None:
+            lo, hi = self.edge_ends
+            f = values[hi] - values[lo]
+            f *= bands[0]
+            return np.bincount(hi, f, self.n_nodes) - np.bincount(lo, f, self.n_nodes)
         nodes = values.reshape(self.node_shape)
         out = np.zeros(self.node_shape)
         for band, (lo, hi) in zip(bands, self.edge_ends):
@@ -225,7 +221,10 @@ class ElementAssembly:
         return out.reshape(-1)
 
     def band_diagonal(self, bands: list) -> np.ndarray:
-        """``scatter_diagonal(scale)`` from ``edge_bands(scale)``."""
+        """The diagonal of K_scale from ``edge_bands(scale)``: per node, its edges' weights."""
+        if self.cells is None:
+            (lo, hi), n = self.edge_ends, self.n_nodes
+            return np.bincount(lo, bands[0], n) + np.bincount(hi, bands[0], n)
         out = np.zeros(self.node_shape)
         for band, (lo, hi) in zip(bands, self.edge_ends):
             out[lo] += band

@@ -412,39 +412,32 @@ class WeightedStiffness:
     on the space held at zero on ``boundary`` (empty: all nodes are free).
 
     ``direction`` solves P x = g (g zero on the boundary): exactly by
-    ``chain_solve`` on interval chains (``assembly.cells`` one-dimensional),
-    else by matrix-free conjugate gradients preconditioned with P's diagonal,
-    stopped at relative residual ``tolerance``. ``metric`` is the product. On
-    builder meshes (``assembly.cells``) the sweep's bands, the product and the
-    diagonal come from per-edge bands built once; others gather and scatter.
+    ``chain_solve`` on the grid builders' intervals (``assembly.cells``
+    one-dimensional), else by matrix-free conjugate gradients preconditioned
+    with P's diagonal, stopped at relative residual ``tolerance``. ``metric``
+    is the product. The sweep's bands, the product and the diagonal all come
+    from the edge weights ``assembly.edge_bands`` builds once per P.
     """
 
     def __init__(self, assembly, weights: np.ndarray, boundary: np.ndarray, shift=None):
         self.assembly = assembly
-        self.weights = weights
         self.boundary = boundary
         self.shift = shift
-        self.bands = None if assembly.cells is None else assembly.edge_bands(weights)
+        self.bands = assembly.edge_bands(weights)
 
     def metric(self, s: np.ndarray) -> np.ndarray:
-        if self.bands is None:
-            out = self.assembly.scatter(self.weights, self.assembly.gradients(s))
-        else:
-            out = self.assembly.band_product(self.bands, s)
+        out = self.assembly.band_product(self.bands, s)
         if self.shift is not None:
             out += self.shift * s
         out[self.boundary] = 0.0
         return out
 
     def direction(self, g: np.ndarray, tolerance: float = INNER_TOLERANCE) -> np.ndarray:
-        assembly, bands, shift = self.assembly, self.bands, self.shift
-        if bands is not None and len(bands) == 1:
+        cells, bands, shift = self.assembly.cells, self.bands, self.shift
+        if cells is not None and len(cells) == 1:
             shift = None if shift is None else shift.tolist()
             return np.array(chain_solve(bands[0].tolist(), g.tolist(), shift, not len(self.boundary)))
-        if bands is None:
-            diagonal = assembly.scatter_diagonal(self.weights)
-        else:
-            diagonal = assembly.band_diagonal(bands)
+        diagonal = self.assembly.band_diagonal(bands)
         if shift is not None:
             diagonal += shift
         diagonal[self.boundary] = 1.0
@@ -493,14 +486,14 @@ class _Rayleigh:
         return u / float(self.grid.node_mass @ np.abs(u) ** self.p) ** (1.0 / self.p)
 
     def value(self, u: np.ndarray) -> float:
-        numerator = self.plan.diffusion_value(self.plan.gather(u)[1])
+        numerator = self.plan.diffusion_value(self.plan.gather(u))
         self.mass = float(self.grid.node_mass @ np.abs(u) ** self.p)
         return numerator / (self.mass / self.p) if self.mass > 0 else math.inf
 
     def gradient(self, u: np.ndarray):
         grid, p, plan = self.grid, self.p, self.plan
-        grads, norms = plan.gather(u)
-        flux, _ = plan.diffusion_flux(grads, norms)
+        norms = plan.gather(u)
+        flux = plan.diffusion_flux(u, norms)
         magnitude = np.abs(u)
         mass = float(grid.node_mass @ magnitude**p) / p
         rayleigh = plan.diffusion_value(norms) / mass
@@ -532,7 +525,7 @@ def first_eigenvalue(grid: Grid, p: float, opts: SolveOptions = SolveOptions()) 
     if float(grid.node_mass @ u) < 0.0:
         u = -u
     return EigenReport(
-        lambda1=p * objective.plan.diffusion_value(objective.plan.gather(u)[1]),
+        lambda1=p * objective.plan.diffusion_value(objective.plan.gather(u)),
         eigenfunction=ScalarField(grid, u),
         rayleigh_history=np.asarray(history),
         iterations=iterations,

@@ -249,10 +249,10 @@ def test_experiment_csvs_are_unchanged(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert digests == {
-        "report.csv": "258a19f867c5f59e57e5be687cc15b1dfea5dd2ae11271e781f65df5acd95491",
-        "clusters.csv": "3b1373c3962045ee6eb7fb95fc01fc3aa7eff5025f74effe1d2b0dc07ea10657",
-        "solution.csv": "92edbfa34c9aa41d79b32f21047ebc71e4c57f5f27037b4fbc86999072603ae2",
-        "solution_c0.csv": "92edbfa34c9aa41d79b32f21047ebc71e4c57f5f27037b4fbc86999072603ae2",
+        "report.csv": "8184f6f992a9b6f1d7bbf716d44afa80e3d4d9649fdf4906b6ef06cf8cef2d7b",
+        "clusters.csv": "3382a34c6398f69873a1e1077c835229a4de20c04ed2397e622175e48b228dae",
+        "solution.csv": "8dac7c1a02ba5b1369a2ae7888a7af7eeaabf8a35a839d70607ec49080949a7b",
+        "solution_c0.csv": "8dac7c1a02ba5b1369a2ae7888a7af7eeaabf8a35a839d70607ec49080949a7b",
     }
 
 
@@ -295,7 +295,7 @@ boundary = dirichlet_zero
     assert read_csv(out / "solution.csv")[0].keys() == {"node", "x", "y", "value"}
     assert (
         hashlib.sha256((out / "solution.csv").read_bytes()).hexdigest()
-        == "88bfc839f3dcc25726cdbf161e45f1d352f4621127bfa5c3483215cd6f2ee1a7"
+        == "75a08dbabee5bc0afbe0e0196a2084a0049652b5b06fb413c9dc4033a9cdc0a4"
     )
 
 
@@ -319,8 +319,8 @@ CSV_DIGESTS = {
     ),
     "eigen-E1-n40": (
         lambda tmp: ["eigen", "--config", _e1_config(tmp, 40)],
-        {"eigen.csv": "f3df5ef8150c956416b2c04cce111e9d80b72d7b4168b53a038fd66c65bac6fb",
-         "eigen_history.csv": "e1c044144267bf95ddd49754a174b51f2b487090e039e9a497b2dbcf1082f096"},
+        {"eigen.csv": "0a14d209ec9b0c16383fa944adc969fdad0f3d765406fb2b1337fb86fab32dfc",
+         "eigen_history.csv": "202181d290cabebd1d9cc7e3cce5696a8bd8691355914dbb323b19c32a87be44"},
     ),
     "solve-E4-reference": (
         lambda tmp: ["solve", "--config", "E4", "--reference", _e4_solution(tmp)],
@@ -358,8 +358,8 @@ def test_midpoint_csv_is_unchanged(tmp_path, monkeypatch):
                for name in ("midpoint.csv", "clusters.csv", "report.csv")}
     assert digests == {
         "midpoint.csv": "10e8ee0e40ff235a32d485047737d76cc54075c2b69120b460e4b7bd42ae377d",
-        "clusters.csv": "84525637c27235d4988cb91cb3d92be9d4b6a58c704a105123eeabee22571976",
-        "report.csv": "30163426ec51cafbb074d452e9caef37ab3880f897606310076f7525bfb8b1bd",
+        "clusters.csv": "73a6102f363ce5a026db66b873b00f4b553b6d22d3f194c8f18f219fe0391e4d",
+        "report.csv": "e127b0085072266f7e68df1be91e813bb6c656e05b70b983e59f219fd47e1fc0",
     }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import warnings
 import weakref
@@ -220,8 +221,25 @@ def test_residual_norm_rejects_boundary_violation():
         residual_norm(ps, ScalarField.constant(ps.grid, 1.0))
 
 
+def arrays_in(value):
+    """The arrays in an attribute value, looking into (nested) tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [arr for item in value for arr in arrays_in(item)]
+    return []
+
+
+def reversed_elements(grid):
+    """The same mesh with its element table reversed: not the builder's table."""
+    tables = ("elements", "element_volume", "element_grad_coeffs")
+    return dataclasses.replace(grid, **{name: getattr(grid, name)[::-1] for name in tables})
+
+
 @pytest.mark.parametrize(
-    "grid", [build_interval_grid(12, 0.0, 1.0), build_rectangle_grid(4, 3, (0.0, 1.0, 0.0, 1.0))]
+    "grid",
+    [build_interval_grid(12, 0.0, 1.0), build_rectangle_grid(4, 3, (0.0, 1.0, 0.0, 1.0)),
+     reversed_elements(build_rectangle_grid(4, 3, (0.0, 1.0, 0.0, 1.0)))],
 )
 def test_evaluation_plan_holds_only_read_only_arrays(grid):
     a = np.linspace(-1.0, 1.0, grid.n_nodes)
@@ -234,7 +252,7 @@ def test_evaluation_plan_holds_only_read_only_arrays(grid):
     values = np.cos(3.0 * grid.nodes[:, 0])
     first = (energy_total(ps, values), *ps.plan.gradient(values, curvature=True))
     for owner in (ps.plan, ps.plan.assembly):
-        arrays = [v for v in vars(owner).values() if isinstance(v, np.ndarray)]
+        arrays = [arr for v in vars(owner).values() for arr in arrays_in(v)]
         assert arrays and not any(arr.flags.writeable for arr in arrays)
     assert a.flags.writeable  # the caller's coefficient array is left alone
     second = (energy_total(ps, values), *ps.plan.gradient(values, curvature=True))

@@ -182,6 +182,20 @@ def test_field_copies_a_writable_input_and_leaves_it_writable():
 # ---- loop references for the vectorized mesh tables -----------------------
 
 
+def triangle_tables(nodes, elements):
+    """Twice the signed areas and the P1 hat gradients of a triangle table."""
+    p0, p1, p2 = (nodes[elements[:, k]] for k in range(3))
+    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (
+        p1[:, 1] - p0[:, 1]
+    )
+    coeffs = np.empty((len(elements), 3, 2))
+    for local, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        pj, pk = nodes[elements[:, j]], nodes[elements[:, k]]
+        coeffs[:, local, 0] = (pj[:, 1] - pk[:, 1]) / det
+        coeffs[:, local, 1] = (pk[:, 0] - pj[:, 0]) / det
+    return det, coeffs
+
+
 def loop_rectangle_grid(nx, ny, extents):
     """build_rectangle_grid as a loop over cells and boundary nodes."""
     xmin, xmax, ymin, ymax = (float(v) for v in extents)
@@ -201,15 +215,7 @@ def loop_rectangle_grid(nx, ny, extents):
             triangles.append((ll, lr, ur))
             triangles.append((ll, ur, ul))
     elements = np.array(triangles, dtype=int)
-    p0, p1, p2 = (nodes[elements[:, k]] for k in range(3))
-    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (
-        p1[:, 1] - p0[:, 1]
-    )
-    coeffs = np.empty((len(elements), 3, 2))
-    for local, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        pj, pk = nodes[elements[:, j]], nodes[elements[:, k]]
-        coeffs[:, local, 0] = (pj[:, 1] - pk[:, 1]) / det
-        coeffs[:, local, 1] = (pk[:, 0] - pj[:, 0]) / det
+    det, coeffs = triangle_tables(nodes, elements)
     boundary, interior = [], []
     for node in range(len(nodes)):
         ix, iy = node % (nx + 1), node // (nx + 1)
@@ -309,5 +315,43 @@ def test_permuted_rectangle_takes_the_generic_path_and_agrees():
         assert grads.shape == (grid.dimension, grid.n_elements)
         close(grads[:, order], fallback.gradients(values))
         close(stencil.norms(grads)[order], fallback.norms(fallback.gradients(values)))
-        close(stencil.scatter(scale, grads), fallback.scatter(scale[order], grads[:, order]))
-        close(stencil.scatter_diagonal(scale), fallback.scatter_diagonal(scale[order]))
+        bands, generic_bands = stencil.edge_bands(scale), fallback.edge_bands(scale[order])
+        close(stencil.band_product(bands, values), fallback.band_product(generic_bands, values))
+        close(stencil.band_diagonal(bands), fallback.band_diagonal(generic_bands))
+
+
+def distorted_mesh(nx, ny, seed):
+    """A builder rectangle with its interior nodes moved by up to 0.4 cell widths
+    and its elements shuffled: obtuse triangles, off the stencil path."""
+    grid = build_rectangle_grid(nx, ny, (0.0, 1.0, 0.0, 1.0))
+    rng = np.random.default_rng(seed)
+    nodes = np.array(grid.nodes)
+    nodes[grid.interior_nodes] += rng.uniform(-0.4, 0.4, (len(grid.interior_nodes), 2)) / (nx, ny)
+    elements = grid.elements[rng.permutation(grid.n_elements)]
+    det, coeffs = triangle_tables(nodes, elements)
+    assert np.all(det > 0.0)
+    return Grid(2, nodes, elements, 0.5 * det, coeffs, grid.boundary_nodes, grid.interior_nodes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_edge_form_equals_a_dense_stiffness_on_obtuse_permuted_meshes(seed):
+    grid = distorted_mesh(9, 7, seed)
+    assembly = grid.assembly
+    assert assembly.cells is None
+    coeffs = grid.element_grad_coeffs
+    local = np.einsum("eid,ejd->eij", coeffs, coeffs)
+    assert (local[:, [0, 0, 1], [1, 2, 2]] > 0.0).any()  # an obtuse angle: a negative edge weight
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, grid.n_elements)
+    dense = np.zeros((grid.n_nodes, grid.n_nodes))
+    for element, stiffness in zip(grid.elements, scale[:, None, None] * local):
+        dense[np.ix_(element, element)] += stiffness
+    bands = assembly.edge_bands(scale)
+    assert (bands[0] < 0.0).any()
+    np.testing.assert_allclose(assembly.band_diagonal(bands), np.diag(dense), rtol=1e-13, atol=0.0)
+    u, v = rng.normal(size=(2, grid.n_nodes))
+    expected = dense @ v
+    assert np.abs(assembly.band_product(bands, v) - expected).max() <= 1e-13 * np.abs(expected).max()
+    # symmetric to roundoff: u . K v = v . K u
+    ku, kv = assembly.band_product(bands, u), assembly.band_product(bands, v)
+    assert abs(u @ kv - v @ ku) <= 1e-13 * np.abs(u).sum() * np.abs(kv).max()

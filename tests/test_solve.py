@@ -405,10 +405,19 @@ def test_descent_stalls_once_the_shrunk_step_is_below_the_stall_step():
 
 
 def rayleigh_preconditioner(grid, p, iterations, seed=3):
-    """The gradient and the weighted stiffness at a real iterate of the eigen descent."""
+    """The gradient, the weighted stiffness and its element weights at a real
+    iterate of the eigen descent."""
     u = first_eigenvalue(grid, p, SolveOptions(random_seed=seed, max_iterations=iterations))
-    _, g, stiffness = _Rayleigh(grid, p).gradient(u.eigenfunction.values)
-    return g, stiffness
+    objective = _Rayleigh(grid, p)
+    _, g, stiffness = objective.gradient(u.eigenfunction.values)
+    weights = objective.plan.stiffness_weights(objective.plan.gather(u.eigenfunction.values))
+    return g, stiffness, weights
+
+
+def chain_bands(grid, weights):
+    """The interval's chain bands c_e |grad phi|^2, from the element coefficients."""
+    slope = grid.element_grad_coeffs[:, 0, 0]
+    return weights * (slope * slope)
 
 
 def banded_chain_solve(bands, rhs):
@@ -424,8 +433,9 @@ def banded_chain_solve(bands, rhs):
 @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
 @pytest.mark.parametrize("iterations", [0, 3, 1000])
 def test_chain_solve_matches_banded_lu_on_real_iterates(p, iterations):
-    g, stiffness = rayleigh_preconditioner(build_interval_grid(200, 0.0, 1.0), p, iterations)
-    bands = stiffness.weights * stiffness.assembly.coeff_sq[0]
+    grid = build_interval_grid(200, 0.0, 1.0)
+    g, stiffness, weights = rayleigh_preconditioner(grid, p, iterations)
+    bands = chain_bands(grid, weights)
     expected = banded_chain_solve(bands, g)
     mine = stiffness.direction(g)
     # early p = 4 iterates have bands spanning seven decades: there the banded
@@ -470,8 +480,9 @@ def unshifted_sweep(bands, rhs):
 
 @pytest.mark.parametrize("p", [1.5, 4.0])
 def test_chain_solve_without_shift_is_the_unshifted_sweep_bitwise(p):
-    g, stiffness = rayleigh_preconditioner(build_interval_grid(200, 0.0, 1.0), p, 3)
-    bands = (stiffness.weights * stiffness.assembly.coeff_sq[0]).tolist()
+    grid = build_interval_grid(200, 0.0, 1.0)
+    g, _, weights = rayleigh_preconditioner(grid, p, 3)
+    bands = chain_bands(grid, weights).tolist()
     expected = unshifted_sweep(bands, g.tolist())
     assert chain_solve(bands, g.tolist()) == expected
     assert chain_solve(bands, g.tolist(), [0.0] * len(g)) == expected
@@ -589,10 +600,10 @@ def test_stiffness_cg_matches_a_sparse_direct_solve(mesh, p):
         "permuted-interval": lambda: permuted(build_interval_grid(60, 0.0, 1.0)),
     }[mesh]()
     assert (grid.assembly.cells is None) == mesh.startswith("permuted")
-    g, stiffness = rayleigh_preconditioner(grid, p, 4)
+    g, stiffness, weights = rayleigh_preconditioner(grid, p, 4)
     expected = np.zeros(grid.n_nodes)
     expected[grid.interior_nodes] = scipy.sparse.linalg.spsolve(
-        sparse_stiffness(grid, stiffness.weights), g[grid.interior_nodes]
+        sparse_stiffness(grid, weights), g[grid.interior_nodes]
     )
     mine = stiffness.direction(g, tolerance=1e-13)
     assert np.abs(mine - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -600,7 +611,7 @@ def test_stiffness_cg_matches_a_sparse_direct_solve(mesh, p):
 
 
 def test_stiffness_cg_stops_at_its_loose_tolerance():
-    g, stiffness = rayleigh_preconditioner(build_rectangle_grid(24, 24, (0, 1, 0, 1)), 2.0, 2)
+    g, stiffness, _ = rayleigh_preconditioner(build_rectangle_grid(24, 24, (0, 1, 0, 1)), 2.0, 2)
     x = stiffness.direction(g)
     residual = np.linalg.norm(g - stiffness.metric(x))
     assert 1e-3 * np.linalg.norm(g) < residual <= 0.1 * np.linalg.norm(g)
@@ -616,12 +627,13 @@ BUILDER_MESHES = {
 
 
 def stiffness_on(grid, natural, seed=0):
-    """A weighted stiffness with element weights spanning 1e-8...1e8 and a nodal shift."""
+    """A weighted stiffness with element weights spanning 1e-8...1e8 and a nodal
+    shift, and its element weights."""
     rng = np.random.default_rng(seed)
     weights = 10.0 ** rng.uniform(-8.0, 8.0, grid.n_elements)
     shift = rng.uniform(0.0, 1.0, grid.n_nodes)
     boundary = np.empty(0, dtype=int) if natural else grid.boundary_nodes
-    return WeightedStiffness(grid.assembly, weights, boundary, shift)
+    return WeightedStiffness(grid.assembly, weights, boundary, shift), weights
 
 
 @pytest.mark.parametrize("natural", [False, True], ids=["dirichlet", "natural"])
@@ -632,14 +644,15 @@ def test_edge_bands_apply_the_element_scatter(mesh, natural):
 
     grid = BUILDER_MESHES[mesh]()
     assembly = grid.assembly
-    stiffness = stiffness_on(grid, natural)
-    weights, shift, boundary = stiffness.weights, stiffness.shift, stiffness.boundary
+    stiffness, weights = stiffness_on(grid, natural)
+    shift, boundary = stiffness.shift, stiffness.boundary
     v = np.random.default_rng(1).normal(size=grid.n_nodes)
-    product = assembly.scatter(weights, assembly.gradients(v))
+    matrix = sparse_stiffness(grid, weights, np.arange(grid.n_nodes))
+    product = matrix @ v
     close(assembly.band_product(stiffness.bands, v), product)
-    close(assembly.band_diagonal(stiffness.bands), assembly.scatter_diagonal(weights))
+    close(assembly.band_diagonal(stiffness.bands), matrix.diagonal())
     if grid.dimension == 1:  # the chain sweep's bands, c_e |grad phi|^2, bitwise
-        assert np.array_equal(stiffness.bands[0], weights * assembly.coeff_sq[0])
+        assert np.array_equal(stiffness.bands[0], chain_bands(grid, weights))
     expected = product + shift * v
     expected[boundary] = 0.0
     close(stiffness.metric(v), expected)
@@ -649,13 +662,12 @@ def test_edge_bands_apply_the_element_scatter(mesh, natural):
 @pytest.mark.parametrize("mesh", list(BUILDER_MESHES))
 def test_builder_mesh_stiffness_skips_the_element_gather_and_scatter(mesh, natural, monkeypatch):
     grid = BUILDER_MESHES[mesh]()
-    stiffness = stiffness_on(grid, natural)
+    stiffness, _ = stiffness_on(grid, natural)
 
     def refuse(*args):
-        raise AssertionError("element gather or scatter on a builder mesh")
+        raise AssertionError("element gather on a builder mesh")
 
-    for name in ("gradients", "scatter", "scatter_diagonal"):
-        monkeypatch.setattr(ElementAssembly, name, refuse)
+    monkeypatch.setattr(ElementAssembly, "gradients", refuse)
     g = np.random.default_rng(2).normal(size=grid.n_nodes)
     g[stiffness.boundary] = 0.0
     stiffness.metric(g)
@@ -806,10 +818,11 @@ def test_odd_extension_dead_core_converges_from_a_sign_changing_start():
 
 
 def energy_preconditioner(ps, seed=3):
-    """The gradient and P at a random start of sup norm 2e-8, where a dead
-    core's reaction curvature is large."""
+    """The gradient, P and P's element weights at a random start of sup norm
+    2e-8, where a dead core's reaction curvature is large."""
     values = 1e-8 * random_start(ps, seed).values
-    return _Energy(ps, values, project=True).gradient(values)[1:]
+    _, g, stiffness = _Energy(ps, values, project=True).gradient(values)
+    return g, stiffness, ps.plan.gradient(values, curvature=True)[1]
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet_zero", "natural"])
@@ -821,11 +834,11 @@ def test_energy_preconditioner_matches_a_sparse_direct_solve(mesh, boundary):
         "permuted-rectangle": lambda: permuted(build_rectangle_grid(14, 10, (0.0, 1.0, 0.0, 0.7))),
     }[mesh]()
     ps = coefficient_problem(grid, p=3.0, dead_core=True, boundary=boundary)
-    g, stiffness = energy_preconditioner(ps)
+    g, stiffness, weights = energy_preconditioner(ps)
     assert stiffness.shift.min() >= (0.0 if boundary == "dirichlet_zero" else 1e-8 * grid.node_mass.min())
     assert stiffness.shift.max() > 1e2  # the dead core's reaction curvature
     free = ps.free_nodes
-    matrix = sparse_stiffness(grid, stiffness.weights, free) + scipy.sparse.diags(stiffness.shift[free])
+    matrix = sparse_stiffness(grid, weights, free) + scipy.sparse.diags(stiffness.shift[free])
     expected = np.zeros(grid.n_nodes)
     expected[free] = scipy.sparse.linalg.spsolve(matrix.tocsc(), g[free])
     mine = stiffness.direction(g, tolerance=1e-13)
