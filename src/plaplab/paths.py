@@ -303,7 +303,8 @@ def power_product_concavity(p: float, q: float, z_points: np.ndarray) -> Concavi
 
     ``z_points`` is an (m, 2) array of finite nonnegative points. Violations
     are excesses of the averaged values over the midpoint value; strictness is
-    a midpoint gap above 1e-10 between distinct points.
+    a midpoint gap above 1e-10 between distinct points. Values that overflow
+    float64 raise ``ValueError``.
     """
     _require_q_lt_p(p, q)
     z = np.asarray(z_points, dtype=float)
@@ -311,18 +312,22 @@ def power_product_concavity(p: float, q: float, z_points: np.ndarray) -> Concavi
         raise ValueError("z_points must be an (m, 2) array")
     if not np.isfinite(z).all():
         raise ValueError("z_points must be finite")
-    f = power_product(z[:, 0], z[:, 1], p, q)
     max_violation = -np.inf
     n_pairs = 0
     n_strict = 0
-    for k in range(len(z)):
-        mid1 = 0.5 * (z[k, 0] + z[:, 0])
-        mid2 = 0.5 * (z[k, 1] + z[:, 1])
-        gap = power_product(mid1, mid2, p, q) - 0.5 * (f[k] + f)
-        distinct = np.any(z != z[k], axis=1)
-        max_violation = max(max_violation, float((-gap).max()))
-        n_pairs += int(distinct.sum())
-        n_strict += int((distinct & (gap > STRICTNESS_GAP)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = power_product(z[:, 0], z[:, 1], p, q)
+        for k in range(len(z)):
+            mid1 = 0.5 * (z[k, 0] + z[:, 0])
+            mid2 = 0.5 * (z[k, 1] + z[:, 1])
+            # halves, not half the sum: the sum of two values can overflow
+            gap = power_product(mid1, mid2, p, q) - (0.5 * f[k] + 0.5 * f)
+            if not np.isfinite(gap).all():
+                raise ValueError("power product values overflow float64 on these points")
+            distinct = np.any(z != z[k], axis=1)
+            max_violation = max(max_violation, float((-gap).max()))
+            n_pairs += int(distinct.sum())
+            n_strict += int((distinct & (gap > STRICTNESS_GAP)).sum())
     return ConcavityReport(max_violation=max_violation, n_pairs=n_pairs, n_strict=n_strict)
 
 
@@ -342,37 +347,58 @@ def power_product_concavity_grid(
     points. Separability gives the midpoint value as m1[a, c] * m2[b, d], and
     the midpoint gap is bitwise symmetric in the two points, so each
     unordered pair is swept once, in cache-sized slabs of rows c
-    (``SLAB_VALUES``) through buffers allocated once per call.
+    (``SLAB_VALUES``) through buffers allocated once per call. A slab's
+    averaged values come from one batched matmul of [half[a, :], 1] with
+    [1; half[c, :]]: both products are exact, so each entry is the sum
+    half[a, b] + half[c, d] rounded once, whatever the BLAS kernel's order.
+    A slab whose least gap exceeds the strictness gap is strict throughout and
+    is not counted entry by entry. Values that overflow float64 raise
+    ``ValueError``.
     """
     _require_q_lt_p(p, q)
     ax1 = _grid_axis(axis1)
     ax2 = ax1 if axis2 is None else _grid_axis(axis2)
-    f1 = q * ax1 ** (1.0 - 1.0 / q)
-    f2 = ax2 ** (1.0 / p)
-    m1 = q * (0.5 * (ax1[:, None] + ax1[None, :])) ** (1.0 - 1.0 / q)
-    m2 = (0.5 * (ax2[:, None] + ax2[None, :])) ** (1.0 / p)
-    # half the values f1[a] * f2[b] at grid points (a, b): above the subnormal
-    # range halving commutes with rounding, so half[a, b] + half[c, d] is
-    # bitwise the average of the two values
-    half = 0.5 * (f1[:, None] * f2[None, :])
-
     n1, n2 = len(ax1), len(ax2)
+    # per row c the right factor [1; half[c, :]] of the averaged values, where
+    # half holds half the values f1[a] * f2[b] at grid points (a, b): above the
+    # subnormal range halving commutes with rounding, so half[a, b] + half[c, d]
+    # is bitwise the average of the two values
+    right = np.ones((n1, 2, n2))
+    half = right[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1 = q * ax1 ** (1.0 - 1.0 / q)
+        f2 = ax2 ** (1.0 / p)
+        m1 = q * (0.5 * (ax1[:, None] + ax1[None, :])) ** (1.0 - 1.0 / q)
+        m2 = (0.5 * (ax2[:, None] + ax2[None, :])) ** (1.0 / p)
+        np.multiply(0.5, f1[:, None] * f2[None, :], out=half)
+        # the largest midpoint value m1[a, c] * m2[b, d] is the product of the maxima
+        top = m1.max() * m2.max()
+    if not all(np.isfinite(t).all() for t in (f1, f2, m1, m2, half, top)):
+        raise ValueError("power product values overflow float64 on this grid")
+
     rows = max(1, SLAB_VALUES // (n2 * n2))
     gap = np.empty((rows, n2, n2))
     avg = np.empty((rows, n2, n2))
     strict = np.empty((rows, n2, n2), dtype=bool)
+    left = np.ones((n2, 2))  # the left factor [half[a, :], 1]
     max_violation = -np.inf
     n_strict = 0
     # pairs ((a, b), (c, d)) with c >= a: a row c > a stands for both orders
     # of its pairs, the row c == a holds both orders already
     for a in range(n1):
+        left[:, 0] = half[a]
         for c in range(a, n1, rows):
             k = min(rows, n1 - c)
             g, v, s = gap[:k], avg[:k], strict[:k]
             np.multiply(m1[a, c:c + k, None, None], m2, out=g)  # midpoint values
-            np.add(half[a][None, :, None], half[c:c + k, None, :], out=v)
+            np.matmul(left, right[c:c + k], out=v)  # averaged values
             g -= v
-            max_violation = max(max_violation, -float(g.min()))
+            low = float(g.min())
+            max_violation = max(max_violation, -low)
+            if low > STRICTNESS_GAP:
+                # never a row c == a: its identical points have gap exactly 0
+                n_strict += 2 * g.size
+                continue
             np.greater(g, STRICTNESS_GAP, out=s)
             n_strict += 2 * int(np.count_nonzero(s))
             if c == a:

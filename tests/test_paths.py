@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plaplab
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.paths import (
@@ -238,11 +243,21 @@ def _concavity_axes():
     repeated = np.r_[1.0, 2.0, 2.0, 3.0, 0.5, 0.5, 4.0, 5.0, 6.0, 7.0]
     rows = SLAB_VALUES // 50**2  # rows per slab when n2 = 50
     assert 1 < rows < 30 and 30 % rows, "30 rows must end in a partial slab"
+    assert SLAB_VALUES // 100**2 < 6, "the 6-value cluster must span slabs"
+    cluster = np.linspace(1, 1 + 1e-5, 6)
+    clustered_20 = np.r_[cluster, np.linspace(2, 10, 14)]
+    clustered_100 = np.r_[cluster, np.linspace(2, 10, 94)]
     return {
         "square-12": (np.linspace(0.1, 10.0, 12), None),
         "unsorted-13x7-with-zero": (unsorted_13, unsorted_7),
         "repeated-entries": (repeated, None),
         "partial-slab-30x50": (rng.uniform(0.0, 10.0, 30), np.linspace(0.0, 10.0, 50)),
+        # a cluster of near-identical values gives gaps under the strictness
+        # gap; with 100 values on the second axis a slab is fewer rows than the
+        # cluster, so slabs away from it are strict throughout and the rest
+        # are counted
+        "clustered-20": (clustered_20, None),
+        "clustered-20x100": (clustered_20, clustered_100),
     }
 
 
@@ -273,6 +288,58 @@ def test_concavity_grid_criterion_2_reports_are_pinned(q, p, max_violation_hex, 
     assert report.max_violation.hex() == max_violation_hex
     assert report.n_strict == n_strict
     assert report.n_pairs == 99_990_000
+
+
+@pytest.mark.parametrize("n2", [1, 7, 100])
+@pytest.mark.parametrize("k", [4, 3], ids=["full-slab", "partial-slab"])
+def test_rank_two_matmul_is_the_exact_sum(n2, k):
+    # the certificate's averaged values: [h_a, 1] @ [1; h_c] == h_a[:, None] + h_c[None, :]
+    rng = np.random.default_rng(n2 + 10 * k)
+    h = 10.0 ** rng.uniform(-300, 300, (k + 1, n2)) * rng.uniform(0.5, 1.0, (k + 1, n2))
+    h[rng.random((k + 1, n2)) < 0.2] = 0.0
+    h_a, h_c = h[0], h[1:]
+    left = np.ones((n2, 2))
+    left[:, 0] = h_a
+    right = np.ones((k, 2, n2))
+    right[:, 1] = h_c
+    slab = np.full((4, n2, n2), np.nan)  # a kernel that reads out leaves NaN behind
+    out = slab[:k]
+    np.matmul(left, right, out=out)
+    expected = np.add(h_a[None, :, None], h_c[:, None, :])
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_concavity_grid_report_does_not_depend_on_blas_threads(threads):
+    # BLAS threads split the batched matmul of the averaged values differently
+    code = (
+        "import numpy as np; from plaplab.paths import power_product_concavity_grid as g; "
+        "r = g(2.0, 1.5, np.linspace(0.1, 10.0, 100)); "
+        "print(r.max_violation.hex(), r.n_strict, r.n_pairs)"
+    )
+    src = str(Path(plaplab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout.split()
+    assert out == ["-0x0.0p+0", "99990000", "99990000"]
+
+
+def test_concavity_rejects_overflowing_values():
+    # inf - inf gaps are NaN, which a running maximum skips
+    axis = np.array([1.0, 2.0, 1e308, 1.5e308])
+    with pytest.raises(ValueError, match="overflow"):
+        power_product_concavity_grid(4.0, 3.99, axis)
+    pts = np.array([(z1, z2) for z1 in axis for z2 in axis])
+    with pytest.raises(ValueError, match="overflow"):
+        power_product_concavity(4.0, 3.99, pts)
+
+
+def test_concavity_values_whose_sums_overflow_agree():
+    # the largest value is about 1.3e308: it fits, but the sum of two does not
+    axis = np.array([1.0, 2.0, 5e307])
+    pts = np.array([(z1, z2) for z1 in axis for z2 in axis])
+    assert power_product_concavity(4.0, 3.99, pts) == power_product_concavity_grid(4.0, 3.99, axis)
 
 
 def test_concavity_grid_peak_allocation_is_a_few_slabs():
