@@ -37,6 +37,7 @@ class ConeClassification:
 def _zero_regions(grid, candidates: np.ndarray, min_size: int) -> list:
     """Connected components (by mesh edges) of the candidate node set."""
     candidate_set = set(int(i) for i in candidates)
+    indptr, indices = (a.tolist() for a in grid.node_neighbors)
     seen: set[int] = set()
     regions = []
     for start in candidates:
@@ -49,8 +50,7 @@ def _zero_regions(grid, candidates: np.ndarray, min_size: int) -> list:
         while stack:
             node = stack.pop()
             component.append(node)
-            for nbr in grid.node_neighbors[node]:
-                nbr = int(nbr)
+            for nbr in indices[indptr[node]:indptr[node + 1]]:
                 if nbr in candidate_set and nbr not in seen:
                     seen.add(nbr)
                     stack.append(nbr)

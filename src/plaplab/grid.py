@@ -74,13 +74,14 @@ class Grid:
         return pairs
 
     @cached_property
-    def node_neighbors(self) -> list[np.ndarray]:
-        """Edge-adjacent node indices, per node, in increasing order."""
+    def node_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge-adjacent node indices as a CSR pair (indptr, indices): node i's
+        neighbors, in increasing order, are ``indices[indptr[i]:indptr[i + 1]]``."""
         n = self.n_nodes
         i, j = self.edges[:, 0], self.edges[:, 1]
         keys = np.sort(np.concatenate([i * n + j, j * n + i]))
-        counts = np.bincount(keys // n, minlength=n)
-        return np.split(keys % n, np.cumsum(counts)[:-1])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        return indptr, keys % n
 
     @cached_property
     def assembly(self) -> "ElementAssembly":
@@ -121,9 +122,12 @@ class ElementAssembly:
     w_ij = -sum_e c_e grad(hat_i) . grad(hat_j), negative across an obtuse
     angle. ``edge_bands(c)`` builds the weights, ``band_product`` applies
     K_c and ``band_diagonal`` is its diagonal. On structured meshes a
-    hypotenuse's weight is 0: the bands are one array per node-array axis,
-    applied by node-array slices. On other meshes they are one flat array
-    over ``grid.edges``, built and applied by ``np.bincount``.
+    hypotenuse's weight is 0: the bands are one flat array per node-array
+    axis, entry i for the edge from node i to i + s (s the axis's stride: 1
+    along x, nx + 1 along y), applied by the slices ``v[s:] - v[:-s]``; a
+    row's last x entry is an exact zero, which adds +-0 and so changes no
+    finite sum. On other meshes they are one flat array over ``grid.edges``,
+    built and applied by ``np.bincount``.
 
     Only read-only tables are kept, so one instance serves concurrent solves,
     and no reference to the grid, so a grid is freed as soon as its last user
@@ -137,14 +141,14 @@ class ElementAssembly:
         if self.cells is None:
             self.elements, self.grad_coeffs = grid.elements, coeffs
             # per (local pair j < k, element): the pair's index into grid.edges
-            # and -grad(hat_j) . grad(hat_k); per edge, its two ends
+            # and -grad(hat_j) . grad(hat_k); per edge, its low and high ends
             n, edges = grid.n_nodes, grid.edges
             pairs = [(j, k) for k in range(grid.dimension + 1) for j in range(k)]
             ends = np.sort(grid.elements[:, pairs], axis=2)  # (n_elements, pair, end)
             index = np.searchsorted(edges[:, 0] * n + edges[:, 1], ends[..., 0] * n + ends[..., 1])
             self.edge_index = _frozen_array(index.T.ravel(), dtype=int)
             self.edge_coeffs = _frozen_array([-(coeffs[:, j] * coeffs[:, k]).sum(1) for j, k in pairs])
-            self.edge_ends = tuple(_frozen_array(edges[:, end], dtype=int) for end in (0, 1))
+            self.edge_nodes = _frozen_array(edges.T, dtype=int)
             return
         self.elements = self.grad_coeffs = None
         dim, cells = grid.dimension, self.cells
@@ -160,21 +164,17 @@ class ElementAssembly:
              _frozen_array(c[..., e, j, d]), _frozen_array(c[..., e, k, d]))
             for d, e, (j, k) in _KEPT[dim]
         )
-        # per kept pair, its edge: the axis it runs along (component d runs
-        # along axis dim - 1 - d), its element per cell, its band slice and
-        # c^2; per axis, the band shape and the node slices at the edges' ends
+        # per kept pair, its edge: its element per cell, its low ends in a stack
+        # of node arrays, axis first (component d runs along axis dim - 1 - d),
+        # and c^2; per axis, its stride and its band's flat prefix of the stack
         self.band_terms = tuple(
-            (dim - 1 - d, e, _under(min(corners[e][j], corners[e][k]), cells),
+            (e, (dim - 1 - d, *_under(min(corners[e][j], corners[e][k]), cells)),
              _frozen_array(c[..., e, j, d] * c[..., e, j, d]))
             for d, e, (j, k) in _KEPT[dim]
         )
-        self.band_shapes = tuple(
-            tuple(n - (i == axis) for i, n in enumerate(self.node_shape)) for axis in range(dim)
-        )
-        self.edge_ends = tuple(
-            (_under((0,) * dim, shape), _under(tuple(int(i == axis) for i in range(dim)), shape))
-            for axis, shape in enumerate(self.band_shapes)
-        )
+        self.band_stack = (dim, *self.node_shape)
+        self.strides = tuple(math.prod(self.node_shape[axis + 1:]) for axis in range(dim))
+        self.band_prefixes = tuple((k, slice(grid.n_nodes - s)) for k, s in enumerate(self.strides))
 
     def gradients(self, values: np.ndarray) -> np.ndarray:
         """Element gradients, shape (dim, n_elements)."""
@@ -195,41 +195,46 @@ class ElementAssembly:
         """The edge weights of K_scale: per node-array axis on structured meshes
         (scale * c^2 summed over each edge's elements), else one array over ``grid.edges``."""
         if self.cells is None:
-            lo, _ = self.edge_ends
+            lo, _ = self.edge_nodes
             return [np.bincount(self.edge_index, (self.edge_coeffs * scale).ravel(), len(lo))]
         per_cell = scale.reshape(self.grads_shape[1:])
-        bands = [np.zeros(shape) for shape in self.band_shapes]
-        for axis, e, under, c_sq in self.band_terms:
-            bands[axis][under] += per_cell[..., e] * c_sq
-        return bands
+        stack = np.zeros(self.band_stack)
+        for e, under, c_sq in self.band_terms:
+            stack[under] += per_cell[..., e] * c_sq
+        flat = stack.reshape(len(self.strides), self.n_nodes)
+        return [flat[prefix] for prefix in self.band_prefixes]
 
-    def band_product(self, bands: list, values: np.ndarray) -> np.ndarray:
+    def band_product(self, bands: list, values: np.ndarray, out=None, work=None) -> np.ndarray:
         """K_scale values from ``edge_bands(scale)``: per edge, f = w (v_hi - v_lo),
-        subtracted at its low end and added at its high end."""
+        subtracted at its low end and added at its high end. ``out`` and ``work``
+        are optional node-sized buffers (result, scratch); they change no bit."""
+        n = self.n_nodes
         if self.cells is None:
-            lo, hi = self.edge_ends
+            lo, hi = self.edge_nodes
             f = values[hi] - values[lo]
             f *= bands[0]
-            return np.bincount(hi, f, self.n_nodes) - np.bincount(lo, f, self.n_nodes)
-        nodes = values.reshape(self.node_shape)
-        out = np.zeros(self.node_shape)
-        for band, (lo, hi) in zip(bands, self.edge_ends):
-            f = nodes[hi] - nodes[lo]
+            return np.subtract(np.bincount(hi, f, n), np.bincount(lo, f, n), out=out)
+        if out is None:
+            out = np.zeros(n)
+        else:
+            out.fill(0.0)
+        for band, s in zip(bands, self.strides):
+            f = np.subtract(values[s:], values[:-s], out=None if work is None else work[:n - s])
             f *= band
-            out[lo] -= f
-            out[hi] += f
-        return out.reshape(-1)
+            out[:-s] -= f
+            out[s:] += f
+        return out
 
     def band_diagonal(self, bands: list) -> np.ndarray:
         """The diagonal of K_scale from ``edge_bands(scale)``: per node, its edges' weights."""
         if self.cells is None:
-            (lo, hi), n = self.edge_ends, self.n_nodes
+            (lo, hi), n = self.edge_nodes, self.n_nodes
             return np.bincount(lo, bands[0], n) + np.bincount(hi, bands[0], n)
-        out = np.zeros(self.node_shape)
-        for band, (lo, hi) in zip(bands, self.edge_ends):
-            out[lo] += band
-            out[hi] += band
-        return out.reshape(-1)
+        out = np.zeros(self.n_nodes)
+        for band, s in zip(bands, self.strides):
+            out[:-s] += band
+            out[s:] += band
+        return out
 
 
 def _sum_of_squares(planar: np.ndarray) -> np.ndarray:

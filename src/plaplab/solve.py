@@ -411,11 +411,12 @@ class WeightedStiffness:
     (P v)_i = sum_e c_e grad v . grad phi_i + d_i v_i, with element weights c_e,
     on the space held at zero on ``boundary`` (empty: all nodes are free).
 
-    ``direction`` solves P x = g (g zero on the boundary): exactly by
-    ``chain_solve`` on the grid builders' intervals (``assembly.cells``
-    one-dimensional), else by matrix-free conjugate gradients preconditioned
-    with P's diagonal, stopped at relative residual ``tolerance``. ``metric``
-    is the product. The sweep's bands, the product and the diagonal all come
+    ``direction`` solves P x = g, taking g as zero on the boundary (a g zero
+    elsewhere gives x = 0): exactly by ``chain_solve`` on the grid builders'
+    intervals (``assembly.cells`` one-dimensional), else by matrix-free
+    conjugate gradients preconditioned with P's diagonal, stopped at relative
+    residual ``tolerance``, in buffers allocated once per call. ``metric`` is
+    the product. The sweep's bands, the product and the diagonal all come
     from the edge weights ``assembly.edge_bands`` builds once per P.
     """
 
@@ -425,10 +426,10 @@ class WeightedStiffness:
         self.shift = shift
         self.bands = assembly.edge_bands(weights)
 
-    def metric(self, s: np.ndarray) -> np.ndarray:
-        out = self.assembly.band_product(self.bands, s)
+    def metric(self, s: np.ndarray, out=None, work=None) -> np.ndarray:
+        out = self.assembly.band_product(self.bands, s, out, work)
         if self.shift is not None:
-            out += self.shift * s
+            out += np.multiply(self.shift, s, out=work)
         out[self.boundary] = 0.0
         return out
 
@@ -443,20 +444,25 @@ class WeightedStiffness:
         diagonal[self.boundary] = 1.0
         x = np.zeros_like(g)
         r = g.copy()
+        r[self.boundary] = 0.0
+        rr = float(r @ r)
+        if rr == 0.0:
+            return x
         z = r / diagonal
-        d = z
+        d, kd, t = z.copy(), np.empty_like(g), np.empty_like(g)
         rz = float(r @ z)
-        stop = tolerance**2 * float(g @ g)
+        stop = tolerance**2 * rr
         for _ in range(len(g)):
-            kd = self.metric(d)
+            kd = self.metric(d, kd, t)
             alpha = rz / float(d @ kd)
-            x += alpha * d
-            r -= alpha * kd
+            x += np.multiply(d, alpha, out=t)
+            r -= np.multiply(kd, alpha, out=t)
             if float(r @ r) <= stop:
                 break
-            z = r / diagonal
+            np.divide(r, diagonal, out=z)
             rz, rz_old = float(r @ z), rz
-            d = z + (rz / rz_old) * d
+            d *= rz / rz_old
+            d += z
         return x
 
 

@@ -51,8 +51,9 @@ def reference_normal_margin(grid, vals):
     interior = np.ones(grid.n_nodes, dtype=bool)
     interior[grid.boundary_nodes] = False
     quotients = []
+    indptr, indices = grid.node_neighbors
     for b in grid.boundary_nodes:
-        inner = [i for i in grid.node_neighbors[b] if interior[i]]
+        inner = [i for i in indices[indptr[b]:indptr[b + 1]] if interior[i]]
         if inner:
             dist = np.linalg.norm(grid.nodes[inner] - grid.nodes[b], axis=1)
             quotients.append(float(((vals[b] - vals[inner]) / dist).max()))

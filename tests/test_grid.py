@@ -257,8 +257,10 @@ def test_edges_and_neighbors_equal_loop_formulas(grid):
     for i, j in expected:
         adjacency[i].append(j)
         adjacency[j].append(i)
-    assert len(grid.node_neighbors) == grid.n_nodes
-    for mine, nbrs in zip(grid.node_neighbors, adjacency):
+    indptr, indices = grid.node_neighbors
+    assert len(indptr) == grid.n_nodes + 1
+    for node, nbrs in enumerate(adjacency):
+        mine = indices[indptr[node]:indptr[node + 1]]
         expected_nbrs = np.array(sorted(nbrs), dtype=int)
         assert mine.dtype == expected_nbrs.dtype
         np.testing.assert_array_equal(mine, expected_nbrs)
@@ -318,6 +320,34 @@ def test_permuted_rectangle_takes_the_generic_path_and_agrees():
         bands, generic_bands = stencil.edge_bands(scale), fallback.edge_bands(scale[order])
         close(stencil.band_product(bands, values), fallback.band_product(generic_bands, values))
         close(stencil.band_diagonal(bands), fallback.band_diagonal(generic_bands))
+
+
+@pytest.mark.parametrize(
+    "nx, ny, extents", [(7, 5, (0.0, 1.0, 0.0, 1.0)), (20, 12, (0.0, 1.0, 0.0, 0.6))], ids=["7x5", "20x12"]
+)
+def test_flat_x_band_holds_zeros_where_a_row_ends(nx, ny, extents):
+    def close(mine, theirs):
+        np.testing.assert_allclose(mine, theirs, rtol=1e-13, atol=1e-13 * np.abs(theirs).max())
+
+    grid = build_rectangle_grid(nx, ny, extents)
+    stencil = grid.assembly
+    assert stencil.strides == (nx + 1, 1)
+    rng = np.random.default_rng(6)
+    scale = rng.uniform(0.1, 3.0, grid.n_elements)
+    bands = stencil.edge_bands(scale)
+    assert [len(band) for band in bands] == [grid.n_nodes - nx - 1, grid.n_nodes - 1]
+    row_ends = np.arange(nx, grid.n_nodes - 1, nx + 1)  # no x edge to the next row's first node
+    assert len(row_ends) == ny
+    assert np.all(bands[1][row_ends] == 0.0)
+    assert np.all(np.delete(bands[1], row_ends) > 0.0) and np.all(bands[0] > 0.0)
+    # a 1e6 jump from each row's last node to the next row's first, against bincount
+    values = 1e6 * grid.nodes[:, 0] + rng.uniform(-1.0, 1.0, grid.n_nodes)
+    order = np.random.default_rng(4).permutation(grid.n_elements)
+    fallback = with_elements(grid, order).assembly
+    assert fallback.cells is None
+    generic_bands = fallback.edge_bands(scale[order])
+    close(stencil.band_product(bands, values), fallback.band_product(generic_bands, values))
+    close(stencil.band_diagonal(bands), fallback.band_diagonal(generic_bands))
 
 
 def distorted_mesh(nx, ny, seed):

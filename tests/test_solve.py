@@ -674,6 +674,47 @@ def test_builder_mesh_stiffness_skips_the_element_gather_and_scatter(mesh, natur
     assert g @ stiffness.direction(g) > 0.0
 
 
+@pytest.mark.parametrize("natural", [False, True], ids=["dirichlet", "natural"])
+@pytest.mark.parametrize("mesh", ["rectangle-8x8", "permuted-rectangle", "interval-32"])
+def test_direction_of_a_gradient_zero_off_the_boundary_is_zero(mesh, natural):
+    grid = {
+        "rectangle-8x8": lambda: build_rectangle_grid(8, 8, (0.0, 1.0, 0.0, 1.0)),
+        "permuted-rectangle": lambda: permuted(build_rectangle_grid(8, 8, (0.0, 1.0, 0.0, 1.0))),
+        "interval-32": lambda: build_interval_grid(32, 0.0, 1.0),
+    }[mesh]()
+    stiffness, _ = stiffness_on(grid, natural)
+    held_only = np.zeros(grid.n_nodes)
+    held_only[stiffness.boundary] = np.random.default_rng(5).normal(size=len(stiffness.boundary))
+    for g in (np.zeros(grid.n_nodes), held_only):
+        x = stiffness.direction(g)
+        assert x.shape == (grid.n_nodes,)
+        assert np.array_equal(x, np.zeros(grid.n_nodes))
+
+
+@pytest.mark.parametrize("natural", [False, True], ids=["dirichlet", "natural"])
+@pytest.mark.parametrize("mesh", list(BUILDER_MESHES))
+def test_direction_and_products_leave_their_inputs_and_buffers_no_trace(mesh, natural):
+    grid = BUILDER_MESHES[mesh]()
+    assembly = grid.assembly
+    stiffness, _ = stiffness_on(grid, natural)
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=grid.n_nodes)
+    g[stiffness.boundary] = 0.0
+    inputs = [g, *stiffness.bands, stiffness.shift]
+    before = [a.tobytes() for a in inputs]
+    first, second = stiffness.direction(g), stiffness.direction(g)
+    assert first.tobytes() == second.tobytes()
+    assert [a.tobytes() for a in inputs] == before
+    v = rng.normal(size=grid.n_nodes)
+    product, metric = assembly.band_product(stiffness.bands, v), stiffness.metric(v)
+    for fill in (0.0, np.nan):
+        out, work = np.full(grid.n_nodes, fill), np.full(grid.n_nodes, fill)
+        mine = assembly.band_product(stiffness.bands, v, out, work)
+        assert mine is out and mine.tobytes() == product.tobytes()
+        out, work = np.full(grid.n_nodes, fill), np.full(grid.n_nodes, fill)
+        assert stiffness.metric(v, out, work).tobytes() == metric.tobytes()
+
+
 @pytest.mark.parametrize("seed", [3, 17])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_eigen_n200_converges_to_the_closed_form(p, seed):
