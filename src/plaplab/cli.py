@@ -12,6 +12,7 @@ invariant violation. A run that diagnoses an unbounded-below energy exits with
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -48,14 +49,16 @@ def _write_csv(path: Path, records: list[dict], header: list[str] | None = None)
             writer.writerow([_fmt(v) for v in record.values()])
 
 
-def _write_solution(path: Path, field: ScalarField) -> None:
-    """The bytes ``np.savetxt`` writes for these columns, one format per row."""
+def _write_solution(field: ScalarField, *paths: Path) -> None:
+    """The bytes ``np.savetxt`` writes for these columns, formatted once by one
+    ``%`` over the flat values and written to each of ``paths``."""
     grid = field.grid
     row = ",".join(["%d"] + ["%.17g"] * (grid.dimension + 1)) + "\n"
     columns = np.column_stack([np.arange(grid.n_nodes), grid.nodes, field.values])
     header = ",".join(["node", *"xy"[: grid.dimension], "value"])
-    text = header + "\n" + "".join(row % tuple(r) for r in columns.tolist())
-    path.write_text(text, encoding="utf-8", newline="")
+    text = header + "\n" + (row * grid.n_nodes) % tuple(columns.ravel().tolist())
+    for path in paths:
+        path.write_text(text, encoding="utf-8", newline="")
 
 
 def _load_field(source: str, ps) -> ScalarField:
@@ -133,7 +136,7 @@ def _cmd_solve(config: ScenarioConfig, out: Path, seed, reference: str | None, s
         comp = comparability_delta(report.solution, ref)
         delta = comp.delta if comp.comparable else "incomparable"
     _write_csv(out / "report.csv", [_report_record(config, 0, report, cls, delta=delta)])
-    _write_solution(out / "solution.csv", report.solution)
+    _write_solution(report.solution, out / "solution.csv")
     say(
         f"{config.scenario_id}: {report.status} after {report.iterations} iterations, "
         f"energy {report.energy.total:.6g}, residual {report.residual:.3g}"
@@ -176,7 +179,9 @@ def _cmd_experiment(config: ScenarioConfig, out: Path, seed, say) -> int:
                 **_classification_columns(classes[cluster.representative]),
             }
         )
-        _write_solution(out / f"solution_c{k}.csv", rep.solution)
+        # the first cluster's representative is the best solution
+        best = [out / "solution.csv"] if k == 0 else []
+        _write_solution(rep.solution, out / f"solution_c{k}.csv", *best)
     # the one output that can have no rows (no start converged)
     _write_csv(
         out / "clusters.csv",
@@ -184,9 +189,6 @@ def _cmd_experiment(config: ScenarioConfig, out: Path, seed, say) -> int:
         header=["cluster", "size", "representative_start", "energy_total", "residual",
                 *_CLASSIFICATION_HEADER],
     )
-    if result.clusters:
-        best = result.representative_report(result.clusters[0])
-        _write_solution(out / "solution.csv", best.solution)
 
     midpoint_records = []
     for i in range(len(result.clusters)):
@@ -281,7 +283,7 @@ def _cmd_eigen(config: ScenarioConfig, out: Path, seed, say) -> int:
     _write_csv(out / "eigen.csv", [summary])
     history = enumerate(report.rayleigh_history)
     _write_csv(out / "eigen_history.csv", [{"iteration": k, "rayleigh": v} for k, v in history])
-    _write_solution(out / "solution.csv", report.eigenfunction)
+    _write_solution(report.eigenfunction, out / "solution.csv")
     say(
         f"{config.scenario_id}: first eigenvalue {report.lambda1:.8g} "
         f"({'converged' if report.converged else 'not converged'} in "
@@ -328,7 +330,9 @@ def _cmd_audit(config: ScenarioConfig, out: Path, say) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="plaplab",
         description=(

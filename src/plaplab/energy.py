@@ -105,10 +105,11 @@ class EvaluationPlan(DiffusionPlan):
         self.reaction = ps.reaction
         self.terms = ps.reaction.terms(*ps.nodal_coefficients)
 
-    def energy_parts(self, values: np.ndarray) -> tuple[float, float]:
-        """(diffusion, reaction) parts; infinities where the energy overflows."""
+    def energy_parts(self, values: np.ndarray, norms=None) -> tuple[float, float]:
+        """(diffusion, reaction) parts; infinities where the energy overflows.
+        ``norms``, when given, is ``gather(values)``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            diffusion = self.diffusion_value(self.gather(values))
+            diffusion = self.diffusion_value(self.gather(values) if norms is None else norms)
             primitive = self.reaction.evaluate(self.terms, values, "primitive")
             reaction = float(self.node_mass @ primitive)
         return (
@@ -116,10 +117,11 @@ class EvaluationPlan(DiffusionPlan):
             -math.inf if math.isnan(reaction) else reaction,
         )
 
-    def gradient(self, values: np.ndarray, curvature: bool = False):
+    def gradient(self, values: np.ndarray, curvature: bool = False, norms=None):
         """Nodal energy gradient; with ``curvature``, also the parts of the descent's
-        preconditioner: ``stiffness_weights`` and the lumped m * max(-dg/dt, 0)."""
-        norms = self.gather(values)
+        preconditioner: ``stiffness_weights`` and the lumped m * max(-dg/dt, 0).
+        ``norms``, when given, is ``gather(values)``."""
+        norms = self.gather(values) if norms is None else norms
         out = self.diffusion_flux(values, norms)
         out -= self.node_mass * self.reaction.evaluate(self.terms, values, "value")
         if self.frozen is not None:
@@ -148,13 +150,14 @@ def _admissible_values(ps: ProblemSpec, u: ScalarField) -> np.ndarray:
     return u.values
 
 
-def energy_parts(ps: ProblemSpec, values: np.ndarray) -> tuple[float, float]:
-    """(diffusion, reaction) parts for raw nodal values; may return infinities."""
-    return ps.plan.energy_parts(values)
+def energy_parts(ps: ProblemSpec, values: np.ndarray, norms=None) -> tuple[float, float]:
+    """(diffusion, reaction) parts for raw nodal values; may return infinities.
+    ``norms``, when given, is ``ps.plan.gather(values)``."""
+    return ps.plan.energy_parts(values, norms)
 
 
-def energy_total(ps: ProblemSpec, values: np.ndarray) -> float:
-    diffusion, reaction = energy_parts(ps, values)
+def energy_total(ps: ProblemSpec, values: np.ndarray, norms=None) -> float:
+    diffusion, reaction = energy_parts(ps, values, norms)
     total = diffusion - reaction
     return math.inf if math.isnan(total) else total
 
@@ -165,13 +168,14 @@ def energy(ps: ProblemSpec, u: ScalarField) -> EnergyBreakdown:
     return EnergyBreakdown(diffusion, reaction, diffusion - reaction)
 
 
-def energy_grad_values(ps: ProblemSpec, values: np.ndarray, curvature: bool = False):
+def energy_grad_values(ps: ProblemSpec, values: np.ndarray, curvature: bool = False, norms=None):
     """Nodal partial derivatives of the discrete energy (and, with ``curvature``,
-    the preconditioner parts of ``EvaluationPlan.gradient``).
+    the preconditioner parts of ``EvaluationPlan.gradient``); ``norms``, when
+    given, is ``ps.plan.gather(values)``.
 
     Dirichlet boundary entries are forced to zero (frozen degrees of freedom).
     """
-    return ps.plan.gradient(values, curvature)
+    return ps.plan.gradient(values, curvature, norms)
 
 
 def energy_grad(ps: ProblemSpec, u: ScalarField) -> ScalarField:

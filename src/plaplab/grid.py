@@ -67,8 +67,10 @@ class Grid:
             tri = self.elements
             pairs = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
             pairs = np.sort(pairs, axis=1)
-        # i * n + j sorts as the pair (i, j) does, since j < n
-        keys = np.unique(pairs[:, 0] * self.n_nodes + pairs[:, 1])
+        # i * n + j sorts as the pair (i, j) does, since j < n; a sort and an
+        # adjacent-difference mask give np.unique's array without its hashing
+        keys = np.sort(pairs[:, 0] * self.n_nodes + pairs[:, 1])
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
         pairs = np.column_stack(np.divmod(keys, self.n_nodes))
         pairs.setflags(write=False)
         return pairs

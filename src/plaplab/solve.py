@@ -183,14 +183,16 @@ class _Energy:
     iterate's sup norm (``reach``): a full step of this Newton-like direction
     from a rough start can land every node on the trivial point at once. It
     looks up the module-level energy functions on every call, so wrappers
-    installed on those names see every evaluation.
+    installed on those names see every evaluation. It keeps the gradient norms
+    of the last point it evaluated, so the gradient of an accepted trial point
+    does not gather it again.
     """
 
     def __init__(self, ps: ProblemSpec, values: np.ndarray, project: bool):
         self.ps = ps
         self.free = ps.free_nodes
         self.project = project
-        self.current = energy_total(ps, values)
+        self.current = self.value(values)
         if not math.isfinite(self.current):
             raise ValueError("initial field has non-finite energy")
         self.initial = self.current
@@ -203,10 +205,13 @@ class _Energy:
         self.mass_shift = None if ps.is_dirichlet else NATURAL_MASS_SHIFT * ps.grid.node_mass
 
     def value(self, u: np.ndarray) -> float:
-        return energy_total(self.ps, u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.evaluated = u, self.ps.plan.gather(u)
+        return energy_total(self.ps, u, self.evaluated[1])
 
     def gradient(self, u: np.ndarray):
-        g, weights, shift = energy_grad_values(self.ps, u, curvature=True)
+        point, norms = self.evaluated
+        g, weights, shift = energy_grad_values(self.ps, u, True, norms if point is u else None)
         if self.mass_shift is not None:
             shift += self.mass_shift
         return self.current, g, WeightedStiffness(self.ps.plan.assembly, weights, self.boundary, shift)
@@ -362,47 +367,42 @@ class EigenReport:
     residual: float
 
 
-def chain_pivots(bands: list, shift: list | None = None, natural: bool = False):
-    """Pivots and multipliers of the tridiagonal sweep on a chain of n elements.
+def chain_solve(bands: list, rhs: list, shift: list | None = None, natural: bool = False) -> list:
+    """Nodal solution of the tridiagonal system on a chain of n elements, for a
+    right-hand side of n + 1 nodal values; on a held chain both end entries are zero.
 
     Element i joins nodes i and i + 1 with stiffness ``bands[i]``, node i
     carries the shift d_i (n + 1 nodal values, zero when None), and node i's
     row reads -a[i-1] x[i-1] + (a[i-1] + a[i] + d[i]) x[i] - a[i] x[i+1], with
     a[-1] = a[n] = 0. The rows are the n - 1 inner nodes of a chain held at
-    zero at both ends, or all n + 1 of a ``natural`` (free) one. The pivots are
-    m_i = a_i + s_i + d_i, with s_(i+1) = a_i (s_i + d_i) / m_i from s_1 = a_0
-    (held) or s_0 = 0 (free): sums and products of nonnegative numbers, so no
-    pivot cancels to zero, as the textbook m_(i+1) = a_i + a_(i+1) + d_(i+1)
-    - a_i^2 / m_i does when the bands span many decades. Multipliers: a_i / m_i.
+    zero at both ends, or all n + 1 of a ``natural`` (free) one. One forward
+    loop eliminates: the pivots are m_i = a_i + s_i + d_i, with
+    s_(i+1) = a_i (s_i + d_i) / m_i from s_1 = a_0 (held) or s_0 = 0 (free):
+    sums and products of nonnegative numbers, so no pivot cancels to zero, as
+    the textbook m_(i+1) = a_i + a_(i+1) + d_(i+1) - a_i^2 / m_i does when the
+    bands span many decades. The multipliers r_i = a_i / m_i carry the
+    right-hand side forward and the solution back, in one backward loop.
+    Python floats throughout: a loop over lists beats NumPy per-element calls.
     """
     a, s = (bands + [0.0], 0.0) if natural else (bands[1:], bands[0])
     d = [0.0] * len(a) if shift is None else shift if natural else shift[1:-1]
-    pivots, ratios = [], []
-    for a_i, d_i in zip(a, d):
+    scaled, ratios = [], []
+    carry = 0.0
+    for a_i, d_i, g in zip(a, d, rhs if natural else rhs[1:-1]):
         s += d_i
         m = a_i + s
         r = a_i / m
-        pivots.append(m)
-        ratios.append(r)
         s *= r
-    return pivots, ratios
-
-
-def chain_solve(bands: list, rhs: list, shift: list | None = None, natural: bool = False) -> list:
-    """Nodal solution of the chain system of ``chain_pivots`` for a right-hand
-    side of n + 1 nodal values; on a held chain both end entries are zero.
-    Python floats throughout: a loop over lists beats NumPy per-element calls."""
-    pivots, ratios = chain_pivots(bands, shift, natural)
-    scaled = []
-    carry = 0.0
-    for g, m, r in zip(rhs if natural else rhs[1:-1], pivots, ratios):
         y = g + carry
         scaled.append(y / m)
+        ratios.append(r)
         carry = r * y
-    x = [0.0]  # the held end, or a zero past the free one
+    x, solution = 0.0, []  # the held end, or a zero past the free one
     for q, r in zip(reversed(scaled), reversed(ratios)):
-        x.append(q + r * x[-1])
-    return x[:0:-1] if natural else [0.0, *reversed(x)]
+        x = q + r * x
+        solution.append(x)
+    solution.reverse()
+    return solution if natural else [0.0, *solution, 0.0]
 
 
 class WeightedStiffness:

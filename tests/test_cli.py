@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import plaplab.cli
-from plaplab.cli import main
+from plaplab.cli import build_parser, main
 from plaplab.config import BUILTIN_SCENARIOS, load_config
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.solve import Cluster, MultiStartResult, minimize, random_start
@@ -256,13 +256,56 @@ def test_experiment_csvs_are_unchanged(tmp_path):
     }
 
 
+def run_cli(argv, out, capsys):
+    """Exit code, stdout, stderr and the output tree of one in-process call."""
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    tree = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else None
+    return code, captured.out, captured.err, tree
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    cfg = tmp_path / "e1_small.cfg"
+    cfg.write_text(dataclasses.replace(load_config("E1"), n=48, n_starts=3).serialize(), encoding="utf-8")
+    eigen_cfg = tmp_path / "eig.cfg"
+    eigen_cfg.write_text(SMALL_EIGEN, encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "ref"), "--quiet"]) == 0
+    reference = str(tmp_path / "ref" / "solution.csv")
+    calls = {
+        "solve-seeded": ["solve", "--config", str(cfg), "--seed", "4", "--reference", reference],
+        "rejected": ["solve", "--seed", "4"],  # no --config
+        "solve": ["solve", "--config", str(cfg)],
+        "experiment": ["experiment", "--config", str(cfg)],
+        "eigen": ["eigen", "--config", str(eigen_cfg)],
+        "path": ["path", "--config", str(cfg), "--u", reference, "--v", "const:0"],
+        "audit": ["audit", "--config", str(cfg)],
+    }
+    # each call first in a fresh process state: the parser cache, the only
+    # state the CLI keeps between calls, cleared
+    fresh = {}
+    for name, argv in calls.items():
+        build_parser.cache_clear()
+        fresh[name] = run_cli(argv, tmp_path / "fresh" / name, capsys)
+    assert fresh["rejected"][0] == 2 and "--config" in fresh["rejected"][2]
+    assert fresh["solve-seeded"][3]["report.csv"] != fresh["solve"][3]["report.csv"]
+    # then all of them in one process, on one parser
+    build_parser.cache_clear()
+    parser = build_parser()
+    for name, argv in calls.items():
+        assert run_cli(argv, tmp_path / "shared" / name, capsys) == fresh[name], name
+    assert build_parser() is parser
+
+
 @pytest.mark.parametrize("grid", [build_interval_grid(9, -0.5, 1.0),
                                   build_rectangle_grid(4, 3, (0.0, 1.0, -0.3, 0.6))], ids=["1d", "2d"])
 def test_solution_csv_bytes_equal_savetxt(tmp_path, grid):
     values = np.random.default_rng(0).uniform(-2.0, 2.0, grid.n_nodes)
     values[:4] = [-0.0, 5e-324, 1e300, -1e300]
     field = ScalarField(grid, values)
-    plaplab.cli._write_solution(tmp_path / "mine.csv", field)
+    plaplab.cli._write_solution(field, tmp_path / "mine.csv")
     np.savetxt(
         tmp_path / "savetxt.csv",
         np.column_stack([np.arange(grid.n_nodes), grid.nodes, field.values]),

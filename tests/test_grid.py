@@ -385,3 +385,30 @@ def test_edge_form_equals_a_dense_stiffness_on_obtuse_permuted_meshes(seed):
     # symmetric to roundoff: u . K v = v . K u
     ku, kv = assembly.band_product(bands, u), assembly.band_product(bands, v)
     assert abs(u @ kv - v @ ku) <= 1e-13 * np.abs(u).sum() * np.abs(kv).max()
+
+
+def edge_meshes():
+    """Builder intervals and rectangles (nx != ny too), the same with shuffled
+    elements, and obtuse distorted rectangles."""
+    builders = [build_interval_grid(2, 0.0, 1.0), build_interval_grid(128, -0.5, 1.0),
+                build_rectangle_grid(2, 2, (0.0, 1.0, 0.0, 1.0)),
+                build_rectangle_grid(7, 5, (0.0, 1.0, 0.0, 0.6)),
+                build_rectangle_grid(3, 8, (0.0, 1.0, 0.0, 1.0)),
+                build_rectangle_grid(32, 32, (0.0, 1.0, 0.0, 1.0))]
+    shuffled = [with_elements(g, np.random.default_rng(4).permutation(g.n_elements)) for g in builders]
+    return builders + shuffled + [distorted_mesh(9, 7, seed) for seed in (0, 1, 2)]
+
+
+def test_edges_equal_the_np_unique_table():
+    for grid in edge_meshes():
+        n = grid.n_nodes
+        if grid.dimension == 1:
+            pairs = np.sort(grid.elements, axis=1)
+        else:
+            tri = grid.elements
+            pairs = np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]]), axis=1)
+        expected = np.column_stack(np.divmod(np.unique(pairs[:, 0] * n + pairs[:, 1]), n))
+        edges = grid.edges
+        assert edges.dtype == expected.dtype and edges.shape == expected.shape
+        assert edges.tobytes() == expected.tobytes()
+        assert not edges.flags.writeable

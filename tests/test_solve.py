@@ -18,7 +18,6 @@ from plaplab.solve import (
     _descent,
     _Energy,
     _Rayleigh,
-    chain_pivots,
     chain_solve,
     first_eigenvalue,
     lumped_l2_distance,
@@ -421,7 +420,7 @@ def chain_bands(grid, weights):
 
 
 def banded_chain_solve(bands, rhs):
-    """scipy's banded LU on the chain system of ``chain_pivots``, inner nodes only."""
+    """scipy's banded LU on the chain system of ``chain_solve``, inner nodes only."""
     bands = np.asarray(bands)
     upper = np.concatenate([[0.0], -bands[1:-1]])
     lower = np.concatenate([-bands[1:-1], [0.0]])
@@ -445,37 +444,61 @@ def test_chain_solve_matches_banded_lu_on_real_iterates(p, iterations):
     np.testing.assert_allclose(stiffness.metric(mine), g, rtol=0, atol=1e-10 * np.abs(g).max())
 
 
+def traced_chain_solve(bands, rhs):
+    """``chain_solve``'s solution on a held chain with the pivots m_i and
+    multipliers r_i it forms: each band is a float that records its division
+    r_i = a_i / m_i."""
+    pivots, ratios = [], []
+
+    class Band(float):
+        def __truediv__(self, m):
+            r = float(self) / m
+            pivots.append(m)
+            ratios.append(r)
+            return r
+
+    x = chain_solve([Band(a) for a in bands], rhs)
+    return x, pivots, ratios
+
+
 def test_chain_pivots_stay_positive_on_bands_spanning_nineteen_decades():
     rng = np.random.default_rng(11)
     spread = 10.0 ** rng.uniform(-12.0, 7.0, 8192)
     # a stiff element next to a soft one: a_i - a_i^2 / m_i cancels to exactly 0
     alternating = np.tile([1e7, 1e-12], 4096)
     for bands in (spread, alternating, np.sort(spread), np.sort(spread)[::-1]):
-        pivots, ratios = chain_pivots(bands.tolist())
+        rhs = [0.0] + [1.0] * (len(bands) - 1) + [0.0]
+        x, pivots, ratios = traced_chain_solve(bands.tolist(), rhs)
         assert min(pivots) > 0.0 and len(pivots) == len(bands) - 1
         assert all(0.0 < r <= 1.0 for r in ratios)
-        x = np.array(chain_solve(bands.tolist(), [0.0] + [1.0] * (len(bands) - 1) + [0.0]))
+        assert x == chain_solve(bands.tolist(), rhs)  # the recording changes no bit
+        x = np.array(x)
         assert np.all(np.isfinite(x)) and np.all(x[1:-1] > 0.0)  # K is an M-matrix
 
 
-def unshifted_sweep(bands, rhs):
-    """The held-chain sweep before shifts and free ends: m_i = a_i + s_i,
-    s_(i+1) = a_i s_i / m_i."""
-    pivots, ratios, s = [], [], bands[0]
-    for a in bands[1:]:
-        m = a + s
+def three_loop_sweep(bands, rhs, shift=None, natural=False):
+    """The sweep in three loops: the pivots m_i = a_i + s_i + d_i and multipliers
+    r_i = a_i / m_i, with s_(i+1) = a_i (s_i + d_i) / m_i; then the forward and
+    the backward substitution. ``chain_solve`` fuses the first two."""
+    a, s = (bands + [0.0], 0.0) if natural else (bands[1:], bands[0])
+    d = [0.0] * len(a) if shift is None else shift if natural else shift[1:-1]
+    pivots, ratios = [], []
+    for a_i, d_i in zip(a, d):
+        s += d_i
+        m = a_i + s
+        r = a_i / m
         pivots.append(m)
-        ratios.append(a / m)
-        s *= a / m
+        ratios.append(r)
+        s *= r
     scaled, carry = [], 0.0
-    for g, m, r in zip(rhs[1:-1], pivots, ratios):
+    for g, m, r in zip(rhs if natural else rhs[1:-1], pivots, ratios):
         y = g + carry
         scaled.append(y / m)
         carry = r * y
     x = [0.0]
     for q, r in zip(reversed(scaled), reversed(ratios)):
         x.append(q + r * x[-1])
-    return [0.0, *reversed(x)]
+    return x[:0:-1] if natural else [0.0, *reversed(x)]
 
 
 @pytest.mark.parametrize("p", [1.5, 4.0])
@@ -483,13 +506,13 @@ def test_chain_solve_without_shift_is_the_unshifted_sweep_bitwise(p):
     grid = build_interval_grid(200, 0.0, 1.0)
     g, _, weights = rayleigh_preconditioner(grid, p, 3)
     bands = chain_bands(grid, weights).tolist()
-    expected = unshifted_sweep(bands, g.tolist())
+    expected = three_loop_sweep(bands, g.tolist())
     assert chain_solve(bands, g.tolist()) == expected
     assert chain_solve(bands, g.tolist(), [0.0] * len(g)) == expected
 
 
 def chain_matrix(bands, shift, natural):
-    """The chain system of ``chain_pivots`` as (row nodes, banded lower/diagonal/upper)."""
+    """The chain system of ``chain_solve`` as (row nodes, banded lower/diagonal/upper)."""
     bands, shift = np.asarray(bands), np.asarray(shift)
     a = np.concatenate([[0.0], bands, [0.0]])
     diagonal = a[:-1] + a[1:] + shift
@@ -544,6 +567,17 @@ def test_shifted_chain_solve_is_exact_to_roundoff_on_bands_spanning_nineteen_dec
         assert np.all(np.abs(mine - exact)[rows] <= 1e-12 * np.abs(exact)[rows])
         if not natural:
             assert mine[0] == mine[-1] == 0.0
+
+
+@pytest.mark.parametrize("natural", [False, True], ids=["held", "free"])
+def test_chain_solve_is_the_three_loop_sweep_bitwise_on_bands_spanning_nineteen_decades(natural):
+    for n in (60, 1000):
+        for bands, shift, rhs in wide_chains(n, natural):
+            bands, shift, rhs = bands.tolist(), shift.tolist(), rhs.tolist()
+            expected = three_loop_sweep(bands, rhs, shift, natural)
+            assert chain_solve(bands, rhs, shift, natural) == expected
+            if not natural:
+                assert chain_solve(bands, rhs) == three_loop_sweep(bands, rhs)
 
 
 @pytest.mark.parametrize("natural", [False, True], ids=["held", "free"])
