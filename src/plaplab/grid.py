@@ -61,17 +61,16 @@ class Grid:
     @cached_property
     def edges(self) -> np.ndarray:
         """Unique mesh edges as sorted (i, j) node-index pairs."""
-        if self.dimension == 1:
-            pairs = np.sort(self.elements, axis=1)
-        else:
-            tri = self.elements
-            pairs = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
-            pairs = np.sort(pairs, axis=1)
+        # local node pairs (j, j + o) as rows of the transposed element table,
+        # each pair's ends ordered by np.minimum/np.maximum, not by a row sort
+        t, n = np.ascontiguousarray(self.elements.T), self.n_nodes
+        keys = [np.minimum(t[:-o], t[o:]) * n + np.maximum(t[:-o], t[o:]) for o in range(1, len(t))]
         # i * n + j sorts as the pair (i, j) does, since j < n; a sort and an
         # adjacent-difference mask give np.unique's array without its hashing
-        keys = np.sort(pairs[:, 0] * self.n_nodes + pairs[:, 1])
+        keys = np.sort(np.concatenate(keys, axis=None))
         keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-        pairs = np.column_stack(np.divmod(keys, self.n_nodes))
+        pairs = np.empty((len(keys), 2), dtype=keys.dtype)
+        np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
         pairs.setflags(write=False)
         return pairs
 
@@ -356,42 +355,34 @@ def build_rectangle_grid(nx: int, ny: int, extents) -> Grid:
     if not (xmin < xmax and ymin < ymax):
         raise ValueError(f"degenerate extents {extents!r}")
 
-    xs = np.linspace(xmin, xmax, nx + 1)
-    ys = np.linspace(ymin, ymax, ny + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    gx, gy = np.meshgrid(np.linspace(xmin, xmax, nx + 1), np.linspace(ymin, ymax, ny + 1))
     nodes = np.column_stack([gx.ravel(), gy.ravel()])  # node = iy * (nx + 1) + ix
 
     elements = _structured_elements((ny, nx))
 
-    p0 = nodes[elements[:, 0]]
-    p1 = nodes[elements[:, 1]]
-    p2 = nodes[elements[:, 2]]
-    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (
-        p1[:, 1] - p0[:, 1]
-    )
-    volume = 0.5 * np.abs(det)
+    # per local node, its x and y over the elements, element 2k + e from
+    # corner _CORNERS[2][e] of cell k: slices of the node grids, not gathers
+    under = [[_under(c, (ny, nx)) for c in local] for local in zip(*_CORNERS[2])]
+    x, y = ([np.stack([g[c] for c in local], axis=-1).ravel() for local in under] for g in (gx, gy))
+    det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
 
     # P1 hat gradients: grad(phi_i) = rot90(edge opposite to i) / (2 * area)
     coeffs = np.empty((len(elements), 3, 2))
     for local, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        pj = nodes[elements[:, j]]
-        pk = nodes[elements[:, k]]
-        coeffs[:, local, 0] = (pj[:, 1] - pk[:, 1]) / det
-        coeffs[:, local, 1] = (pk[:, 0] - pj[:, 0]) / det
+        coeffs[:, local, 0] = (y[j] - y[k]) / det
+        coeffs[:, local, 1] = (x[k] - x[j]) / det
 
-    iy_all, ix_all = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
-    on_boundary = (ix_all == 0) | (ix_all == nx) | (iy_all == 0) | (iy_all == ny)
-    boundary = np.flatnonzero(on_boundary)
-    interior = np.flatnonzero(~on_boundary)
+    interior = np.zeros((ny + 1, nx + 1), dtype=bool)
+    interior[1:-1, 1:-1] = True
 
     return Grid(
         dimension=2,
         nodes=_frozen_array(nodes),
         elements=_frozen_array(elements, dtype=int),
-        element_volume=_frozen_array(volume),
+        element_volume=_frozen_array(0.5 * np.abs(det)),
         element_grad_coeffs=_frozen_array(coeffs),
-        boundary_nodes=_frozen_array(boundary, dtype=int),
-        interior_nodes=_frozen_array(interior, dtype=int),
+        boundary_nodes=_frozen_array(np.flatnonzero(~interior), dtype=int),
+        interior_nodes=_frozen_array(np.flatnonzero(interior), dtype=int),
     )
 
 

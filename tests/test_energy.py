@@ -242,23 +242,26 @@ def reversed_elements(grid):
      reversed_elements(build_rectangle_grid(4, 3, (0.0, 1.0, 0.0, 1.0)))],
 )
 def test_evaluation_plan_holds_only_read_only_arrays(grid):
-    a = np.linspace(-1.0, 1.0, grid.n_nodes)
-    ps = ProblemSpec(
-        grid,
-        DiffusionSpec("saturating", p=1.5),
-        ReactionSpec("pure_subhomogeneous", q=1.2, a=a, negative_extension="odd"),
-        "natural",
-    )
-    values = np.cos(3.0 * grid.nodes[:, 0])
-    first = (energy_total(ps, values), *ps.plan.gradient(values, curvature=True))
-    for owner in (ps.plan, ps.plan.assembly):
-        arrays = [arr for v in vars(owner).values() for arr in arrays_in(v)]
-        assert arrays and not any(arr.flags.writeable for arr in arrays)
-    assert a.flags.writeable  # the caller's coefficient array is left alone
-    second = (energy_total(ps, values), *ps.plan.gradient(values, curvature=True))
-    assert first[0] == second[0]
-    for x, y in zip(first[1:], second[1:]):
-        np.testing.assert_array_equal(x, y)
+    # the second, w = 1 and p = 2, holds K's edge bands
+    for diffusion in (DiffusionSpec("saturating", p=1.5), DiffusionSpec("constant", p=2.0)):
+        a = np.linspace(-1.0, 1.0, grid.n_nodes)
+        ps = ProblemSpec(
+            grid,
+            diffusion,
+            ReactionSpec("pure_subhomogeneous", q=1.2, a=a, negative_extension="odd"),
+            "natural",
+        )
+        values = np.cos(3.0 * grid.nodes[:, 0])
+        first = (energy_total(ps, values), *ps.plan.gradient(values, curvature=True))
+        assert (ps.plan.stiffness is not None) == (diffusion.p == 2.0)
+        for owner in (ps.plan, ps.plan.assembly):
+            arrays = [arr for v in vars(owner).values() for arr in arrays_in(v)]
+            assert arrays and not any(arr.flags.writeable for arr in arrays)
+        assert a.flags.writeable  # the caller's coefficient array is left alone
+        second = (energy_total(ps, values), *ps.plan.gradient(values, curvature=True))
+        assert first[0] == second[0]
+        for x, y in zip(first[1:], second[1:]):
+            np.testing.assert_array_equal(x, y)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

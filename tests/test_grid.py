@@ -227,17 +227,20 @@ def loop_rectangle_grid(nx, ny, extents):
                 np.array(interior))
 
 
-@pytest.mark.parametrize("nx,ny", [(2, 2), (7, 5), (3, 8)])
+@pytest.mark.parametrize("nx,ny", [(2, 2), (7, 5), (3, 8), (64, 64)])
 def test_rectangle_grid_equals_loop_reference(nx, ny):
-    extents = (-0.3, 1.1, 0.0, 0.7)
-    built, expected = build_rectangle_grid(nx, ny, extents), loop_rectangle_grid(nx, ny, extents)
-    for field in dataclasses.fields(Grid):
-        mine, theirs = getattr(built, field.name), getattr(expected, field.name)
-        if isinstance(mine, np.ndarray):
-            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
-            assert mine.tobytes() == theirs.tobytes(), field.name
-        else:
-            assert mine == theirs
+    """The builder takes element corners from slices of the node grid; the
+    reference gathers them by node index (``triangle_tables``), bit for bit."""
+    for extents in ((-0.3, 1.1, 0.0, 0.7), (-7.25, -1.5, -0.2, 3.3), (0.0, 1.0, 0.0, 1.0)):
+        built = build_rectangle_grid(nx, ny, extents)
+        expected = loop_rectangle_grid(nx, ny, extents)
+        for field in dataclasses.fields(Grid):
+            mine, theirs = getattr(built, field.name), getattr(expected, field.name)
+            if isinstance(mine, np.ndarray):
+                assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
+                assert mine.tobytes() == theirs.tobytes(), field.name
+            else:
+                assert mine == theirs
 
 
 @pytest.mark.parametrize(

@@ -919,3 +919,113 @@ def test_energy_preconditioner_matches_a_sparse_direct_solve(mesh, boundary):
     mine = stiffness.direction(g, tolerance=1e-13)
     assert np.abs(mine - expected).max() <= 1e-9 * np.abs(expected).max()
     np.testing.assert_allclose(stiffness.metric(mine), g, rtol=0, atol=1e-9 * np.abs(g).max())
+
+
+# ---- edge bands built once per problem (w = 1, p = 2) or shared per iteration
+
+
+BAND_MESHES = {
+    "interval": lambda: build_interval_grid(64, 0.0, 1.0),
+    "rectangle": lambda: build_rectangle_grid(12, 10, (0.0, 1.0, 0.0, 0.8)),
+}
+
+
+def band_problem(grid, diffusion, boundary="dirichlet_zero"):
+    a = 1.0 + 0.5 * np.sin(3.0 * grid.nodes[:, 0])
+    return ProblemSpec(grid, diffusion, ReactionSpec("pure_subhomogeneous", q=1.2, a=a), boundary)
+
+
+def count_edge_bands(monkeypatch) -> list:
+    calls, original = [], ElementAssembly.edge_bands
+
+    def counting(self, scale):
+        calls.append(len(scale))
+        return original(self, scale)
+
+    monkeypatch.setattr(ElementAssembly, "edge_bands", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mesh", list(BAND_MESHES))
+def test_p2_constant_solves_build_the_stiffness_bands_once_per_problem(mesh, monkeypatch):
+    grid = BAND_MESHES[mesh]()
+    calls = count_edge_bands(monkeypatch)
+    result = multi_start(band_problem(grid, DiffusionSpec("constant", p=2.0)), 3)
+    assert all(r.converged and r.iterations > 2 for r in result.reports)
+    assert len(calls) == 1
+    calls.clear()
+    report = first_eigenvalue(grid, 2.0)
+    assert report.converged and report.iterations > 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "diffusion", [DiffusionSpec("constant", p=3.0), DiffusionSpec("power_shift", p=2.0, r=3.0)],
+    ids=["constant-p3", "power_shift-p2"],
+)
+@pytest.mark.parametrize("mesh", list(BAND_MESHES))
+def test_other_solves_build_edge_bands_per_iteration(mesh, diffusion, monkeypatch):
+    grid = BAND_MESHES[mesh]()
+    calls = count_edge_bands(monkeypatch)
+    report = minimize(band_problem(grid, diffusion), random_start(band_problem(grid, diffusion), 1))
+    assert report.converged and report.iterations > 2
+    # one gradient per iteration and one at the end; twice where P's weights
+    # are not the flux's (a norm below the floor, at p != 2)
+    assert report.iterations + 1 <= len(calls) <= 2 * (report.iterations + 1)
+    if diffusion.p == 2.0:
+        assert len(calls) == report.iterations + 1
+
+
+def flux_as_built_per_call(plan, values, norms):
+    """The energy's flux with its own edge bands, from the element weights
+    volume * w |grad u|^(p-2) (the p < 2 floor 1e-10)."""
+    p = plan.p
+    weight = (np.maximum(norms, 1e-10) if p < 2 else norms) ** (p - 2.0)
+    if plan.weight is not None:
+        weight = plan.weight(norms**p) * weight
+    return plan.assembly.band_product(plan.assembly.edge_bands(plan.volume * weight), values)
+
+
+@pytest.mark.parametrize("field", ["smooth", "flat"])
+@pytest.mark.parametrize(
+    "diffusion",
+    [DiffusionSpec("constant", p=2.0), DiffusionSpec("constant", p=3.0),
+     DiffusionSpec("saturating", p=3.0), DiffusionSpec("power_shift", p=2.0, r=3.0),
+     DiffusionSpec("constant", p=1.5)],
+    ids=lambda d: f"{d.family}-p{d.p}",
+)
+@pytest.mark.parametrize("mesh", list(BAND_MESHES))
+def test_shared_edge_bands_leave_the_gradient_and_p_bitwise(mesh, diffusion, field):
+    """Where the flux and P share bands (p = 2, or no gradient norm below
+    1e-6), the gradient and P's bands are the bits each builds on its own.
+    The flat field tilts a plateau by 1e-9: there the two weights differ, and
+    the flux's edge differences are not zero. Natural boundaries: a zero
+    Dirichlet rectangle has flat corner triangles."""
+    grid = BAND_MESHES[mesh]()
+    ps = band_problem(grid, diffusion, "natural")
+    plan = ps.plan
+    x, y = grid.nodes[:, 0], grid.nodes[:, -1]
+    values = 1.0 + np.sin(np.pi * x) + 0.3 * y
+    if field == "flat":
+        values = np.minimum(values, 1.8) + 1e-9 * x
+    norms = plan.gather(values)
+    assert (norms.min() < 1e-6) == (field == "flat") and norms.min() > 1e-10
+    flux = flux_as_built_per_call(plan, values, norms)
+    bands, _ = plan.shared_bands(norms)
+    assert (bands is not None) == (diffusion.p == 2.0 or field == "smooth")
+    for mine in (plan.diffusion_flux(values, norms), plan.diffusion_flux(values, norms, bands)):
+        assert mine.tobytes() == flux.tobytes()
+
+    expected = flux - plan.node_mass * plan.reaction.evaluate(plan.terms, values, "value")
+    own_bands = plan.assembly.edge_bands(plan.stiffness_weights(norms))
+    _, g, stiffness = _Energy(ps, values, project=True).gradient(values)
+    assert g.tobytes() == expected.tobytes()
+    assert [b.tobytes() for b in stiffness.bands] == [b.tobytes() for b in own_bands]
+    held = grid.dimension == 1 and plan.p == 2 and plan.weight is None
+    assert (stiffness.chain is not None) == held
+    unheld = WeightedStiffness(grid.assembly, plan.stiffness_weights(norms), stiffness.boundary,
+                               stiffness.shift)
+    assert stiffness.direction(g).tobytes() == unheld.direction(g).tobytes()
+    if diffusion.family == "constant":
+        _, _, stiffness = _Rayleigh(grid, diffusion.p).gradient(values)
+        assert [b.tobytes() for b in stiffness.bands] == [b.tobytes() for b in own_bands]
