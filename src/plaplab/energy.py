@@ -63,23 +63,10 @@ class DiffusionPlan:
         constant = diffusion.family == "constant"
         self.weight = None if constant else diffusion._weight
         self.weight_primitive = None if constant else diffusion._weight_primitive
-        # w = 1, p = 2: K's edge bands, read-only, and on interval chains band 0
-        # as the floats ``chain_solve`` takes, held for every iterate (``shared_bands``)
+        # w = 1, p = 2: K's edge bands, the same at every iterate, read-only
         self.stiffness = None
         if constant and self.p == 2.0:
-            bands = tuple(map(_frozen_array, self.assembly.edge_bands(self.volume)))
-            chain = len(self.assembly.cells or ()) == 1
-            self.stiffness = bands, tuple(bands[0].tolist()) if chain else None
-
-    def shared_bands(self, norms: np.ndarray) -> tuple:
-        """The edge bands of both the flux and P (``stiffness_weights``) at ``norms``, with
-        ``stiffness``'s floats when held (w = 1, p = 2), else (None, None). Their weights are
-        the same bits at p = 2 (volume * w * 1.0) or with no norm below either floor."""
-        if self.stiffness is not None:
-            return self.stiffness
-        if self.p == 2.0 or norms.min() >= STIFFNESS_GRAD_FLOOR:
-            return self.assembly.edge_bands(self.stiffness_weights(norms)), None
-        return None, None
+            self.stiffness = tuple(map(_frozen_array, self.assembly.edge_bands(self.volume)))
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Element gradient norms of a nodal field."""
@@ -93,24 +80,32 @@ class DiffusionPlan:
         norm_p /= self.p  # in place on the fresh array: same bits as norm_p / p
         return float(self.volume @ norm_p)
 
-    def diffusion_flux(self, values: np.ndarray, norms: np.ndarray, bands=None) -> np.ndarray:
+    def diffusion_flux(self, values: np.ndarray, norms: np.ndarray) -> np.ndarray:
         """Nodal gradient of the value: the weighted stiffness with element
-        weights volume * w |grad u|^(p-2), applied to ``values``. ``bands``, when
-        given, is ``shared_bands(norms)[0]``."""
+        weights volume * w |grad u|^(p-2), applied to ``values``."""
+        assembly, bands = self.assembly, self.stiffness
         if bands is None:
-            bands = self.shared_bands(norms)[0]
-        if bands is None:
-            floor = GRAD_WEIGHT_FLOOR if self.p < 2 else 0.0  # max(norms, 0) is norms
-            bands = self.assembly.edge_bands(self.stiffness_weights(norms, floor))
-        return self.assembly.band_product(bands, values)
+            p = self.p
+            weight = (np.maximum(norms, GRAD_WEIGHT_FLOOR) if p < 2 else norms) ** (p - 2.0)
+            if self.weight is not None:
+                weight = self.weight(norms**p) * weight
+            bands = assembly.edge_bands(self.volume * weight)
+        return assembly.band_product(bands, values)
 
-    def stiffness_weights(self, norms: np.ndarray, floor=STIFFNESS_GRAD_FLOOR) -> np.ndarray:
+    def stiffness_weights(self, norms: np.ndarray) -> np.ndarray:
         """Element weights of the weighted stiffness K_w at gradient norms ``norms``:
-        volume * w(|grad u|^p) * max(|grad u|, floor)^(p-2)."""
-        weight = np.maximum(norms, floor) ** (self.p - 2.0)
+        volume * w(|grad u|^p) * max(|grad u|, STIFFNESS_GRAD_FLOOR)^(p-2)."""
+        weight = np.maximum(norms, STIFFNESS_GRAD_FLOOR) ** (self.p - 2.0)
         if self.weight is not None:
             weight *= self.weight(norms**self.p)
         return self.volume * weight
+
+    def stiffness_bands(self, norms: np.ndarray) -> tuple:
+        """Edge bands of K_w at ``norms``: ``stiffness`` when held, else built
+        from ``stiffness_weights``."""
+        if self.stiffness is not None:
+            return self.stiffness
+        return self.assembly.edge_bands(self.stiffness_weights(norms))
 
 
 class EvaluationPlan(DiffusionPlan):
@@ -135,20 +130,21 @@ class EvaluationPlan(DiffusionPlan):
             -math.inf if math.isnan(reaction) else reaction,
         )
 
-    def gradient(self, values: np.ndarray, curvature: bool = False, norms=None, bands=None):
-        """Nodal energy gradient; with ``curvature``, also the parts of the descent's
-        preconditioner: ``stiffness_weights`` and the lumped m * max(-dg/dt, 0).
-        ``norms``, when given, is ``gather(values)``, and ``bands`` ``shared_bands(norms)[0]``."""
+    def gradient(self, values: np.ndarray, norms=None) -> np.ndarray:
+        """Nodal energy gradient; ``norms``, when given, is ``gather(values)``."""
         norms = self.gather(values) if norms is None else norms
-        out = self.diffusion_flux(values, norms, bands)
+        out = self.diffusion_flux(values, norms)
         out -= self.node_mass * self.reaction.evaluate(self.terms, values, "value")
         if self.frozen is not None:
             out[self.frozen] = 0.0
-        if not curvature:
-            return out
+        return out
+
+    def reaction_curvature(self, values: np.ndarray) -> np.ndarray:
+        """The lumped positive reaction curvature m * max(-dg/dt, 0), the
+        descent preconditioner's nodal shift."""
         floored = np.maximum(np.abs(values), CURVATURE_VALUE_FLOOR)
         slope = power_sum(self.terms["derivative"], floored)
-        return out, self.stiffness_weights(norms), self.node_mass * np.maximum(-slope, 0.0)
+        return self.node_mass * np.maximum(-slope, 0.0)
 
 
 def check_admissible(ps: ProblemSpec, values: np.ndarray) -> None:
@@ -186,15 +182,13 @@ def energy(ps: ProblemSpec, u: ScalarField) -> EnergyBreakdown:
     return EnergyBreakdown(diffusion, reaction, diffusion - reaction)
 
 
-def energy_grad_values(ps: ProblemSpec, values: np.ndarray, curvature: bool = False,
-                       norms=None, bands=None):
-    """Nodal partial derivatives of the discrete energy (and, with ``curvature``,
-    the preconditioner parts of ``EvaluationPlan.gradient``); ``norms``, when
-    given, is ``ps.plan.gather(values)``, and ``bands`` ``ps.plan.shared_bands(norms)[0]``.
+def energy_grad_values(ps: ProblemSpec, values: np.ndarray, norms=None) -> np.ndarray:
+    """Nodal partial derivatives of the discrete energy; ``norms``, when given,
+    is ``ps.plan.gather(values)``.
 
     Dirichlet boundary entries are forced to zero (frozen degrees of freedom).
     """
-    return ps.plan.gradient(values, curvature, norms, bands)
+    return ps.plan.gradient(values, norms)
 
 
 def energy_grad(ps: ProblemSpec, u: ScalarField) -> ScalarField:

@@ -17,7 +17,7 @@ step's reach at half the iterate's sup norm, and owns projection at zero and
 the divergence diagnosis. ``_Rayleigh`` is the Rayleigh quotient; it owns the
 renormalization of every accepted iterate to unit lumped p-norm. Both share
 ``energy.DiffusionPlan``'s flux kernel, its p < 2 weight floor and its
-stiffness weights and shared edge bands.
+stiffness weights and bands.
 
 Runs are deterministic: identical problem, options, and seed reproduce the
 iterate sequence bitwise (sequential execution, per-start seeded generators).
@@ -212,12 +212,12 @@ class _Energy:
     def gradient(self, u: np.ndarray):
         plan, (point, norms) = self.ps.plan, self.evaluated
         norms = norms if point is u else plan.gather(u)
-        shared = plan.shared_bands(norms)
-        g, weights, shift = energy_grad_values(self.ps, u, True, norms, shared[0])
+        g = energy_grad_values(self.ps, u, norms)
+        shift = plan.reaction_curvature(u)
         if self.mass_shift is not None:
             shift += self.mass_shift
-        stiffness = WeightedStiffness(plan.assembly, weights, self.boundary, shift, *shared)
-        return self.current, g, stiffness
+        bands = plan.stiffness_bands(norms)
+        return self.current, g, WeightedStiffness(plan.assembly, bands, self.boundary, shift)
 
     def accepted(self, u: np.ndarray, value: float):
         self.current = value
@@ -387,7 +387,7 @@ def chain_solve(bands: list, rhs: list, shift: list | None = None, natural: bool
     right-hand side forward and the solution back, in one backward loop.
     Python floats throughout: a loop over lists beats NumPy per-element calls.
     """
-    a, s = ([*bands, 0.0], 0.0) if natural else (bands[1:], bands[0])
+    a, s = (bands + [0.0], 0.0) if natural else (bands[1:], bands[0])
     d = [0.0] * len(a) if shift is None else shift if natural else shift[1:-1]
     scaled, ratios = [], []
     carry = 0.0
@@ -419,18 +419,15 @@ class WeightedStiffness:
     intervals (``assembly.cells`` one-dimensional), else by matrix-free
     conjugate gradients preconditioned with P's diagonal, stopped at relative
     residual ``tolerance``, in buffers allocated once per call. ``metric`` is
-    the product. The sweep's bands, the product and the diagonal all come
-    from the edge weights ``assembly.edge_bands(weights)``, built once per P
-    unless given as ``bands`` (with ``chain``, band 0 as floats, when held).
+    the product. The sweep, the product and the diagonal all read ``bands``,
+    the edge bands ``assembly.edge_bands`` builds from the element weights.
     """
 
-    def __init__(self, assembly, weights: np.ndarray, boundary: np.ndarray, shift=None,
-                 bands=None, chain=None):
+    def __init__(self, assembly, bands, boundary: np.ndarray, shift=None):
         self.assembly = assembly
         self.boundary = boundary
         self.shift = shift
-        self.bands = assembly.edge_bands(weights) if bands is None else bands
-        self.chain = chain
+        self.bands = bands
 
     def metric(self, s: np.ndarray, out=None, work=None) -> np.ndarray:
         out = self.assembly.band_product(self.bands, s, out, work)
@@ -443,8 +440,7 @@ class WeightedStiffness:
         cells, bands, shift = self.assembly.cells, self.bands, self.shift
         if cells is not None and len(cells) == 1:
             shift = None if shift is None else shift.tolist()
-            chain = bands[0].tolist() if self.chain is None else self.chain
-            return np.array(chain_solve(chain, g.tolist(), shift, not len(self.boundary)))
+            return np.array(chain_solve(bands[0].tolist(), g.tolist(), shift, not len(self.boundary)))
         diagonal = self.assembly.band_diagonal(bands)
         if shift is not None:
             diagonal += shift
@@ -506,17 +502,15 @@ class _Rayleigh:
     def gradient(self, u: np.ndarray):
         grid, p, plan = self.grid, self.p, self.plan
         norms = plan.gather(u)
-        shared = plan.shared_bands(norms)
-        flux = plan.diffusion_flux(u, norms, shared[0])
+        flux = plan.diffusion_flux(u, norms)
         magnitude = np.abs(u)
         mass = float(grid.node_mass @ magnitude**p) / p
         rayleigh = plan.diffusion_value(norms) / mass
         mass_grad = grid.node_mass * np.sign(u) * magnitude ** (p - 1.0)
         g = (flux - rayleigh * mass_grad) / mass
         g[grid.boundary_nodes] = 0.0
-        weights = plan.stiffness_weights(norms)
-        stiffness = WeightedStiffness(plan.assembly, weights, grid.boundary_nodes, None, *shared)
-        return rayleigh, g, stiffness
+        bands = plan.stiffness_bands(norms)
+        return rayleigh, g, WeightedStiffness(plan.assembly, bands, grid.boundary_nodes)
 
     def accepted(self, u: np.ndarray, value: float):
         return u / self.mass ** (1.0 / self.p), None

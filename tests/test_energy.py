@@ -221,6 +221,12 @@ def test_residual_norm_rejects_boundary_violation():
         residual_norm(ps, ScalarField.constant(ps.grid, 1.0))
 
 
+def preconditioner_parts(plan, values):
+    """The gradient and the parts of the descent's preconditioner the plan computes."""
+    return plan.gradient(values), plan.stiffness_weights(plan.gather(values)), \
+        plan.reaction_curvature(values)
+
+
 def arrays_in(value):
     """The arrays in an attribute value, looking into (nested) tuples."""
     if isinstance(value, np.ndarray):
@@ -252,13 +258,13 @@ def test_evaluation_plan_holds_only_read_only_arrays(grid):
             "natural",
         )
         values = np.cos(3.0 * grid.nodes[:, 0])
-        first = (energy_total(ps, values), *ps.plan.gradient(values, curvature=True))
+        first = (energy_total(ps, values), *preconditioner_parts(ps.plan, values))
         assert (ps.plan.stiffness is not None) == (diffusion.p == 2.0)
         for owner in (ps.plan, ps.plan.assembly):
             arrays = [arr for v in vars(owner).values() for arr in arrays_in(v)]
             assert arrays and not any(arr.flags.writeable for arr in arrays)
         assert a.flags.writeable  # the caller's coefficient array is left alone
-        second = (energy_total(ps, values), *ps.plan.gradient(values, curvature=True))
+        second = (energy_total(ps, values), *preconditioner_parts(ps.plan, values))
         assert first[0] == second[0]
         for x, y in zip(first[1:], second[1:]):
             np.testing.assert_array_equal(x, y)
@@ -275,7 +281,7 @@ def test_problem_and_grid_are_freed_without_the_cycle_collector(dimension):
         ps = ProblemSpec(grid, DiffusionSpec("constant", p=2.0),
                          ReactionSpec("pure_subhomogeneous", q=1.5), "natural")
         energy_total(ps, np.ones(grid.n_nodes))
-        ps.plan.gradient(np.ones(grid.n_nodes), curvature=True)
+        preconditioner_parts(ps.plan, np.ones(grid.n_nodes))
         refs = (weakref.ref(ps), weakref.ref(grid))
         del ps, grid
         assert all(ref() is None for ref in refs)

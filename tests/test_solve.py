@@ -13,6 +13,7 @@ from plaplab.energy import residual_norm
 from plaplab.grid import ElementAssembly, ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import (
+    NATURAL_MASS_SHIFT,
     SolveOptions,
     WeightedStiffness,
     _descent,
@@ -667,7 +668,8 @@ def stiffness_on(grid, natural, seed=0):
     weights = 10.0 ** rng.uniform(-8.0, 8.0, grid.n_elements)
     shift = rng.uniform(0.0, 1.0, grid.n_nodes)
     boundary = np.empty(0, dtype=int) if natural else grid.boundary_nodes
-    return WeightedStiffness(grid.assembly, weights, boundary, shift), weights
+    bands = grid.assembly.edge_bands(weights)
+    return WeightedStiffness(grid.assembly, bands, boundary, shift), weights
 
 
 @pytest.mark.parametrize("natural", [False, True], ids=["dirichlet", "natural"])
@@ -897,7 +899,7 @@ def energy_preconditioner(ps, seed=3):
     2e-8, where a dead core's reaction curvature is large."""
     values = 1e-8 * random_start(ps, seed).values
     _, g, stiffness = _Energy(ps, values, project=True).gradient(values)
-    return g, stiffness, ps.plan.gradient(values, curvature=True)[1]
+    return g, stiffness, ps.plan.stiffness_weights(ps.plan.gather(values))
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet_zero", "natural"])
@@ -969,11 +971,8 @@ def test_other_solves_build_edge_bands_per_iteration(mesh, diffusion, monkeypatc
     calls = count_edge_bands(monkeypatch)
     report = minimize(band_problem(grid, diffusion), random_start(band_problem(grid, diffusion), 1))
     assert report.converged and report.iterations > 2
-    # one gradient per iteration and one at the end; twice where P's weights
-    # are not the flux's (a norm below the floor, at p != 2)
-    assert report.iterations + 1 <= len(calls) <= 2 * (report.iterations + 1)
-    if diffusion.p == 2.0:
-        assert len(calls) == report.iterations + 1
+    # the flux's and P's, at one gradient per iteration and one at the end
+    assert len(calls) == 2 * (report.iterations + 1)
 
 
 def flux_as_built_per_call(plan, values, norms):
@@ -995,12 +994,12 @@ def flux_as_built_per_call(plan, values, norms):
     ids=lambda d: f"{d.family}-p{d.p}",
 )
 @pytest.mark.parametrize("mesh", list(BAND_MESHES))
-def test_shared_edge_bands_leave_the_gradient_and_p_bitwise(mesh, diffusion, field):
-    """Where the flux and P share bands (p = 2, or no gradient norm below
-    1e-6), the gradient and P's bands are the bits each builds on its own.
-    The flat field tilts a plateau by 1e-9: there the two weights differ, and
-    the flux's edge differences are not zero. Natural boundaries: a zero
-    Dirichlet rectangle has flat corner triangles."""
+def test_held_edge_bands_leave_the_gradient_and_p_bitwise(mesh, diffusion, field):
+    """Held (w = 1, p = 2) or not, the gradient and P's bands and shift are the
+    bits built per call from their own formulas. The flat field tilts a
+    plateau by 1e-9: there the flux's and P's weights differ, and the flux's
+    edge differences are not zero. Natural boundaries: a zero Dirichlet
+    rectangle has flat corner triangles."""
     grid = BAND_MESHES[mesh]()
     ps = band_problem(grid, diffusion, "natural")
     plan = ps.plan
@@ -1010,22 +1009,17 @@ def test_shared_edge_bands_leave_the_gradient_and_p_bitwise(mesh, diffusion, fie
         values = np.minimum(values, 1.8) + 1e-9 * x
     norms = plan.gather(values)
     assert (norms.min() < 1e-6) == (field == "flat") and norms.min() > 1e-10
+    assert (plan.stiffness is not None) == (diffusion.p == 2.0 and plan.weight is None)
     flux = flux_as_built_per_call(plan, values, norms)
-    bands, _ = plan.shared_bands(norms)
-    assert (bands is not None) == (diffusion.p == 2.0 or field == "smooth")
-    for mine in (plan.diffusion_flux(values, norms), plan.diffusion_flux(values, norms, bands)):
-        assert mine.tobytes() == flux.tobytes()
+    assert plan.diffusion_flux(values, norms).tobytes() == flux.tobytes()
 
     expected = flux - plan.node_mass * plan.reaction.evaluate(plan.terms, values, "value")
     own_bands = plan.assembly.edge_bands(plan.stiffness_weights(norms))
     _, g, stiffness = _Energy(ps, values, project=True).gradient(values)
     assert g.tobytes() == expected.tobytes()
     assert [b.tobytes() for b in stiffness.bands] == [b.tobytes() for b in own_bands]
-    held = grid.dimension == 1 and plan.p == 2 and plan.weight is None
-    assert (stiffness.chain is not None) == held
-    unheld = WeightedStiffness(grid.assembly, plan.stiffness_weights(norms), stiffness.boundary,
-                               stiffness.shift)
-    assert stiffness.direction(g).tobytes() == unheld.direction(g).tobytes()
+    shift = plan.reaction_curvature(values) + NATURAL_MASS_SHIFT * grid.node_mass
+    assert stiffness.shift.tobytes() == shift.tobytes()
     if diffusion.family == "constant":
         _, _, stiffness = _Rayleigh(grid, diffusion.p).gradient(values)
         assert [b.tobytes() for b in stiffness.bands] == [b.tobytes() for b in own_bands]
