@@ -76,8 +76,7 @@ def classify_cone(
         raise ValueError("field and problem live on different grids")
     grid = ps.grid
     vals = u.values
-    relevant = grid.interior_nodes if ps.is_dirichlet else np.arange(grid.n_nodes)
-    positivity_margin = float(vals[relevant].min())
+    positivity_margin = float(vals[ps.free_nodes].min())
 
     normal_margin = None
     if ps.is_dirichlet:

@@ -23,7 +23,7 @@ from .config import BUILTIN_SCENARIOS, ScenarioConfig, load_config
 from .errors import BoundaryViolationError, ConfigError, InvariantViolation, PlapLabError
 from .grid import ScalarField
 from .model import audit_diffusion, audit_growth, audit_subhomogeneity, default_audit_samples
-from .paths import check_endpoints, path_energy_profile, midpoint_energy_test, reaction_pullback_concavity
+from .paths import path_energy_profile, midpoint_energy_test, reaction_pullback_concavity
 from .solve import (
     STATUS_NOT_BOUNDED_BELOW,
     SolveReport,
@@ -80,8 +80,7 @@ def _initial_field(config: ScenarioConfig, ps, seed: int) -> ScalarField:
     if config.init_spec == "random":
         return random_start(ps, seed)
     init = np.array(_load_field(config.init_spec, ps).values)
-    if ps.is_dirichlet:
-        init[ps.grid.boundary_nodes] = 0.0
+    init[ps.held_nodes] = 0.0
     return ScalarField(ps.grid, init)
 
 
@@ -230,11 +229,11 @@ def _cmd_path(config: ScenarioConfig, out: Path, u_source, v_source, say) -> int
     ps = config.build_problem()
     u = _load_field(u_source, ps)
     v = _load_field(v_source, ps)
-    try:
-        check_endpoints(u, v, ps)
+    try:  # both check the endpoints and raise on overflowing energies
+        diag = path_energy_profile(ps, u, v, config.path_q, config.path_samples)
+        mid = midpoint_energy_test(ps, u, v, config.path_q)
     except (ValueError, BoundaryViolationError) as exc:
         raise ConfigError(f"path endpoints: {exc}") from exc
-    diag = path_energy_profile(ps, u, v, config.path_q, config.path_samples)
     columns = {
         "t": diag.t_samples,
         "diffusion_energy": diag.diffusion_energy,
@@ -254,7 +253,6 @@ def _cmd_path(config: ScenarioConfig, out: Path, u_source, v_source, say) -> int
         "witness_t": "" if witness is None else ";".join(_fmt(t) for t in witness),
     }
     _write_csv(out / "path_summary.csv", [summary])
-    mid = midpoint_energy_test(ps, u, v, config.path_q)
     flags = []
     if diag.degenerate_constant_pair:
         flags.append("degenerate (constants)")

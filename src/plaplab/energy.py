@@ -5,9 +5,9 @@ The energy of a nodal field u is
     sum_elements  volume * (1/p) * W(|grad u|^p)   -   sum_nodes  m_i * G(x_i, u_i)
 
 where W is the diffusion primitive and G the reaction primitive, with lumped
-node masses m_i. Dirichlet problems freeze the boundary entries: fields must
-vanish there and the gradient is zeroed there, which keeps energy values
-exactly comparable across iterates (no penalty terms).
+node masses m_i. Fields must vanish on ``ProblemSpec.held_nodes`` (a Dirichlet
+problem's boundary) and the gradient is zeroed there, which keeps energy
+values exactly comparable across iterates (no penalty terms).
 
 Overflowing evaluations are reported as infinities rather than raised, so a
 line search can treat them as rejected steps.
@@ -80,32 +80,28 @@ class DiffusionPlan:
         norm_p /= self.p  # in place on the fresh array: same bits as norm_p / p
         return float(self.volume @ norm_p)
 
-    def diffusion_flux(self, values: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        """Nodal gradient of the value: the weighted stiffness with element
-        weights volume * w |grad u|^(p-2), applied to ``values``."""
-        assembly, bands = self.assembly, self.stiffness
-        if bands is None:
-            p = self.p
-            weight = (np.maximum(norms, GRAD_WEIGHT_FLOOR) if p < 2 else norms) ** (p - 2.0)
-            if self.weight is not None:
-                weight = self.weight(norms**p) * weight
-            bands = assembly.edge_bands(self.volume * weight)
-        return assembly.band_product(bands, values)
-
-    def stiffness_weights(self, norms: np.ndarray) -> np.ndarray:
-        """Element weights of the weighted stiffness K_w at gradient norms ``norms``:
-        volume * w(|grad u|^p) * max(|grad u|, STIFFNESS_GRAD_FLOOR)^(p-2)."""
-        weight = np.maximum(norms, STIFFNESS_GRAD_FLOOR) ** (self.p - 2.0)
+    def _element_weights(self, norms: np.ndarray, floor: float) -> np.ndarray:
+        """volume * w(|grad u|^p) * max(|grad u|, floor)^(p-2) at gradient norms ``norms``."""
+        weight = np.maximum(norms, floor) ** (self.p - 2.0)
         if self.weight is not None:
             weight *= self.weight(norms**self.p)
         return self.volume * weight
 
+    def diffusion_flux(self, values: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """Nodal gradient of the value: the weighted stiffness with element weights
+        volume * w |grad u|^(p-2), |grad u| floored for p < 2, applied to ``values``."""
+        floor = GRAD_WEIGHT_FLOOR if self.p < 2 else 0.0
+        bands = self.stiffness or self.assembly.edge_bands(self._element_weights(norms, floor))
+        return self.assembly.band_product(bands, values)
+
+    def stiffness_weights(self, norms: np.ndarray) -> np.ndarray:
+        """Element weights of the weighted stiffness K_w at gradient norms ``norms``:
+        volume * w(|grad u|^p) * max(|grad u|, STIFFNESS_GRAD_FLOOR)^(p-2)."""
+        return self._element_weights(norms, STIFFNESS_GRAD_FLOOR)
+
     def stiffness_bands(self, norms: np.ndarray) -> tuple:
-        """Edge bands of K_w at ``norms``: ``stiffness`` when held, else built
-        from ``stiffness_weights``."""
-        if self.stiffness is not None:
-            return self.stiffness
-        return self.assembly.edge_bands(self.stiffness_weights(norms))
+        """Edge bands of K_w at ``norms``: ``stiffness`` when held, else built from its weights."""
+        return self.stiffness or self.assembly.edge_bands(self.stiffness_weights(norms))
 
 
 class EvaluationPlan(DiffusionPlan):
@@ -114,7 +110,7 @@ class EvaluationPlan(DiffusionPlan):
     def __init__(self, ps: ProblemSpec):
         super().__init__(ps.grid, ps.diffusion)
         self.node_mass = ps.grid.node_mass
-        self.frozen = ps.grid.boundary_nodes if ps.is_dirichlet else None
+        self.held = ps.held_nodes
         self.reaction = ps.reaction
         self.terms = ps.reaction.terms(*ps.nodal_coefficients)
 
@@ -131,12 +127,11 @@ class EvaluationPlan(DiffusionPlan):
         )
 
     def gradient(self, values: np.ndarray, norms=None) -> np.ndarray:
-        """Nodal energy gradient; ``norms``, when given, is ``gather(values)``."""
+        """Nodal energy gradient, zero on ``held``; ``norms``, when given, is ``gather(values)``."""
         norms = self.gather(values) if norms is None else norms
         out = self.diffusion_flux(values, norms)
         out -= self.node_mass * self.reaction.evaluate(self.terms, values, "value")
-        if self.frozen is not None:
-            out[self.frozen] = 0.0
+        out[self.held] = 0.0
         return out
 
     def reaction_curvature(self, values: np.ndarray) -> np.ndarray:
@@ -148,13 +143,11 @@ class EvaluationPlan(DiffusionPlan):
 
 
 def check_admissible(ps: ProblemSpec, values: np.ndarray) -> None:
-    if ps.is_dirichlet:
-        worst = np.max(np.abs(values[ps.grid.boundary_nodes]), initial=0.0)
-        if worst > BOUNDARY_TOL:
-            raise BoundaryViolationError(
-                f"field has boundary values up to {worst:.3e} under a "
-                "zero-Dirichlet condition"
-            )
+    worst = np.max(np.abs(values[ps.held_nodes]), initial=0.0)
+    if worst > BOUNDARY_TOL:
+        raise BoundaryViolationError(
+            f"field has boundary values up to {worst:.3e} under a zero-Dirichlet condition"
+        )
 
 
 def _admissible_values(ps: ProblemSpec, u: ScalarField) -> np.ndarray:
@@ -186,7 +179,7 @@ def energy_grad_values(ps: ProblemSpec, values: np.ndarray, norms=None) -> np.nd
     """Nodal partial derivatives of the discrete energy; ``norms``, when given,
     is ``ps.plan.gather(values)``.
 
-    Dirichlet boundary entries are forced to zero (frozen degrees of freedom).
+    Entries on the held nodes are forced to zero (frozen degrees of freedom).
     """
     return ps.plan.gradient(values, norms)
 
@@ -195,7 +188,12 @@ def energy_grad(ps: ProblemSpec, u: ScalarField) -> ScalarField:
     return ScalarField(ps.grid, energy_grad_values(ps, _admissible_values(ps, u)))
 
 
+def stationarity_residual(g: np.ndarray, free) -> float:
+    """The descent's stopping residual: |g on ``free``| / sqrt(node count)."""
+    g_free = g[free]
+    return math.sqrt(g_free @ g_free) / math.sqrt(len(g))
+
+
 def residual_norm(ps: ProblemSpec, u: ScalarField) -> float:
-    """Euclidean norm of the free-node gradient, scaled by 1/sqrt(node count)."""
-    g = energy_grad_values(ps, _admissible_values(ps, u))
-    return float(np.linalg.norm(g[ps.free_nodes]) / np.sqrt(ps.grid.n_nodes))
+    """``stationarity_residual`` of the energy gradient on the free nodes."""
+    return stationarity_residual(energy_grad_values(ps, _admissible_values(ps, u)), ps.free_nodes)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, ScalarField
+from .grid import Grid, ScalarField, _frozen_array
 
 DIFFUSION_FAMILIES = ("constant", "power_shift", "saturating")
 NEGATIVE_EXTENSIONS = ("zero", "odd", "none")
@@ -275,10 +275,13 @@ class ProblemSpec:
         return self.boundary == "dirichlet_zero"
 
     @cached_property
+    def held_nodes(self) -> np.ndarray:
+        """The nodes held at zero, read-only: the Dirichlet boundary, or none."""
+        return self.grid.boundary_nodes if self.is_dirichlet else _frozen_array((), dtype=int)
+
+    @cached_property
     def free_nodes(self) -> np.ndarray:
-        if self.is_dirichlet:
-            return self.grid.interior_nodes
-        return np.arange(self.grid.n_nodes)
+        return self.grid.interior_nodes if self.is_dirichlet else np.arange(self.grid.n_nodes)
 
     @cached_property
     def nodal_coefficients(self) -> tuple[np.ndarray, np.ndarray]:

@@ -177,7 +177,7 @@ def path_energy_profile(
     reaction passes the subhomogeneity audit at q, the discrete total energy
     is exactly convex along the path; a second difference below -1e-10 then
     raises ``InvariantViolation``. Otherwise convexity is reported, not
-    asserted.
+    asserted. Energies that overflow float64 raise ``ValueError``.
     """
     check_endpoints(u, v, ps)
     if n_samples < 3:
@@ -198,6 +198,8 @@ def path_energy_profile(
         excess = _excess(gamma[j] - gamma[i], du, dv, ps.diffusion.p, t)
         max_violation = max(max_violation, float(excess.max()))
 
+    if not np.isfinite(total).all():  # finite only where both parts are; nan passes sign tests
+        raise ValueError("path energies overflow float64 on these endpoints")
     d2_D = diffusion[:-2] - 2.0 * diffusion[1:-1] + diffusion[2:]
     d2_I = total[:-2] - 2.0 * total[1:-1] + total[2:]
     min_d2_D = float(d2_D.min())
@@ -248,7 +250,7 @@ def midpoint_energy_test(
     """Gap between the average endpoint energy and the energy at the midpoint.
 
     A strictly positive gap at two equal-energy global-minimizer candidates is
-    a contradiction: both cannot be global minimizers.
+    a contradiction: both cannot be global minimizers. Overflowing energies raise ``ValueError``.
     """
     check_endpoints(u, v, ps)
     mid = power_path_values(u.values, v.values, q, 0.5)
@@ -256,6 +258,8 @@ def midpoint_energy_test(
     e_v = energy_parts(ps, v.values)
     e_m = energy_parts(ps, mid)
     gap = 0.5 * ((e_u[0] - e_u[1]) + (e_v[0] - e_v[1])) - (e_m[0] - e_m[1])
+    if not np.isfinite(gap):
+        raise ValueError("path energies overflow float64 on these endpoints")
     if gap > tol:
         verdict = "strict"
     elif gap < -tol:

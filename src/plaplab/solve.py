@@ -35,6 +35,7 @@ from .energy import (
     energy_grad_values,
     energy_parts,
     energy_total,
+    stationarity_residual,
 )
 from .grid import Grid, ScalarField
 from .model import DiffusionSpec, ProblemSpec
@@ -112,7 +113,6 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
     first trial step is INITIAL_STEP, then the two-point quotient. Returns
     (values, residual, iterations, status, history).
     """
-    n_sqrt = math.sqrt(len(values))
     eps = float(np.finfo(float).eps)
     u = values
     step = INITIAL_STEP
@@ -121,8 +121,7 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
     for iteration in range(budget + 1):
         value, g, precondition = objective.gradient(u)
         history.append(value)
-        g_free = g[objective.free]
-        residual = math.sqrt(g_free @ g_free) / n_sqrt
+        residual = stationarity_residual(g, objective.free)
         if status is not None:
             return u, residual, iteration, status, history
         if residual <= opts.residual_tolerance:
@@ -201,7 +200,7 @@ class _Energy:
         self.reach = 0.5 * self.watermark
         self.doublings = 0
         self.norm_limit = DIVERGENCE_NORM_FACTOR * (1.0 + self.watermark)
-        self.boundary = ps.grid.boundary_nodes if ps.is_dirichlet else np.empty(0, dtype=int)
+        self.held = ps.held_nodes
         self.mass_shift = None if ps.is_dirichlet else NATURAL_MASS_SHIFT * ps.grid.node_mass
 
     def value(self, u: np.ndarray) -> float:
@@ -217,7 +216,7 @@ class _Energy:
         if self.mass_shift is not None:
             shift += self.mass_shift
         bands = plan.stiffness_bands(norms)
-        return self.current, g, WeightedStiffness(plan.assembly, bands, self.boundary, shift)
+        return self.current, g, WeightedStiffness(plan.assembly, bands, self.held, shift)
 
     def accepted(self, u: np.ndarray, value: float):
         self.current = value
@@ -311,11 +310,9 @@ def lumped_l2_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
 
 def random_start(ps: ProblemSpec, seed: int, amplitude: float = 2.0) -> ScalarField:
     """Nonnegative random field, uniform entries in [0, amplitude], zeroed on
-    the boundary for Dirichlet problems."""
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(0.0, amplitude, ps.grid.n_nodes)
-    if ps.is_dirichlet:
-        values[ps.grid.boundary_nodes] = 0.0
+    the problem's held nodes."""
+    values = np.random.default_rng(seed).uniform(0.0, amplitude, ps.grid.n_nodes)
+    values[ps.held_nodes] = 0.0
     return ScalarField(ps.grid, values)
 
 
@@ -412,9 +409,9 @@ class WeightedStiffness:
     """The weighted stiffness K_w of Huang, Li & Liu (J. Sci. Comput. 32, 2007)
     plus a nodal shift d, as a descent preconditioner:
     (P v)_i = sum_e c_e grad v . grad phi_i + d_i v_i, with element weights c_e,
-    on the space held at zero on ``boundary`` (empty: all nodes are free).
+    on the space held at zero on the nodes ``held`` (empty: all nodes are free).
 
-    ``direction`` solves P x = g, taking g as zero on the boundary (a g zero
+    ``direction`` solves P x = g, taking g as zero on ``held`` (a g zero
     elsewhere gives x = 0): exactly by ``chain_solve`` on the grid builders'
     intervals (``assembly.cells`` one-dimensional), else by matrix-free
     conjugate gradients preconditioned with P's diagonal, stopped at relative
@@ -423,9 +420,9 @@ class WeightedStiffness:
     the edge bands ``assembly.edge_bands`` builds from the element weights.
     """
 
-    def __init__(self, assembly, bands, boundary: np.ndarray, shift=None):
+    def __init__(self, assembly, bands, held: np.ndarray, shift=None):
         self.assembly = assembly
-        self.boundary = boundary
+        self.held = held
         self.shift = shift
         self.bands = bands
 
@@ -433,21 +430,21 @@ class WeightedStiffness:
         out = self.assembly.band_product(self.bands, s, out, work)
         if self.shift is not None:
             out += np.multiply(self.shift, s, out=work)
-        out[self.boundary] = 0.0
+        out[self.held] = 0.0
         return out
 
     def direction(self, g: np.ndarray, tolerance: float = INNER_TOLERANCE) -> np.ndarray:
         cells, bands, shift = self.assembly.cells, self.bands, self.shift
         if cells is not None and len(cells) == 1:
             shift = None if shift is None else shift.tolist()
-            return np.array(chain_solve(bands[0].tolist(), g.tolist(), shift, not len(self.boundary)))
+            return np.array(chain_solve(bands[0].tolist(), g.tolist(), shift, not len(self.held)))
         diagonal = self.assembly.band_diagonal(bands)
         if shift is not None:
             diagonal += shift
-        diagonal[self.boundary] = 1.0
+        diagonal[self.held] = 1.0
         x = np.zeros_like(g)
         r = g.copy()
-        r[self.boundary] = 0.0
+        r[self.held] = 0.0
         rr = float(r @ r)
         if rr == 0.0:
             return x
@@ -481,12 +478,13 @@ class _Rayleigh:
     """
 
     project = False
-    free = slice(None)  # the gradient is zeroed on the boundary
+    free = slice(None)  # the gradient is zeroed on ``held``
     stall_step = 1e-18  # iterates have unit p-norm
     reach = None  # the quotient is 0-homogeneous: no step is too long
 
     def __init__(self, grid: Grid, p: float):
         self.grid = grid
+        self.held = grid.boundary_nodes
         self.plan = DiffusionPlan(grid, DiffusionSpec("constant", p))
         self.p = p
         self.mass = None  # lumped p-mass of the last trial point
@@ -508,9 +506,8 @@ class _Rayleigh:
         rayleigh = plan.diffusion_value(norms) / mass
         mass_grad = grid.node_mass * np.sign(u) * magnitude ** (p - 1.0)
         g = (flux - rayleigh * mass_grad) / mass
-        g[grid.boundary_nodes] = 0.0
-        bands = plan.stiffness_bands(norms)
-        return rayleigh, g, WeightedStiffness(plan.assembly, bands, grid.boundary_nodes)
+        g[self.held] = 0.0
+        return rayleigh, g, WeightedStiffness(plan.assembly, plan.stiffness_bands(norms), self.held)
 
     def accepted(self, u: np.ndarray, value: float):
         return u / self.mass ** (1.0 / self.p), None

@@ -524,6 +524,7 @@ def _nan_solution(tmp_path):
         lambda tmp: ["path", "--config", "E1", "--u", _nan_solution(tmp), "--v", "const:0"],
         lambda tmp: ["path", "--config", "E1N_NEG", "--u", "const:-1", "--v", "const:1"],
         lambda tmp: ["path", "--config", "E1", "--u", "const:1", "--v", "const:2"],
+        lambda tmp: ["path", "--config", "E4", "--u", "const:1e200", "--v", "const:1e100"],
         lambda tmp: ["eigen", "--config", _config_with_line(tmp, "eigen.p = 0.5")],
         lambda tmp: ["solve", "--config", "E1", "--seed", "-1"],
         lambda tmp: ["experiment", "--config", "E1", "--seed", "-1"],
@@ -531,7 +532,7 @@ def _nan_solution(tmp_path):
         _file_at_out,
     ],
     ids=["init-abc", "init-nan", "init-inf", "path-const-nan", "path-file-nan", "path-negative",
-         "path-dirichlet-broken", "eigen-p-not-above-one", "solve-seed-negative",
+         "path-dirichlet-broken", "path-energy-overflow", "eigen-p-not-above-one", "solve-seed-negative",
          "experiment-seed-negative", "eigen-seed-negative", "out-is-a-file"],
 )
 def test_bad_user_fields_exit_with_config_error(tmp_path, capsys, argv):

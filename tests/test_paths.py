@@ -217,6 +217,29 @@ def test_midpoint_distinct_fields_nonnegative_gap(field_pair):
     assert report.verdict in ("strict", "equal")
 
 
+def overflowing_constant_pair():
+    """Constants 1e200 and 1e100 under a cubic reaction primitive: float64 overflows."""
+    ps = ProblemSpec(
+        build_interval_grid(32, 0.0, 1.0),
+        DiffusionSpec("constant", p=2.0),
+        ReactionSpec("double_power", q=1.5, r=3.0),
+        "natural",
+    )
+    return ps, ScalarField.constant(ps.grid, 1e200), ScalarField.constant(ps.grid, 1e100)
+
+
+def test_profile_rejects_overflowing_energies():
+    ps, u, v = overflowing_constant_pair()
+    with pytest.raises(ValueError, match="overflow float64"):
+        path_energy_profile(ps, u, v, 1.5)
+
+
+def test_midpoint_rejects_overflowing_energies():
+    ps, u, v = overflowing_constant_pair()
+    with pytest.raises(ValueError, match="overflow float64"):
+        midpoint_energy_test(ps, u, v, 1.5)
+
+
 def test_power_product_vanishes_on_axes():
     assert power_product(0.0, 1.0, 2.0, 1.5) == 0.0
     assert power_product(1.0, 0.0, 2.0, 1.5) == 0.0

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from plaplab.cli import _initial_field
 from plaplab.config import BUILTIN_SCENARIOS, load_config
-from plaplab.energy import residual_norm
+from plaplab.energy import check_admissible, residual_norm
+from plaplab.errors import BoundaryViolationError
 from plaplab.grid import ElementAssembly, ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import (
@@ -667,9 +670,9 @@ def stiffness_on(grid, natural, seed=0):
     rng = np.random.default_rng(seed)
     weights = 10.0 ** rng.uniform(-8.0, 8.0, grid.n_elements)
     shift = rng.uniform(0.0, 1.0, grid.n_nodes)
-    boundary = np.empty(0, dtype=int) if natural else grid.boundary_nodes
+    held = np.empty(0, dtype=int) if natural else grid.boundary_nodes
     bands = grid.assembly.edge_bands(weights)
-    return WeightedStiffness(grid.assembly, bands, boundary, shift), weights
+    return WeightedStiffness(grid.assembly, bands, held, shift), weights
 
 
 @pytest.mark.parametrize("natural", [False, True], ids=["dirichlet", "natural"])
@@ -681,7 +684,7 @@ def test_edge_bands_apply_the_element_scatter(mesh, natural):
     grid = BUILDER_MESHES[mesh]()
     assembly = grid.assembly
     stiffness, weights = stiffness_on(grid, natural)
-    shift, boundary = stiffness.shift, stiffness.boundary
+    shift, held = stiffness.shift, stiffness.held
     v = np.random.default_rng(1).normal(size=grid.n_nodes)
     matrix = sparse_stiffness(grid, weights, np.arange(grid.n_nodes))
     product = matrix @ v
@@ -690,7 +693,7 @@ def test_edge_bands_apply_the_element_scatter(mesh, natural):
     if grid.dimension == 1:  # the chain sweep's bands, c_e |grad phi|^2, bitwise
         assert np.array_equal(stiffness.bands[0], chain_bands(grid, weights))
     expected = product + shift * v
-    expected[boundary] = 0.0
+    expected[held] = 0.0
     close(stiffness.metric(v), expected)
 
 
@@ -705,7 +708,7 @@ def test_builder_mesh_stiffness_skips_the_element_gather_and_scatter(mesh, natur
 
     monkeypatch.setattr(ElementAssembly, "gradients", refuse)
     g = np.random.default_rng(2).normal(size=grid.n_nodes)
-    g[stiffness.boundary] = 0.0
+    g[stiffness.held] = 0.0
     stiffness.metric(g)
     assert g @ stiffness.direction(g) > 0.0
 
@@ -720,7 +723,7 @@ def test_direction_of_a_gradient_zero_off_the_boundary_is_zero(mesh, natural):
     }[mesh]()
     stiffness, _ = stiffness_on(grid, natural)
     held_only = np.zeros(grid.n_nodes)
-    held_only[stiffness.boundary] = np.random.default_rng(5).normal(size=len(stiffness.boundary))
+    held_only[stiffness.held] = np.random.default_rng(5).normal(size=len(stiffness.held))
     for g in (np.zeros(grid.n_nodes), held_only):
         x = stiffness.direction(g)
         assert x.shape == (grid.n_nodes,)
@@ -735,7 +738,7 @@ def test_direction_and_products_leave_their_inputs_and_buffers_no_trace(mesh, na
     stiffness, _ = stiffness_on(grid, natural)
     rng = np.random.default_rng(3)
     g = rng.normal(size=grid.n_nodes)
-    g[stiffness.boundary] = 0.0
+    g[stiffness.held] = 0.0
     inputs = [g, *stiffness.bands, stiffness.shift]
     before = [a.tobytes() for a in inputs]
     first, second = stiffness.direction(g), stiffness.direction(g)
@@ -1023,3 +1026,41 @@ def test_held_edge_bands_leave_the_gradient_and_p_bitwise(mesh, diffusion, field
     if diffusion.family == "constant":
         _, _, stiffness = _Rayleigh(grid, diffusion.p).gradient(values)
         assert [b.tobytes() for b in stiffness.bands] == [b.tobytes() for b in own_bands]
+
+
+# ---- one held-at-zero node set, named by the problem
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet_zero", "natural"])
+@pytest.mark.parametrize("mesh", ["interval", "rectangle", "permuted-rectangle"])
+def test_every_consumer_holds_the_problems_held_nodes(mesh, boundary):
+    grid = {
+        "interval": lambda: build_interval_grid(24, 0.0, 1.0),
+        "rectangle": lambda: build_rectangle_grid(7, 5, (0.0, 1.0, 0.0, 0.7)),
+        "permuted-rectangle": lambda: permuted(build_rectangle_grid(7, 5, (0.0, 1.0, 0.0, 0.7))),
+    }[mesh]()
+    ps = coefficient_problem(grid, p=3.0, boundary=boundary)
+    held = ps.held_nodes
+    assert not held.flags.writeable and held.dtype.kind == "i"
+    if boundary == "dirichlet_zero":
+        np.testing.assert_array_equal(held, grid.boundary_nodes)
+    else:
+        assert len(held) == 0
+    free = np.setdiff1d(np.arange(grid.n_nodes), held)
+    np.testing.assert_array_equal(ps.free_nodes, free)
+
+    values = random_start(ps, 4).values
+    assert np.all(values[held] == 0.0) and values[free].min() > 0.0
+    assert np.all(ps.plan.gradient(values)[held] == 0.0)
+    nudged = np.full(grid.n_nodes, 1e-6)
+    if len(held):
+        with pytest.raises(BoundaryViolationError):
+            check_admissible(ps, nudged)
+    else:
+        check_admissible(ps, nudged)
+    start = _initial_field(SimpleNamespace(init_spec="const:0.7"), ps, 0).values
+    assert np.all(start[held] == 0.0) and np.all(start[free] == 0.7)
+
+    _, g, stiffness = _Energy(ps, values, project=True).gradient(values)
+    np.testing.assert_array_equal(stiffness.held, held)
+    assert np.all(g[held] == 0.0) and np.all(stiffness.direction(g)[held] == 0.0)
