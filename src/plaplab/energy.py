@@ -175,6 +175,23 @@ def energy(ps: ProblemSpec, u: ScalarField) -> EnergyBreakdown:
     return EnergyBreakdown(diffusion, reaction, diffusion - reaction)
 
 
+def ray_energies(ps: ProblemSpec, values: np.ndarray, scales) -> np.ndarray:
+    """Energies of t * values, t > 0 in ``scales``, under constant diffusion: the exact
+    power sum t^p D - sum_k sign_k t^e_k R_k of the diffusion part D and reaction
+    terms R_k of ``values`` (from |u| under the odd extension), from one gather.
+    Infinities where it overflows."""
+    plan = ps.plan
+    if plan.weight is not None:
+        raise ValueError("the ray energy is a power sum under constant diffusion only")
+    t = np.asarray(scales, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = plan.diffusion_value(plan.gather(values)) * t**plan.p
+        for term in plan.terms["primitive"]:  # (sign, c, e, e)
+            part = plan.reaction.evaluate({"primitive": [term]}, values, "primitive")
+            total -= term[0] * float(plan.node_mass @ part) * t ** term[2]
+    return np.where(np.isnan(total), np.inf, total)
+
+
 def energy_grad_values(ps: ProblemSpec, values: np.ndarray, norms=None) -> np.ndarray:
     """Nodal partial derivatives of the discrete energy; ``norms``, when given,
     is ``ps.plan.gather(values)``.

@@ -19,6 +19,9 @@ renormalization of every accepted iterate to unit lumped p-norm. Both share
 ``energy.DiffusionPlan``'s flux kernel, its p < 2 weight floor and its
 stiffness weights and bands.
 
+Where w = 1 and p = 2, ``minimize`` first refines the start by Picard steps, each
+scaled to its ray's least energy (``_picard_start``), in place of sup-halving steps.
+
 Runs are deterministic: identical problem, options, and seed reproduce the
 iterate sequence bitwise (sequential execution, per-start seeded generators).
 """
@@ -35,6 +38,7 @@ from .energy import (
     energy_grad_values,
     energy_parts,
     energy_total,
+    ray_energies,
     stationarity_residual,
 )
 from .grid import Grid, ScalarField
@@ -55,6 +59,9 @@ INNER_TOLERANCE = 0.1
 # On natural-boundary problems the energy's preconditioner adds this multiple
 # of the lumped mass, which makes it definite on the constants
 NATURAL_MASS_SHIFT = 1e-8
+# Picard steps of a p = 2 start, and the powers of two that scale each along its ray
+PICARD_STEPS = 2
+RAY_SCALES = np.ldexp(1.0, np.arange(-60, 61))
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -180,7 +187,9 @@ class _Energy:
     positive reaction curvature (and NATURAL_MASS_SHIFT times the lumped mass
     on natural-boundary problems). A step moves no node by more than half the
     iterate's sup norm (``reach``): a full step of this Newton-like direction
-    from a rough start can land every node on the trivial point at once. It
+    from a rough start can land every node on the trivial point at once; it stays
+    for starts ``minimize`` does not refine (p != 2, w != 1) or refines in vain (E2,
+    E1N_NEG), and does not bind at a refined start's scale. It
     looks up the module-level energy functions on every call, so wrappers
     installed on those names see every evaluation. It keeps the gradient norms
     of the last point it evaluated, so the gradient of an accepted trial point
@@ -239,6 +248,25 @@ class _Energy:
         return u, STATUS_NOT_BOUNDED_BELOW if diverged else None
 
 
+def _picard_start(objective: _Energy, values: np.ndarray) -> np.ndarray:
+    """Of PICARD_STEPS refinements from ``values``, the one of least finite energy
+    below both that of ``values`` and the trivial point's 0; else ``values``. Each is
+    the full step u - P^-1 g (a Picard step when P = K + the lumped reaction
+    curvature), truncated when projecting, times the RAY_SCALES entry of least energy."""
+    u = best = values
+    bound = min(objective.current, 0.0)
+    for _ in range(PICARD_STEPS):
+        _, g, precondition = objective.gradient(u)
+        u = u - precondition.direction(g)
+        if objective.project:
+            np.maximum(u, 0.0, out=u)
+        u *= RAY_SCALES[np.argmin(ray_energies(objective.ps, u, RAY_SCALES))]
+        value = objective.value(u)
+        if -math.inf < value < bound:
+            best, bound = u, value
+    return best
+
+
 def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Descend from ``init`` until the stationarity residual meets tolerance.
 
@@ -253,6 +281,9 @@ def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptio
     extension. Truncation is 1-Lipschitz nodally, so it never increases the
     discrete energy on interval or right-triangle meshes, and it keeps descent
     out of the flat negative-value basin that the zero extension creates.
+
+    Where the plan holds K's bands (w = 1, p = 2) it starts from ``_picard_start``'s
+    field, below energy 0 and so away from the trivial point, or else from ``init``.
     """
     if init.grid is not ps.grid:
         raise ValueError("initial field and problem live on different grids")
@@ -264,6 +295,8 @@ def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptio
     check_admissible(ps, init.values)
     project = ps.reaction.negative_extension == "zero"
     values = np.maximum(init.values, 0.0) if project else init.values
+    if ps.plan.stiffness is not None:
+        values = _picard_start(_Energy(ps, values, project), values)
     objective = _Energy(ps, values, project)
     values, residual, iterations, status, history = _descent(
         objective, values, opts.budget(ps.grid), opts

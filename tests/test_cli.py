@@ -249,10 +249,10 @@ def test_experiment_csvs_are_unchanged(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert digests == {
-        "report.csv": "8184f6f992a9b6f1d7bbf716d44afa80e3d4d9649fdf4906b6ef06cf8cef2d7b",
-        "clusters.csv": "3382a34c6398f69873a1e1077c835229a4de20c04ed2397e622175e48b228dae",
-        "solution.csv": "8dac7c1a02ba5b1369a2ae7888a7af7eeaabf8a35a839d70607ec49080949a7b",
-        "solution_c0.csv": "8dac7c1a02ba5b1369a2ae7888a7af7eeaabf8a35a839d70607ec49080949a7b",
+        "report.csv": "a64bef2c9bbc6f78d64d3be77c8724e6ba2663204a2c9f1fd871564c0db170d2",
+        "clusters.csv": "d5ea315a2f731f781b3033bf3ccf54d4affdf82d95cd2b7dd6d2fd1ca9a84c3b",
+        "solution.csv": "8d1ea575d4b216f6de262035d51698ad2b861ee57c43b22dfeee1783ad17da5f",
+        "solution_c0.csv": "8d1ea575d4b216f6de262035d51698ad2b861ee57c43b22dfeee1783ad17da5f",
     }
 
 
@@ -338,7 +338,7 @@ boundary = dirichlet_zero
     assert read_csv(out / "solution.csv")[0].keys() == {"node", "x", "y", "value"}
     assert (
         hashlib.sha256((out / "solution.csv").read_bytes()).hexdigest()
-        == "75a08dbabee5bc0afbe0e0196a2084a0049652b5b06fb413c9dc4033a9cdc0a4"
+        == "7571d947c5458491c0df90aac6057092bac0bf07e9a356ab989f4915c602524e"
     )
 
 
@@ -367,11 +367,11 @@ CSV_DIGESTS = {
     ),
     "solve-E4-reference": (
         lambda tmp: ["solve", "--config", "E4", "--reference", _e4_solution(tmp)],
-        {"report.csv": "a81c9a3fe32b6e5acee473e09f238e266a003ee600f72e164455066d69cd6eee"},
+        {"report.csv": "c781ecb48826e3b3fbbd7e5cceb4b2b4e6dc77740d809eac62f627fc719a1dd7"},
     ),
     "experiment-E1N_POS": (  # no start converges: clusters.csv is its header alone
         lambda tmp: ["experiment", "--config", "E1N_POS"],
-        {"report.csv": "28950aecac26a1a009553717d0a8aff9403e921750e06f4df795a6de6ca6cf42",
+        {"report.csv": "9efe24d998ab95ed17b32a07bada2847153fa3b773458c2fbd59f66b1b2f0d54",
          "clusters.csv": "6078a9ff96b524f14bdad2d1fd5151d1cadd6f8e7200127174d2e7ff22f6c3f3"},
     ),
 }
@@ -396,13 +396,13 @@ def test_midpoint_csv_is_unchanged(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["experiment", "--config", _e1_config(tmp_path, 48), "--out", str(out), "--quiet"]) == 0
     assert read_csv(out / "midpoint.csv") == [{"cluster_u": "0", "cluster_v": "1", "verdict": "strict",
-                                               "gap": "3.1357746949706045e-06"}]
+                                               "gap": "3.1357761431774137e-06"}]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("midpoint.csv", "clusters.csv", "report.csv")}
     assert digests == {
-        "midpoint.csv": "10e8ee0e40ff235a32d485047737d76cc54075c2b69120b460e4b7bd42ae377d",
-        "clusters.csv": "73a6102f363ce5a026db66b873b00f4b553b6d22d3f194c8f18f219fe0391e4d",
-        "report.csv": "e127b0085072266f7e68df1be91e813bb6c656e05b70b983e59f219fd47e1fc0",
+        "midpoint.csv": "df675e783a5b14b640d4e20fe82f0ce33edc1a6a3d76f54acc9654dfcc6198bf",
+        "clusters.csv": "bcc6ee0e19c6ebd65da0fa8bfd685fb21282ebbe96f36478a451068a9da0938d",
+        "report.csv": "e0f795f3032a2651ba2ad369ef32062f76bd8a7e51b4283e0d377ccfc145971a",
     }
 
 

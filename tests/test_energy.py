@@ -10,6 +10,7 @@ from plaplab.energy import (
     energy,
     energy_grad,
     energy_total,
+    ray_energies,
     residual_norm,
 )
 from plaplab.errors import BoundaryViolationError
@@ -113,6 +114,36 @@ def reaction_cases(grid, p):
         ReactionSpec("logistic", q=p + 2.0, p=p, a=4.0, b=1.0),
         ReactionSpec("double_power", q=1.5, r=3.0),
     ]
+
+
+RAY_MESHES = {
+    "interval": lambda: build_interval_grid(24, 0.0, 1.0),
+    "rectangle": lambda: build_rectangle_grid(8, 6, (0.0, 1.0, 0.0, 0.75)),
+}
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("extension", ["zero", "odd"])
+@pytest.mark.parametrize("mesh", list(RAY_MESHES))
+def test_ray_energies_equal_the_energy_of_the_scaled_field(mesh, extension, p):
+    grid = RAY_MESHES[mesh]()
+    u = np.random.default_rng(7).uniform(-1.0, 2.0, grid.n_nodes)  # sign-changing
+    scales = np.ldexp(1.0, np.array([-30, -10, 0, 10]))
+    for reaction in reaction_cases(grid, p):
+        reaction = dataclasses.replace(reaction, negative_extension=extension)
+        ps = ProblemSpec(grid, DiffusionSpec("constant", p=p), reaction, "natural")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ray = ray_energies(ps, u, scales)
+            direct = np.array([energy_total(ps, t * u) for t in scales])
+        assert np.all(np.isfinite(ray)), reaction.family
+        assert np.all(np.abs(ray - direct) <= 1e-12 * np.abs(direct)), (reaction.family, ray, direct)
+
+
+def test_ray_energies_need_constant_diffusion():
+    ps = interval_problem(diffusion=DiffusionSpec("power_shift", p=2.0, r=3.0))
+    with pytest.raises(ValueError, match="constant diffusion"):
+        ray_energies(ps, np.zeros(ps.grid.n_nodes), [1.0])
 
 
 @pytest.mark.parametrize("diffusion", diffusion_cases())

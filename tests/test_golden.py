@@ -30,39 +30,43 @@ SEED = 5
 # the pins of the descent preconditioned by the weighted stiffness plus the
 # reaction curvature (each checked against the Jacobi-scaled descent it replaced,
 # then re-captured, within a few ulps, when P's products and then the energy's
-# flux moved to per-edge bands: CHANGES.md)
+# flux moved to per-edge bands, and again, each against a run of the code before,
+# when p = 2 constant-diffusion starts were refined by ray-scaled Picard steps:
+# CHANGES.md)
 GOLDEN_SOLVES = {
-    "E1": ("converged", 16, "-0x1.54054ab09eecep-17",
-           "718f280dcf32fc149e842916cee6916ce55eead959898d977ec921226b6cb01d"),
+    "E1": ("converged", 6, "-0x1.54054ab0a918cp-17",
+           "95ff0452220a23bb27902424d7bd94a2a9fbbf997b1217bb6bfa9f28118a2a33"),
     "E2": ("converged", 27, "-0x1.3beb1117809b8p-21",
            "23c3482694f133ae6ff8439bd84ccda313cb737651dcc8989e8e78919cc3f0d2"),
-    "E3": ("converged", 16, "-0x1.512a065b36794p-17",
-           "28a72c10760a2a890bce5ffb3e45bd2df30fa568b50d87c45e8433da26b37a0d"),
-    "E4": ("converged", 7, "-0x1.5555555555554p-2",
-           "8e8e59c76c7a850cea4222154052d6d96e8c5239cc0bdd3f764a1fdcaf47a5f6"),
-    "E5": ("converged", 12, "-0x1.e0005f8557af0p-10",
-           "71d795481ad5cdec26618c41d911a2d2b3cb693de5c97f8ccd4c237bfb4bf648"),
+    "E3": ("converged", 7, "-0x1.512a065b37eacp-17",
+           "3b3aeb78de9763cb9fa81dc5c153db474b330e22f5388f7680c8894bf0ff94bf"),
+    "E4": ("converged", 2, "-0x1.5555555555554p-2",
+           "6892fc6a4ce66634f462dd9b4dc810a21363cc3c1e72e58b28416e3d0b4d4f03"),
+    "E5": ("converged", 6, "-0x1.e0005f8557af0p-10",
+           "46bc7736f71c94576403b4fd957b63a88ba42f5309bf70895ada51b49ed9d3f5"),
     "E6": ("converged", 7, "-0x1.fffffffffffffp+1",
            "15fe0abeb6f35141878e00faf0e1e5d6763489f69545ef4fbbb110bffb2a10c8"),
     "E6B": ("converged", 20, "-0x1.4c962f02a398cp-17",
             "0e7ae1768132529036d2a15afe2317239d283bf22b92224db80b407a7bf79e32"),
-    "E7": ("converged", 25, "0x1.61fc2ec952ccfp-51",
-           "10d27275b60f98d7daf1d1a6646ca1de2d4c047587cebd640c7c7c6a058c96e4"),
-    # diagnosed by the norm-doubling rule
-    "E1N_POS": ("not_bounded_below", 20, "-0x1.5fbb1f0f2af6cp+18",
-                "5f629ac2de437f5b50d4e60651570c8046fc2da925b9da5fb63af7a964bc87a6"),
+    # the refined start, of sup 4e-14 and energy below 0, is already converged
+    "E7": ("converged", 0, "-0x1.dc78fa6e163a0p-93",
+           "8986beb9e970384984c0eca8823a8963c3f6b7713eba392c17a571ca884dd304"),
+    # the refined start is a constant-like field at the top of the ray scan,
+    # and the first step's energy is below -1e12
+    "E1N_POS": ("not_bounded_below", 1, "-0x1.0d2b5727995dep+219",
+                "d12821941dd4e6565cf5ddf19f20466b4fda2abb888f59146365d4763aec9f76"),
     "E1N_NEG": ("converged", 22, "-0x1.cef520a4a3cf8p-19",
                 "4e9a69ba46af4683782ab5671cd42848e5ddf9446b53c9d4240e82cb72212cac"),
     # an unprojected descent: iterates with negative entries
-    "E1-odd": ("converged", 16, "-0x1.54054ab0a8f5ap-17",
-               "11b12e456a6c246f405108ca518b475942be9cb6af16ae07920afa2d4fdb6968"),
+    "E1-odd": ("converged", 7, "-0x1.54054ab0a1fa4p-17",
+               "2eb4955f6a8587212056bfa8065c07e688f1d2d76c866cf87243fc2f6b6aa7e2"),
 }
 # variant: (scenario, config fields, shift of the random start)
 SOLVE_VARIANTS = {
     "E1-odd": ("E1", {"negative_extension": "odd"}, -0.5),
 }
-GOLDEN_DEAD_CORE_2D = ("converged", 25, "-0x1.19a05ceb18d5cp-21",
-                       "fb5afeac8029ae40e1ac692ed7d6e959d5f7a05261fd99215d717fe0c9bec420")
+GOLDEN_DEAD_CORE_2D = ("converged", 10, "-0x1.19a05ce8d0fc0p-21",
+                       "4847f8c87c1c52a8bf5112dd14e81d7bbc7a3c0bd24a849a72b05a2f47623fbf")
 # the benchmark's 2D E1-type problem on a non-square 20x12 rectangle
 RECTANGLE_E1 = """scenario_id = RECT_E1
 grid.dimension = 2
@@ -76,8 +80,8 @@ reaction.q = 1.5
 reaction.a = 1*sin(2*pi*x) + 0.3
 boundary = dirichlet_zero
 """
-GOLDEN_RECTANGLE_E1 = ("converged", 25, "-0x1.38af215ef507ep-22",
-                       "14e79690a7813822879123c7e39cb5c1881391bc27981e0009c39a4ab01fe01d")
+GOLDEN_RECTANGLE_E1 = ("converged", 13, "-0x1.38af215ec516ep-22",
+                       "315d9d822aa7041796e2e8e6aa07878c841b2293b092c66ad62df373b6e10707")
 # (grid, p): (converged, iterations, lambda1.hex(), eigenfunction digest, history digest);
 # the pins of the descent preconditioned by the weighted stiffness (tridiagonal
 # sweep on the interval, conjugate gradients on the rectangle; products on

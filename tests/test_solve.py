@@ -9,14 +9,16 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from plaplab.classify import classify_cone
 from plaplab.cli import _initial_field
-from plaplab.config import BUILTIN_SCENARIOS, load_config
+from plaplab.config import BUILTIN_SCENARIOS, ScenarioConfig, load_config
 from plaplab.energy import check_admissible, residual_norm
 from plaplab.errors import BoundaryViolationError
 from plaplab.grid import ElementAssembly, ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import (
     NATURAL_MASS_SHIFT,
+    PICARD_STEPS,
     SolveOptions,
     WeightedStiffness,
     _descent,
@@ -88,10 +90,19 @@ def test_unbounded_below_detected(grid, p):
     report = minimize(ps, random_start(ps, 1), SolveOptions())
     assert report.status == "not_bounded_below"
     assert not report.converged
-    assert report.iterations <= 40  # 20-29 measured
+    assert report.iterations <= 40  # 1 from a refined p = 2 start, 29 at p = 3
     # the residual is that of the returned solution, not of the iterate before it
     assert report.residual == residual_norm(ps, report.solution)
     assert len(report.energy_history) == report.iterations + 1
+
+
+def test_refinement_keeps_no_field_whose_energy_overflows():
+    """From the constant 1e190 the ray scan's best scale overflows the reaction
+    part (energy -inf): no such field is kept, and the descent diagnoses."""
+    ps = ProblemSpec(build_interval_grid(64, 0.0, 1.0), DiffusionSpec("constant", p=2.0),
+                     ReactionSpec("pure_subhomogeneous", q=1.5, a=1.0), "natural")
+    report = minimize(ps, ScalarField.constant(ps.grid, 1e190))
+    assert report.status == "not_bounded_below" and math.isfinite(report.energy.total)
 
 
 def test_minimize_requires_negative_extension():
@@ -875,6 +886,83 @@ def test_dead_core_2d_starts_never_stop_at_the_trivial_point():
         assert report.converged and np.abs(report.solution.values).max() > 3e-4, seed
 
 
+MESH_2D = """scenario_id = MESH
+grid.dimension = 2
+grid.n = {n}
+diffusion.family = constant
+diffusion.p = 2.0
+reaction.family = pure_subhomogeneous
+reaction.q = 1.5
+reaction.a = {a}
+boundary = dirichlet_zero
+"""
+MESH_2D_COEFFICIENTS = {"e1": "1*sin(2*pi*x) + 0.3", "dead_core": "1 - 200*box(0.4,0.6,0.4,0.6)"}
+
+
+def mesh_2d_problem(n, coefficient):
+    """The benchmark's 2D E1-type or dead-core problem on the unit square."""
+    text = MESH_2D.format(n=n, a=MESH_2D_COEFFICIENTS[coefficient])
+    return ScenarioConfig.from_text(text).build_problem()
+
+
+def test_refined_dead_core_2d_starts_end_in_a_dead_core():
+    """A refined p = 2 start is kept only below the trivial point's energy 0,
+    so the descent from it cannot reach the trivial point."""
+    ps = mesh_2d_problem(32, "dead_core")
+    for seed in range(20):
+        report = minimize(ps, random_start(ps, seed), SolveOptions(random_seed=seed))
+        assert report.converged and report.energy.total < 0.0, seed
+        assert classify_cone(ps, report.solution).kind == "dead_core", seed
+
+
+# ElementAssembly.band_product calls (the flux's, P's in the inner solve, and
+# the metric's) summed over the 32 x 32 E1-type and dead-core solves from
+# seeds 1-3: 2,411 descending from the raw starts, 1,498 from refined ones
+PRODUCTS_32 = 1650
+
+
+def test_refined_2d_solves_stay_within_their_product_budget(monkeypatch):
+    calls, original = [], ElementAssembly.band_product
+
+    def counting(self, bands, values, *args):
+        calls.append(len(values))
+        return original(self, bands, values, *args)
+
+    monkeypatch.setattr(ElementAssembly, "band_product", counting)
+    for coefficient in MESH_2D_COEFFICIENTS:
+        ps = mesh_2d_problem(32, coefficient)
+        for seed in (1, 2, 3):
+            assert minimize(ps, random_start(ps, seed), SolveOptions(random_seed=seed)).converged
+    assert len(calls) <= PRODUCTS_32
+
+
+def e1_with_a_scaled(k: int):
+    """E1 at n = 128 with its coefficient a scaled by 2^k, exactly."""
+    ps = load_config("E1").build_problem()
+    reaction = dataclasses.replace(
+        ps.reaction, a=ScalarField(ps.grid, np.ldexp(ps.nodal_coefficients[0], k))
+    )
+    return dataclasses.replace(ps, reaction=reaction)
+
+
+@pytest.fixture(scope="module")
+def e1_minimizer():
+    """E1's minimizer u1 at n = 128, to the residual 1e-14."""
+    ps = e1_with_a_scaled(0)
+    return minimize(ps, random_start(ps, 0), SolveOptions(residual_tolerance=1e-14)).solution.values
+
+
+@pytest.mark.parametrize("k", [-2, 0, 2, 4, 8])
+def test_e1_with_a_scaled_converges_to_the_scaled_solution(k, e1_minimizer):
+    """With p = 2 and q = 1.5, a -> 2^k a maps the minimizer u1 to 2^(2k) u1
+    (1.3e-7 to 1.7e-6 measured from seeds 1-3)."""
+    ps = e1_with_a_scaled(k)
+    report = minimize(ps, random_start(ps, 1), SolveOptions(random_seed=1))
+    target = np.ldexp(e1_minimizer, 2 * k)
+    assert report.converged
+    assert np.abs(report.solution.values - target).max() <= 1e-5 * np.abs(target).max()
+
+
 def test_step_cap_does_not_hold_a_descent_at_zero():
     """At u = 0 the cap (half the sup norm) would be zero: it is lifted there."""
     ps = ProblemSpec(build_interval_grid(64, 0.0, 1.0), DiffusionSpec("constant", p=2.0),
@@ -962,6 +1050,30 @@ def test_p2_constant_solves_build_the_stiffness_bands_once_per_problem(mesh, mon
     report = first_eigenvalue(grid, 2.0)
     assert report.converged and report.iterations > 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "diffusion",
+    [DiffusionSpec("constant", p=2.0), DiffusionSpec("constant", p=3.0),
+     DiffusionSpec("constant", p=1.5), DiffusionSpec("power_shift", p=2.0, r=3.0)],
+    ids=["constant-p2", "constant-p3", "constant-p1.5", "power_shift-p2"],
+)
+@pytest.mark.parametrize("mesh", list(BAND_MESHES))
+def test_only_starts_of_problems_holding_the_stiffness_are_refined(mesh, diffusion, monkeypatch):
+    calls, original = [], WeightedStiffness.direction
+
+    def counting(self, g, *args):
+        calls.append(len(g))
+        return original(self, g, *args)
+
+    monkeypatch.setattr(WeightedStiffness, "direction", counting)
+    ps = band_problem(BAND_MESHES[mesh](), diffusion)
+    report = minimize(ps, random_start(ps, 1))
+    assert report.converged
+    holds = diffusion.family == "constant" and diffusion.p == 2.0
+    assert (ps.plan.stiffness is not None) == holds
+    # one direction per descent iteration, and one per refinement step
+    assert len(calls) == report.iterations + (PICARD_STEPS if holds else 0)
 
 
 @pytest.mark.parametrize(
