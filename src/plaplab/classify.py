@@ -34,41 +34,39 @@ class ConeClassification:
     dead_core_regions: list
 
 
-def _zero_regions(grid, candidates: np.ndarray, min_size: int) -> list:
-    """Connected components (by mesh edges) of the candidate node set."""
-    candidate_set = set(int(i) for i in candidates)
-    indptr, indices = (a.tolist() for a in grid.node_neighbors)
-    seen: set[int] = set()
-    regions = []
-    for start in candidates:
-        start = int(start)
-        if start in seen:
-            continue
-        stack = [start]
-        component = []
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for nbr in indices[indptr[node]:indptr[node + 1]]:
-                if nbr in candidate_set and nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        if len(component) >= min_size:
-            regions.append(np.array(sorted(component), dtype=int))
-    return regions
+def _zero_regions(grid, candidate: np.ndarray) -> list:
+    """Connected components (by mesh edges) of the ``candidate`` nodes, of at least
+    DEFAULT_MIN_REGION nodes, each sorted, in order of least node. Each candidate
+    takes the least label across its edges, then its label's label (so sweeps do not
+    grow with a region's diameter), until no label moves: its component's least node."""
+    inside = grid.edges[candidate[grid.edges].all(axis=1)]
+    tails, heads = np.concatenate([inside, inside[:, ::-1]]).T  # each edge both ways
+    label = np.arange(grid.n_nodes)
+    while True:
+        before = label.copy()
+        np.minimum.at(label, tails, label[heads])
+        label = label[label]
+        if (label == before).all():
+            break
+    members = np.flatnonzero(candidate)
+    labels = label[members]
+    # members grouped by label, in increasing order within each group
+    grouped = np.sort(labels * grid.n_nodes + members) % grid.n_nodes
+    sizes = np.bincount(labels, minlength=grid.n_nodes)[members[labels == members]]
+    ends = np.cumsum(sizes).tolist()
+    return [grouped[end - size:end] for size, end in zip(sizes.tolist(), ends)
+            if size >= DEFAULT_MIN_REGION]
 
 
 def classify_cone(
     ps: ProblemSpec,
     u: ScalarField,
     tol_zero: float = DEFAULT_TOL_ZERO,
-    min_region_size: int = DEFAULT_MIN_REGION,
 ) -> ConeClassification:
     """Classify a field against the discrete strong-positivity cone.
 
     Kinds: ``trivial`` (zero up to tol), ``sign_changing``, ``interior_cone``,
-    ``dead_core`` (a connected interior region of at least ``min_region_size``
+    ``dead_core`` (a connected interior region of at least ``DEFAULT_MIN_REGION``
     near-zero nodes in an otherwise nonnegative, somewhere-positive field), or
     ``nonnegative_degenerate`` for everything else nonnegative.
     """
@@ -78,11 +76,11 @@ def classify_cone(
     vals = u.values
     positivity_margin = float(vals[ps.free_nodes].min())
 
+    is_boundary = np.zeros(grid.n_nodes, dtype=bool)
+    is_boundary[grid.boundary_nodes] = True
     normal_margin = None
     if ps.is_dirichlet:
         # edges from a boundary node to an interior one, as (boundary, interior)
-        is_boundary = np.zeros(grid.n_nodes, dtype=bool)
-        is_boundary[grid.boundary_nodes] = True
         on_boundary = is_boundary[grid.edges]
         crossing = on_boundary[:, 0] != on_boundary[:, 1]
         pairs = grid.edges[crossing]
@@ -103,8 +101,7 @@ def classify_cone(
     if in_cone:
         return ConeClassification(KIND_INTERIOR_CONE, positivity_margin, normal_margin, [])
 
-    candidates = grid.interior_nodes[np.abs(vals[grid.interior_nodes]) <= tol_zero]
-    regions = _zero_regions(grid, candidates, min_region_size)
+    regions = _zero_regions(grid, (np.abs(vals) <= tol_zero) & ~is_boundary)
     if regions and np.any(vals > tol_zero):
         return ConeClassification(KIND_DEAD_CORE, positivity_margin, normal_margin, regions)
     return ConeClassification(
@@ -119,19 +116,17 @@ class ComparabilityResult:
     reason: str | None = None
 
 
-def comparability_delta(
-    u: ScalarField, v: ScalarField, tol: float = DEFAULT_TOL_ZERO
-) -> ComparabilityResult:
+def comparability_delta(u: ScalarField, v: ScalarField) -> ComparabilityResult:
     """Smallest delta >= 1 with u/delta <= v <= delta * u on the positive set.
 
-    Incomparable when one field clears ``tol`` at a node where the other does
-    not (the two-sided bound would need an unbounded constant), or when both
-    fields vanish everywhere.
+    Incomparable when one field clears ``DEFAULT_TOL_ZERO`` at a node where the
+    other does not (the two-sided bound would need an unbounded constant), or
+    when both fields vanish everywhere.
     """
     if u.grid is not v.grid:
         raise ValueError("fields live on different grids")
-    pos_u = u.values > tol
-    pos_v = v.values > tol
+    pos_u = u.values > DEFAULT_TOL_ZERO
+    pos_v = v.values > DEFAULT_TOL_ZERO
     if not pos_u.any() and not pos_v.any():
         return ComparabilityResult(False, None, "both fields vanish up to tolerance")
     mismatch = pos_u != pos_v

@@ -127,7 +127,10 @@ def _cmd_solve(config: ScenarioConfig, out: Path, seed, reference: str | None, s
     ps = config.build_problem()
     opts = config.solve_options(seed)
     init = _initial_field(config, ps, opts.random_seed)
-    report = minimize(ps, init, opts)
+    try:  # no negative extension, or a start of non-finite energy
+        report = minimize(ps, init, opts)
+    except ValueError as exc:
+        raise ConfigError(f"cannot minimize: {exc}") from exc
     cls = classify_cone(ps, report.solution) if report.status != STATUS_NOT_BOUNDED_BELOW else None
     delta = ""
     if reference is not None and report.converged:
@@ -150,7 +153,10 @@ def _cmd_solve(config: ScenarioConfig, out: Path, seed, reference: str | None, s
 def _cmd_experiment(config: ScenarioConfig, out: Path, seed, say) -> int:
     ps = config.build_problem()
     opts = config.solve_options(seed)
-    result = multi_start(ps, config.n_starts, opts)
+    try:  # no negative extension, or a start of non-finite energy
+        result = multi_start(ps, config.n_starts, opts)
+    except ValueError as exc:
+        raise ConfigError(f"cannot minimize: {exc}") from exc
 
     cluster_of = {}
     for k, cluster in enumerate(result.clusters):

@@ -27,6 +27,7 @@ from .model import (
     ProblemSpec,
     ReactionSpec,
 )
+from .paths import DEFAULT_T_SAMPLES
 from .solve import SolveOptions
 
 BUILTIN_SCENARIOS = (
@@ -112,12 +113,13 @@ KEYS = (
     _Key("reaction.sigma", "declared_growth", "real", None),
     _Key("boundary", "boundary", "text", choices=BOUNDARY_KINDS),
     _Key("solver.max_iterations", "max_iterations", "integer", None, minimum=0),
-    _Key("solver.residual_tolerance", "residual_tolerance", "real", 1e-9, minimum=0.0),
+    _Key("solver.residual_tolerance", "residual_tolerance", "real", SolveOptions.residual_tolerance,
+         minimum=0.0),
     _Key("solver.n_starts", "n_starts", "integer", 20, minimum=2),
     _Key("solver.seed", "seed", "integer", 0, minimum=0),
     _Key("solver.init", "init_spec", "text", "random"),
     _Key("path.q", "path_q", "real", _Copy("q"), minimum=1.0),
-    _Key("path.samples", "path_samples", "integer", 41, minimum=3),
+    _Key("path.samples", "path_samples", "integer", DEFAULT_T_SAMPLES, minimum=3),
     _Key("eigen.p", "eigen_p", "real", _Copy("p"), minimum=1.0),
 )
 

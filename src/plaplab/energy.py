@@ -41,7 +41,10 @@ STIFFNESS_GRAD_FLOOR = 1e-6
 class EnergyBreakdown:
     diffusion_part: float
     reaction_part: float
-    total: float
+
+    @property
+    def total(self) -> float:
+        return self.diffusion_part - self.reaction_part
 
 
 class DiffusionPlan:
@@ -172,7 +175,7 @@ def energy_total(ps: ProblemSpec, values: np.ndarray, norms=None) -> float:
 def energy(ps: ProblemSpec, u: ScalarField) -> EnergyBreakdown:
     """Energy of an admissible field, split into diffusion and reaction parts."""
     diffusion, reaction = energy_parts(ps, _admissible_values(ps, u))
-    return EnergyBreakdown(diffusion, reaction, diffusion - reaction)
+    return EnergyBreakdown(diffusion, reaction)
 
 
 def ray_energies(ps: ProblemSpec, values: np.ndarray, scales) -> np.ndarray:

@@ -3,7 +3,8 @@
 Grids are immutable after construction and safe to share between concurrent
 solves. All discrete calculus used by the energy and path modules lives here:
 piecewise-linear element gradients, the weighted stiffness on edges, lumped
-(node-mass) quadrature, and the edge list used by the pointwise convexity checks.
+(node-mass) quadrature, and the edge list that the pointwise convexity checks
+and the dead-core regions read.
 """
 
 import math
@@ -34,7 +35,6 @@ class Grid:
     element_volume: np.ndarray    # (n_elements,)
     element_grad_coeffs: np.ndarray  # (n_elements, dim + 1, dim)
     boundary_nodes: np.ndarray    # sorted node indices
-    interior_nodes: np.ndarray    # sorted node indices
 
     @property
     def n_nodes(self) -> int:
@@ -47,6 +47,13 @@ class Grid:
     @cached_property
     def measure(self) -> float:
         return float(self.element_volume.sum())
+
+    @cached_property
+    def interior_nodes(self) -> np.ndarray:
+        """The sorted node indices not in ``boundary_nodes``, read-only."""
+        interior = np.ones(self.n_nodes, dtype=bool)
+        interior[self.boundary_nodes] = False
+        return _frozen_array(np.flatnonzero(interior), dtype=int)
 
     @cached_property
     def node_mass(self) -> np.ndarray:
@@ -73,16 +80,6 @@ class Grid:
         np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
         pairs.setflags(write=False)
         return pairs
-
-    @cached_property
-    def node_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge-adjacent node indices as a CSR pair (indptr, indices): node i's
-        neighbors, in increasing order, are ``indices[indptr[i]:indptr[i + 1]]``."""
-        n = self.n_nodes
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        keys = np.sort(np.concatenate([i * n + j, j * n + i]))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-        return indptr, keys % n
 
     @cached_property
     def assembly(self) -> "ElementAssembly":
@@ -331,7 +328,6 @@ def build_interval_grid(n: int, a: float, b: float) -> Grid:
     coeffs[:, 0, 0] = -1.0 / h
     coeffs[:, 1, 0] = 1.0 / h
     boundary = np.array([0, n])
-    interior = np.arange(1, n)
     return Grid(
         dimension=1,
         nodes=_frozen_array(nodes),
@@ -339,7 +335,6 @@ def build_interval_grid(n: int, a: float, b: float) -> Grid:
         element_volume=_frozen_array(volume),
         element_grad_coeffs=_frozen_array(coeffs),
         boundary_nodes=_frozen_array(boundary, dtype=int),
-        interior_nodes=_frozen_array(interior, dtype=int),
     )
 
 
@@ -372,8 +367,8 @@ def build_rectangle_grid(nx: int, ny: int, extents) -> Grid:
         coeffs[:, local, 0] = (y[j] - y[k]) / det
         coeffs[:, local, 1] = (x[k] - x[j]) / det
 
-    interior = np.zeros((ny + 1, nx + 1), dtype=bool)
-    interior[1:-1, 1:-1] = True
+    boundary = np.ones((ny + 1, nx + 1), dtype=bool)
+    boundary[1:-1, 1:-1] = False
 
     return Grid(
         dimension=2,
@@ -381,8 +376,7 @@ def build_rectangle_grid(nx: int, ny: int, extents) -> Grid:
         elements=_frozen_array(elements, dtype=int),
         element_volume=_frozen_array(0.5 * np.abs(det)),
         element_grad_coeffs=_frozen_array(coeffs),
-        boundary_nodes=_frozen_array(np.flatnonzero(~interior), dtype=int),
-        interior_nodes=_frozen_array(np.flatnonzero(interior), dtype=int),
+        boundary_nodes=_frozen_array(np.flatnonzero(boundary), dtype=int),
     )
 
 

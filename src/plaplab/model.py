@@ -22,9 +22,9 @@ BOUNDARY_KINDS = ("dirichlet_zero", "natural")
 DEFAULT_AUDIT_SAMPLES = 64
 
 
-def default_audit_samples(n: int = DEFAULT_AUDIT_SAMPLES) -> np.ndarray:
+def default_audit_samples() -> np.ndarray:
     """Log-spaced positive sample grid shared by all audits."""
-    return np.geomspace(1e-6, 1e3, n)
+    return np.geomspace(1e-6, 1e3, DEFAULT_AUDIT_SAMPLES)
 
 
 def audit_samples(samples, minimum: int = 2, name: str = "t_samples") -> np.ndarray:
@@ -315,19 +315,19 @@ def audit_subhomogeneity(
     q_test: float,
     t_samples: np.ndarray | None = None,
     grid: Grid | None = None,
-    tol: float = 1e-12,
 ) -> AuditResult:
     """Check that t -> g(x, t) / t^(q_test - 1) is nonincreasing at every node.
 
-    Sample-based: evaluated on ``t_samples`` (default log grid). A failure
-    carries a witness (node, t_lo, t_hi) where the ratio increased.
+    Sample-based: evaluated on ``t_samples`` (default log grid), allowing
+    increases up to 1e-12. A failure carries a witness (node, t_lo, t_hi)
+    where the ratio increased.
     """
     t = audit_samples(t_samples)
     a, b = rs.coefficients(grid)
     ratios = rs.value(a[:, None], b[:, None], t[None, :]) / t[None, :] ** (q_test - 1.0)
     increases = np.diff(ratios, axis=1)
     worst = increases.max()
-    if worst > tol:
+    if worst > 1e-12:
         node, step = np.unravel_index(np.argmax(increases), increases.shape)
         return AuditResult(
             False,

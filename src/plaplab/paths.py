@@ -153,11 +153,17 @@ class PathDiagnostics:
     total_energy: np.ndarray
     second_difference_D: np.ndarray  # length n - 2
     second_difference_I: np.ndarray
-    min_second_difference_D: float
-    min_second_difference_I: float
     pointwise_max_violation: float
     strict_convexity_witness: tuple[float, float, float] | None
     degenerate_constant_pair: bool
+
+    @property
+    def min_second_difference_D(self) -> float:
+        return float(self.second_difference_D.min())
+
+    @property
+    def min_second_difference_I(self) -> float:
+        return float(self.second_difference_I.min())
 
     @property
     def strictly_convex_diffusion(self) -> bool:
@@ -202,8 +208,6 @@ def path_energy_profile(
         raise ValueError("path energies overflow float64 on these endpoints")
     d2_D = diffusion[:-2] - 2.0 * diffusion[1:-1] + diffusion[2:]
     d2_I = total[:-2] - 2.0 * total[1:-1] + total[2:]
-    min_d2_D = float(d2_D.min())
-    min_d2_I = float(d2_I.min())
 
     witness = None
     strict_idx = np.flatnonzero(d2_D > STRICTNESS_GAP)
@@ -217,11 +221,11 @@ def path_energy_profile(
         grid.dimension == 1
         and q <= ps.diffusion.p
         and audit_subhomogeneity(ps.reaction, q, grid=grid).passed
-        and min_d2_I < -EXACT_1D_TOL
+        and d2_I.min() < -EXACT_1D_TOL
     ):
         raise InvariantViolation(
             f"1D path energy lost exact convexity: min second difference "
-            f"{min_d2_I:.3e} below -{EXACT_1D_TOL:g}"
+            f"{d2_I.min():.3e} below -{EXACT_1D_TOL:g}"
         )
 
     return PathDiagnostics(
@@ -230,8 +234,6 @@ def path_energy_profile(
         total_energy=total,
         second_difference_D=d2_D,
         second_difference_I=d2_I,
-        min_second_difference_D=min_d2_D,
-        min_second_difference_I=min_d2_I,
         pointwise_max_violation=max_violation,
         strict_convexity_witness=witness,
         degenerate_constant_pair=bool(degenerate),
@@ -245,9 +247,10 @@ class MidpointReport:
 
 
 def midpoint_energy_test(
-    ps: ProblemSpec, u: ScalarField, v: ScalarField, q: float, tol: float = STRICTNESS_GAP
+    ps: ProblemSpec, u: ScalarField, v: ScalarField, q: float
 ) -> MidpointReport:
-    """Gap between the average endpoint energy and the energy at the midpoint.
+    """Gap between the average endpoint energy and the energy at the midpoint:
+    "strict" above STRICTNESS_GAP, "violated" below its negative, else "equal".
 
     A strictly positive gap at two equal-energy global-minimizer candidates is
     a contradiction: both cannot be global minimizers. Overflowing energies raise ``ValueError``.
@@ -260,9 +263,9 @@ def midpoint_energy_test(
     gap = 0.5 * ((e_u[0] - e_u[1]) + (e_v[0] - e_v[1])) - (e_m[0] - e_m[1])
     if not np.isfinite(gap):
         raise ValueError("path energies overflow float64 on these endpoints")
-    if gap > tol:
+    if gap > STRICTNESS_GAP:
         verdict = "strict"
-    elif gap < -tol:
+    elif gap < -STRICTNESS_GAP:
         verdict = "violated"
     else:
         verdict = "equal"
@@ -418,14 +421,14 @@ def reaction_pullback_concavity(
     q: float,
     s_grid: np.ndarray,
     grid=None,
-    tol: float = 1e-10,
 ) -> AuditResult:
     """Concavity of s -> G(x, s^(1/q)) on a positive sample grid, per node.
 
     This is the reaction-side half of path convexity: with nodal values
     s = (1 - t) u^q + t v^q affine in t, a concave pullback makes the lumped
     reaction energy concave along the path. Checked as a three-point chord
-    test, which also handles non-uniform sample grids.
+    test, which also handles non-uniform sample grids; chords may exceed the
+    pullback by up to 1e-10.
     """
     s = audit_samples(s_grid, minimum=3, name="s_grid")
     a, b = rs.coefficients(grid)
@@ -435,7 +438,7 @@ def reaction_pullback_concavity(
     chord = (1.0 - w_hi) * phi[:, :-2] + w_hi * phi[:, 2:]
     violation = chord - phi[:, 1:-1]
     worst = float(violation.max())
-    if worst > tol:
+    if worst > 1e-10:
         node, k = np.unravel_index(np.argmax(violation), violation.shape)
         return AuditResult(
             False,

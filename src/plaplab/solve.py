@@ -100,9 +100,12 @@ class SolveReport:
     energy: EnergyBreakdown
     residual: float
     iterations: int
-    converged: bool
     status: str
     energy_history: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return self.status == STATUS_CONVERGED
 
 
 def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
@@ -173,7 +176,8 @@ def _descent(objective, values: np.ndarray, budget: int, opts: SolveOptions):
             ):
                 break
             trial *= BACKTRACK_SHRINK
-            if trial * math.sqrt(direction @ direction) < objective.stall_step:
+            # not >=, so that a NaN direction (an overflowed gradient) stalls too
+            if not trial * math.sqrt(direction @ direction) >= objective.stall_step:
                 return u, residual, iteration, STATUS_STALLED, history
 
         prev_u, prev_g, step = u, g, trial
@@ -304,10 +308,9 @@ def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptio
     diffusion, reaction = energy_parts(ps, values)
     return SolveReport(
         solution=ScalarField(ps.grid, values),
-        energy=EnergyBreakdown(diffusion, reaction, diffusion - reaction),
+        energy=EnergyBreakdown(diffusion, reaction),
         residual=residual,
         iterations=iterations,
-        converged=status == STATUS_CONVERGED,
         status=status,
         energy_history=np.asarray(history),
     )
@@ -341,10 +344,10 @@ def lumped_l2_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(grid.node_mass @ (a - b) ** 2))
 
 
-def random_start(ps: ProblemSpec, seed: int, amplitude: float = 2.0) -> ScalarField:
-    """Nonnegative random field, uniform entries in [0, amplitude], zeroed on
-    the problem's held nodes."""
-    values = np.random.default_rng(seed).uniform(0.0, amplitude, ps.grid.n_nodes)
+def random_start(ps: ProblemSpec, seed: int) -> ScalarField:
+    """Nonnegative random field, uniform entries in [0, 2], zeroed on the
+    problem's held nodes."""
+    values = np.random.default_rng(seed).uniform(0.0, 2.0, ps.grid.n_nodes)
     values[ps.held_nodes] = 0.0
     return ScalarField(ps.grid, values)
 
@@ -526,8 +529,9 @@ class _Rayleigh:
         return u / float(self.grid.node_mass @ np.abs(u) ** self.p) ** (1.0 / self.p)
 
     def value(self, u: np.ndarray) -> float:
-        numerator = self.plan.diffusion_value(self.plan.gather(u))
-        self.mass = float(self.grid.node_mass @ np.abs(u) ** self.p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            numerator = self.plan.diffusion_value(self.plan.gather(u))
+            self.mass = float(self.grid.node_mass @ np.abs(u) ** self.p)
         return numerator / (self.mass / self.p) if self.mass > 0 else math.inf
 
     def gradient(self, u: np.ndarray):

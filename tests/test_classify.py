@@ -1,16 +1,18 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plaplab.classify import (
+    DEFAULT_MIN_REGION,
     classify_cone,
     comparability_delta,
     neumann_integral_condition,
 )
 from plaplab.coefficients import CoefficientDef
-from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
+from plaplab.grid import Grid, ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 
 
@@ -46,14 +48,23 @@ def test_bump_is_interior_cone_dirichlet():
     assert cls.normal_derivative_margin > 0
 
 
+def adjacency(grid):
+    """Each node's edge neighbors, as lists."""
+    neighbors = [[] for _ in range(grid.n_nodes)]
+    for i, j in grid.edges.tolist():
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    return neighbors
+
+
 def reference_normal_margin(grid, vals):
     """Minus the largest one-sided quotient toward the boundary, node by node."""
     interior = np.ones(grid.n_nodes, dtype=bool)
     interior[grid.boundary_nodes] = False
     quotients = []
-    indptr, indices = grid.node_neighbors
+    neighbors = adjacency(grid)
     for b in grid.boundary_nodes:
-        inner = [i for i in indices[indptr[b]:indptr[b + 1]] if interior[i]]
+        inner = [i for i in neighbors[b] if interior[i]]
         if inner:
             dist = np.linalg.norm(grid.nodes[inner] - grid.nodes[b], axis=1)
             quotients.append(float(((vals[b] - vals[inner]) / dist).max()))
@@ -99,6 +110,85 @@ def test_dead_core_middle_third():
     assert len(cls.dead_core_regions) == 1
     region_x = ps.grid.nodes[cls.dead_core_regions[0], 0]
     assert region_x.min() > 0.25 and region_x.max() < 0.75
+
+
+def bfs_regions(grid, candidate):
+    """Breadth-first components of the candidate nodes over ``grid.edges``, of at
+    least DEFAULT_MIN_REGION nodes, sorted, in order of their least node."""
+    neighbors = adjacency(grid)
+    seen, regions = set(), []
+    for start in np.flatnonzero(candidate).tolist():
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, component = deque([start]), []
+        while queue:
+            node = queue.popleft()
+            component.append(node)
+            for nbr in neighbors[node]:
+                if candidate[nbr] and nbr not in seen:
+                    seen.add(nbr)
+                    queue.append(nbr)
+        if len(component) >= DEFAULT_MIN_REGION:
+            regions.append(np.array(sorted(component), dtype=int))
+    return regions
+
+
+def remeshed(grid, nodes, order):
+    """``grid``'s triangles over ``nodes``, taken in ``order``, with their P1 tables."""
+    elements = grid.elements[order]
+    corners = np.concatenate([np.ones((len(elements), 3, 1)), nodes[elements]], axis=2)
+    coeffs = np.linalg.inv(corners)[:, 1:, :].transpose(0, 2, 1)  # column j: hat j's gradient
+    volume = 0.5 * np.abs(np.linalg.det(corners))
+    return Grid(2, nodes, elements, volume, coeffs, grid.boundary_nodes)
+
+
+def region_meshes():
+    rectangle = build_rectangle_grid(12, 9, (0.0, 1.0, 0.0, 1.0))
+    rng = np.random.default_rng(7)
+    order = rng.permutation(rectangle.n_elements)
+    nodes = np.array(rectangle.nodes)
+    inner = rectangle.interior_nodes
+    nodes[inner] += rng.uniform(-0.3, 0.3, (len(inner), 2)) / (12, 9)
+    return {
+        "interval": build_interval_grid(60, 0.0, 1.0),
+        "rectangle": rectangle,
+        "permuted-rectangle": remeshed(rectangle, rectangle.nodes, order),
+        "distorted-rectangle": remeshed(rectangle, nodes, order),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["interval", "rectangle", "permuted-rectangle", "distorted-rectangle"]
+)
+def test_dead_core_regions_equal_a_breadth_first_search(name):
+    grid = region_meshes()[name]
+    ps = ProblemSpec(grid, DiffusionSpec("constant", p=2.0),
+                     ReactionSpec("pure_subhomogeneous", q=1.5), "dirichlet_zero")
+    interior = np.zeros(grid.n_nodes, dtype=bool)
+    interior[grid.interior_nodes] = True
+    rng = np.random.default_rng(3)
+    masks = [np.zeros(grid.n_nodes, dtype=bool)]
+    # along the first interior row: components of one and two nodes, below
+    # DEFAULT_MIN_REGION, and one of three
+    sparse = np.zeros(grid.n_nodes, dtype=bool)
+    sparse[grid.interior_nodes[[1, 4, 5, 7, 8, 9]]] = True
+    masks.append(sparse)
+    masks += [(rng.uniform(size=grid.n_nodes) < density) & interior
+              for density in (0.2, 0.4, 0.5, 0.6, 0.7) for _ in range(3)]
+    kinds = set()
+    for candidate in masks:
+        vals = np.where(candidate | ~interior, 0.0, rng.uniform(0.5, 2.0, grid.n_nodes))
+        cls = classify_cone(ps, ScalarField(grid, vals))
+        expected = bfs_regions(grid, candidate)
+        kinds.add(cls.kind)
+        degenerate = "nonnegative_degenerate" if candidate.any() else "interior_cone"
+        assert cls.kind == ("dead_core" if expected else degenerate)
+        assert len(cls.dead_core_regions) == len(expected)
+        for region, reference in zip(cls.dead_core_regions, expected):
+            assert region.dtype == reference.dtype
+            np.testing.assert_array_equal(region, reference)
+    assert kinds == {"dead_core", "interior_cone", "nonnegative_degenerate"}
 
 
 def test_isolated_zero_is_degenerate_not_dead_core():

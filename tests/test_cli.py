@@ -169,6 +169,19 @@ def test_eigen_command(tmp_path):
     assert len(history) == int(row["iterations"]) + 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |grad u|^1000 overflows in the gradient
+def test_eigen_with_an_overflowing_exponent_stalls_at_once(tmp_path):
+    """At eigen.p = 1000 the Rayleigh gradient overflows and the direction is
+    NaN: the descent stalls at iteration 0 instead of backtracking forever."""
+    cfg = tmp_path / "eig.cfg"
+    cfg.write_text(SMALL_EIGEN.replace("grid.n = 50", "grid.n = 16") + "eigen.p = 1000\n",
+                   encoding="utf-8")
+    out = tmp_path / "eig"
+    assert main(["eigen", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    row = read_csv(out / "eigen.csv")[0]
+    assert (row["iterations"], row["converged"], row["lambda1"]) == ("0", "0", "inf")
+
+
 def test_audit_command(tmp_path, capsys):
     out = tmp_path / "audit"
     code = main(["audit", "--config", "E1", "--out", str(out)])
@@ -503,6 +516,12 @@ def _config_with_line(tmp_path, line):
     return str(cfg)
 
 
+def _config_with_p(tmp_path, p):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(TINY_BUDGET.replace("diffusion.p = 2.0", f"diffusion.p = {p}"), encoding="utf-8")
+    return str(cfg)
+
+
 def _file_at_out(tmp_path):
     (tmp_path / "o").write_text("", encoding="utf-8")
     return ["audit", "--config", "E1"]
@@ -530,10 +549,17 @@ def _nan_solution(tmp_path):
         lambda tmp: ["experiment", "--config", "E1", "--seed", "-1"],
         lambda tmp: ["eigen", "--config", "E1", "--seed", "-1"],
         _file_at_out,
+        lambda tmp: ["solve", "--config", _config_with_line(tmp, "reaction.negative_extension = none")],
+        lambda tmp: ["experiment", "--config",
+                     _config_with_line(tmp, "reaction.negative_extension = none")],
+        lambda tmp: ["solve", "--config", _config_with_p(tmp, 1000)],
+        lambda tmp: ["experiment", "--config", _config_with_p(tmp, 1000)],
     ],
     ids=["init-abc", "init-nan", "init-inf", "path-const-nan", "path-file-nan", "path-negative",
          "path-dirichlet-broken", "path-energy-overflow", "eigen-p-not-above-one", "solve-seed-negative",
-         "experiment-seed-negative", "eigen-seed-negative", "out-is-a-file"],
+         "experiment-seed-negative", "eigen-seed-negative", "out-is-a-file",
+         "solve-no-negative-extension", "experiment-no-negative-extension",
+         "solve-start-energy-overflow", "experiment-start-energy-overflow"],
 )
 def test_bad_user_fields_exit_with_config_error(tmp_path, capsys, argv):
     code = main([*argv(tmp_path), "--out", str(tmp_path / "o"), "--quiet"])

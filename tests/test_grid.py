@@ -57,6 +57,14 @@ def test_rectangle_grid_interior_count(nx, ny):
     np.testing.assert_array_equal(joined, np.arange(g.n_nodes))
 
 
+def test_interior_nodes_are_the_complement_of_the_boundary():
+    g = build_interval_grid(6, 0.0, 1.0)
+    hand = Grid(1, g.nodes, g.elements, g.element_volume, g.element_grad_coeffs, np.array([0, 3, 6]))
+    assert hand.interior_nodes.tolist() == [1, 2, 4, 5]
+    assert hand.interior_nodes.dtype == g.interior_nodes.dtype
+    assert not hand.interior_nodes.flags.writeable
+
+
 def test_rectangle_grid_rejects_degenerate_extents():
     with pytest.raises(ValueError):
         build_rectangle_grid(2, 2, (0, 0, 0, 1))
@@ -197,7 +205,8 @@ def triangle_tables(nodes, elements):
 
 
 def loop_rectangle_grid(nx, ny, extents):
-    """build_rectangle_grid as a loop over cells and boundary nodes."""
+    """build_rectangle_grid as a loop over cells and boundary nodes: the grid,
+    and its interior nodes as the loop lists them."""
     xmin, xmax, ymin, ymax = (float(v) for v in extents)
     xs = np.linspace(xmin, xmax, nx + 1)
     ys = np.linspace(ymin, ymax, ny + 1)
@@ -223,8 +232,7 @@ def loop_rectangle_grid(nx, ny, extents):
             boundary.append(node)
         else:
             interior.append(node)
-    return Grid(2, nodes, elements, 0.5 * np.abs(det), coeffs, np.array(boundary),
-                np.array(interior))
+    return Grid(2, nodes, elements, 0.5 * np.abs(det), coeffs, np.array(boundary)), np.array(interior)
 
 
 @pytest.mark.parametrize("nx,ny", [(2, 2), (7, 5), (3, 8), (64, 64)])
@@ -233,7 +241,7 @@ def test_rectangle_grid_equals_loop_reference(nx, ny):
     reference gathers them by node index (``triangle_tables``), bit for bit."""
     for extents in ((-0.3, 1.1, 0.0, 0.7), (-7.25, -1.5, -0.2, 3.3), (0.0, 1.0, 0.0, 1.0)):
         built = build_rectangle_grid(nx, ny, extents)
-        expected = loop_rectangle_grid(nx, ny, extents)
+        expected, interior = loop_rectangle_grid(nx, ny, extents)
         for field in dataclasses.fields(Grid):
             mine, theirs = getattr(built, field.name), getattr(expected, field.name)
             if isinstance(mine, np.ndarray):
@@ -241,13 +249,15 @@ def test_rectangle_grid_equals_loop_reference(nx, ny):
                 assert mine.tobytes() == theirs.tobytes(), field.name
             else:
                 assert mine == theirs
+        assert built.interior_nodes.dtype == interior.dtype
+        assert built.interior_nodes.tobytes() == interior.tobytes()
 
 
 @pytest.mark.parametrize(
     "grid", [build_interval_grid(9, 0.0, 1.0), build_rectangle_grid(5, 4, (0, 1, 0, 1))],
     ids=["interval", "rectangle"],
 )
-def test_edges_and_neighbors_equal_loop_formulas(grid):
+def test_edges_equal_loop_formulas(grid):
     if grid.dimension == 1:
         pairs = np.sort(grid.elements, axis=1)
     else:
@@ -256,17 +266,6 @@ def test_edges_and_neighbors_equal_loop_formulas(grid):
     expected = np.unique(pairs, axis=0)
     assert grid.edges.dtype == expected.dtype
     np.testing.assert_array_equal(grid.edges, expected)
-    adjacency = [[] for _ in range(grid.n_nodes)]
-    for i, j in expected:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    indptr, indices = grid.node_neighbors
-    assert len(indptr) == grid.n_nodes + 1
-    for node, nbrs in enumerate(adjacency):
-        mine = indices[indptr[node]:indptr[node + 1]]
-        expected_nbrs = np.array(sorted(nbrs), dtype=int)
-        assert mine.dtype == expected_nbrs.dtype
-        np.testing.assert_array_equal(mine, expected_nbrs)
 
 
 # ---- the assembly path of each mesh ----------------------------------------
@@ -363,7 +362,7 @@ def distorted_mesh(nx, ny, seed):
     elements = grid.elements[rng.permutation(grid.n_elements)]
     det, coeffs = triangle_tables(nodes, elements)
     assert np.all(det > 0.0)
-    return Grid(2, nodes, elements, 0.5 * det, coeffs, grid.boundary_nodes, grid.interior_nodes)
+    return Grid(2, nodes, elements, 0.5 * det, coeffs, grid.boundary_nodes)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
