@@ -231,16 +231,11 @@ class ScenarioConfig:
             lines.append(f"{key.name} = {_FORMAT[key.kind](value)}")
         return "\n".join(lines) + "\n"
 
-    @property
-    def extents(self) -> tuple:
-        if self.dimension == 1:
-            return (self.xmin, self.xmax)
-        return (self.xmin, self.xmax, self.ymin, self.ymax)
-
     def build_grid(self) -> Grid:
         if self.dimension == 1:
             return build_interval_grid(self.n, self.xmin, self.xmax)
-        return build_rectangle_grid(self.n, self.ny, self.extents)
+        extents = (self.xmin, self.xmax, self.ymin, self.ymax)
+        return build_rectangle_grid(self.n, self.ny, extents)
 
     def build_problem(self) -> ProblemSpec:
         """The config's problem, built on first call and shared by later ones."""

@@ -10,7 +10,8 @@ problem's boundary) and the gradient is zeroed there, which keeps energy
 values exactly comparable across iterates (no penalty terms).
 
 Overflowing evaluations are reported as infinities rather than raised, so a
-line search can treat them as rejected steps.
+line search can treat them as rejected steps. ``EnergyBreakdown.total`` is the
+one place the parts are subtracted; where both overflow it is +inf.
 """
 
 import math
@@ -44,11 +45,14 @@ class EnergyBreakdown:
 
     @property
     def total(self) -> float:
-        return self.diffusion_part - self.reaction_part
+        """diffusion - reaction; +inf where both parts overflow (inf - inf)."""
+        total = self.diffusion_part - self.reaction_part
+        return math.inf if math.isnan(total) else total
 
 
 class DiffusionPlan:
-    """Read-only tables and kernels of a diffusion energy on one grid.
+    """Read-only tables and kernels of a diffusion energy on one grid: the
+    energy's is ``ProblemSpec.plan``, and the Rayleigh quotient builds one at w = 1.
 
     The kernels validate nothing (the public functions below check their
     inputs). Norms and values repeat the floating-point operations of the
@@ -107,44 +111,6 @@ class DiffusionPlan:
         return self.stiffness or self.assembly.edge_bands(self.stiffness_weights(norms))
 
 
-class EvaluationPlan(DiffusionPlan):
-    """The diffusion kernels plus the reaction of one problem's energy, built by ``ps.plan``."""
-
-    def __init__(self, ps: ProblemSpec):
-        super().__init__(ps.grid, ps.diffusion)
-        self.node_mass = ps.grid.node_mass
-        self.held = ps.held_nodes
-        self.reaction = ps.reaction
-        self.terms = ps.reaction.terms(*ps.nodal_coefficients)
-
-    def energy_parts(self, values: np.ndarray, norms=None) -> tuple[float, float]:
-        """(diffusion, reaction) parts; infinities where the energy overflows.
-        ``norms``, when given, is ``gather(values)``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            diffusion = self.diffusion_value(self.gather(values) if norms is None else norms)
-            primitive = self.reaction.evaluate(self.terms, values, "primitive")
-            reaction = float(self.node_mass @ primitive)
-        return (
-            math.inf if math.isnan(diffusion) else diffusion,
-            -math.inf if math.isnan(reaction) else reaction,
-        )
-
-    def gradient(self, values: np.ndarray, norms=None) -> np.ndarray:
-        """Nodal energy gradient, zero on ``held``; ``norms``, when given, is ``gather(values)``."""
-        norms = self.gather(values) if norms is None else norms
-        out = self.diffusion_flux(values, norms)
-        out -= self.node_mass * self.reaction.evaluate(self.terms, values, "value")
-        out[self.held] = 0.0
-        return out
-
-    def reaction_curvature(self, values: np.ndarray) -> np.ndarray:
-        """The lumped positive reaction curvature m * max(-dg/dt, 0), the
-        descent preconditioner's nodal shift."""
-        floored = np.maximum(np.abs(values), CURVATURE_VALUE_FLOOR)
-        slope = power_sum(self.terms["derivative"], floored)
-        return self.node_mass * np.maximum(-slope, 0.0)
-
-
 def check_admissible(ps: ProblemSpec, values: np.ndarray) -> None:
     worst = np.max(np.abs(values[ps.held_nodes]), initial=0.0)
     if worst > BOUNDARY_TOL:
@@ -160,22 +126,27 @@ def _admissible_values(ps: ProblemSpec, u: ScalarField) -> np.ndarray:
     return u.values
 
 
-def energy_parts(ps: ProblemSpec, values: np.ndarray, norms=None) -> tuple[float, float]:
-    """(diffusion, reaction) parts for raw nodal values; may return infinities.
+def energy_parts(ps: ProblemSpec, values: np.ndarray, norms=None) -> EnergyBreakdown:
+    """The parts for raw nodal values; infinities where a part overflows.
     ``norms``, when given, is ``ps.plan.gather(values)``."""
-    return ps.plan.energy_parts(values, norms)
+    plan = ps.plan
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffusion = plan.diffusion_value(plan.gather(values) if norms is None else norms)
+        primitive = ps.reaction.evaluate(ps.reaction_terms, values, "primitive")
+        reaction = float(ps.grid.node_mass @ primitive)
+    return EnergyBreakdown(
+        math.inf if math.isnan(diffusion) else diffusion,
+        -math.inf if math.isnan(reaction) else reaction,
+    )
 
 
 def energy_total(ps: ProblemSpec, values: np.ndarray, norms=None) -> float:
-    diffusion, reaction = energy_parts(ps, values, norms)
-    total = diffusion - reaction
-    return math.inf if math.isnan(total) else total
+    return energy_parts(ps, values, norms).total
 
 
 def energy(ps: ProblemSpec, u: ScalarField) -> EnergyBreakdown:
     """Energy of an admissible field, split into diffusion and reaction parts."""
-    diffusion, reaction = energy_parts(ps, _admissible_values(ps, u))
-    return EnergyBreakdown(diffusion, reaction)
+    return energy_parts(ps, _admissible_values(ps, u))
 
 
 def ray_energies(ps: ProblemSpec, values: np.ndarray, scales) -> np.ndarray:
@@ -189,9 +160,9 @@ def ray_energies(ps: ProblemSpec, values: np.ndarray, scales) -> np.ndarray:
     t = np.asarray(scales, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         total = plan.diffusion_value(plan.gather(values)) * t**plan.p
-        for term in plan.terms["primitive"]:  # (sign, c, e, e)
-            part = plan.reaction.evaluate({"primitive": [term]}, values, "primitive")
-            total -= term[0] * float(plan.node_mass @ part) * t ** term[2]
+        for term in ps.reaction_terms["primitive"]:  # (sign, c, e, e)
+            part = ps.reaction.evaluate({"primitive": [term]}, values, "primitive")
+            total -= term[0] * float(ps.grid.node_mass @ part) * t ** term[2]
     return np.where(np.isnan(total), np.inf, total)
 
 
@@ -201,7 +172,19 @@ def energy_grad_values(ps: ProblemSpec, values: np.ndarray, norms=None) -> np.nd
 
     Entries on the held nodes are forced to zero (frozen degrees of freedom).
     """
-    return ps.plan.gradient(values, norms)
+    plan = ps.plan
+    out = plan.diffusion_flux(values, plan.gather(values) if norms is None else norms)
+    out -= ps.grid.node_mass * ps.reaction.evaluate(ps.reaction_terms, values, "value")
+    out[ps.held_nodes] = 0.0
+    return out
+
+
+def reaction_curvature(ps: ProblemSpec, values: np.ndarray) -> np.ndarray:
+    """The lumped positive reaction curvature m * max(-dg/dt, 0), the
+    descent preconditioner's nodal shift."""
+    floored = np.maximum(np.abs(values), CURVATURE_VALUE_FLOOR)
+    slope = power_sum(ps.reaction_terms["derivative"], floored)
+    return ps.grid.node_mass * np.maximum(-slope, 0.0)
 
 
 def energy_grad(ps: ProblemSpec, u: ScalarField) -> ScalarField:

@@ -292,11 +292,16 @@ class ProblemSpec:
         return a, b
 
     @cached_property
-    def plan(self):
-        """The energy's evaluation plan (``energy.EvaluationPlan``), built on first use."""
-        from .energy import EvaluationPlan  # energy imports this module
+    def reaction_terms(self) -> dict:
+        """``reaction.terms`` of ``nodal_coefficients``, built once for every evaluation."""
+        return self.reaction.terms(*self.nodal_coefficients)
 
-        return EvaluationPlan(self)
+    @cached_property
+    def plan(self):
+        """The diffusion's ``energy.DiffusionPlan`` on the grid, built on first use."""
+        from .energy import DiffusionPlan  # energy imports this module
+
+        return DiffusionPlan(self.grid, self.diffusion)
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,6 @@ class HiddenConvexityReport:
     """Pointwise convexity-inequality check at one path parameter."""
 
     mode: str
-    t: float
     max_violation: float
     active_set: np.ndarray  # edges/elements where the endpoints differ and move
     strict_set: np.ndarray  # subset where a strict gap was observed
@@ -137,7 +136,6 @@ def pointwise_hidden_convexity(
 
     return HiddenConvexityReport(
         mode=mode,
-        t=t,
         max_violation=float(excess.max()) if len(excess) else 0.0,
         active_set=active,
         strict_set=active & (excess < -STRICTNESS_GAP),
@@ -198,13 +196,13 @@ def path_energy_profile(
     dv = v.values[j] - v.values[i]
     for k, t in enumerate(ts):
         gamma = power_path_values(u.values, v.values, q, t)
-        d_part, r_part = energy_parts(ps, gamma)
-        diffusion[k] = d_part
-        total[k] = d_part - r_part
+        parts = energy_parts(ps, gamma)
+        diffusion[k] = parts.diffusion_part
+        total[k] = parts.total
         excess = _excess(gamma[j] - gamma[i], du, dv, ps.diffusion.p, t)
         max_violation = max(max_violation, float(excess.max()))
 
-    if not np.isfinite(total).all():  # finite only where both parts are; nan passes sign tests
+    if not np.isfinite(total).all():  # finite only where both parts are
         raise ValueError("path energies overflow float64 on these endpoints")
     d2_D = diffusion[:-2] - 2.0 * diffusion[1:-1] + diffusion[2:]
     d2_I = total[:-2] - 2.0 * total[1:-1] + total[2:]
@@ -257,10 +255,8 @@ def midpoint_energy_test(
     """
     check_endpoints(u, v, ps)
     mid = power_path_values(u.values, v.values, q, 0.5)
-    e_u = energy_parts(ps, u.values)
-    e_v = energy_parts(ps, v.values)
-    e_m = energy_parts(ps, mid)
-    gap = 0.5 * ((e_u[0] - e_u[1]) + (e_v[0] - e_v[1])) - (e_m[0] - e_m[1])
+    e_u, e_v, e_m = (energy_parts(ps, values).total for values in (u.values, v.values, mid))
+    gap = 0.5 * (e_u + e_v) - e_m
     if not np.isfinite(gap):
         raise ValueError("path energies overflow float64 on these endpoints")
     if gap > STRICTNESS_GAP:

@@ -39,6 +39,7 @@ from .energy import (
     energy_parts,
     energy_total,
     ray_energies,
+    reaction_curvature,
     stationarity_residual,
 )
 from .grid import Grid, ScalarField
@@ -225,7 +226,7 @@ class _Energy:
         plan, (point, norms) = self.ps.plan, self.evaluated
         norms = norms if point is u else plan.gather(u)
         g = energy_grad_values(self.ps, u, norms)
-        shift = plan.reaction_curvature(u)
+        shift = reaction_curvature(self.ps, u)
         if self.mass_shift is not None:
             shift += self.mass_shift
         bands = plan.stiffness_bands(norms)
@@ -256,7 +257,9 @@ def _picard_start(objective: _Energy, values: np.ndarray) -> np.ndarray:
     """Of PICARD_STEPS refinements from ``values``, the one of least finite energy
     below both that of ``values`` and the trivial point's 0; else ``values``. Each is
     the full step u - P^-1 g (a Picard step when P = K + the lumped reaction
-    curvature), truncated when projecting, times the RAY_SCALES entry of least energy."""
+    curvature), truncated when projecting, times the RAY_SCALES entry of least energy.
+    A step to the zero field ends the refinement: its energy is 0, and so are its
+    gradient and every later step."""
     u = best = values
     bound = min(objective.current, 0.0)
     for _ in range(PICARD_STEPS):
@@ -264,6 +267,8 @@ def _picard_start(objective: _Energy, values: np.ndarray) -> np.ndarray:
         u = u - precondition.direction(g)
         if objective.project:
             np.maximum(u, 0.0, out=u)
+        if not u.any():
+            break
         u *= RAY_SCALES[np.argmin(ray_energies(objective.ps, u, RAY_SCALES))]
         value = objective.value(u)
         if -math.inf < value < bound:
@@ -305,10 +310,9 @@ def minimize(ps: ProblemSpec, init: ScalarField, opts: SolveOptions = SolveOptio
     values, residual, iterations, status, history = _descent(
         objective, values, opts.budget(ps.grid), opts
     )
-    diffusion, reaction = energy_parts(ps, values)
     return SolveReport(
         solution=ScalarField(ps.grid, values),
-        energy=EnergyBreakdown(diffusion, reaction),
+        energy=energy_parts(ps, values),
         residual=residual,
         iterations=iterations,
         status=status,
@@ -326,7 +330,6 @@ class Cluster:
 class MultiStartResult:
     reports: list[SolveReport]
     clusters: list[Cluster]
-    threshold: float
 
     @property
     def n_clusters(self) -> int:
@@ -390,7 +393,7 @@ def multi_start(
         rep = min(members, key=lambda i: reports[i].energy.total)
         built.append(Cluster(members=members, representative=rep))
     built.sort(key=lambda c: reports[c.representative].energy.total)
-    return MultiStartResult(reports=reports, clusters=built, threshold=threshold)
+    return MultiStartResult(reports=reports, clusters=built)
 
 
 @dataclass(frozen=True)
@@ -536,15 +539,17 @@ class _Rayleigh:
 
     def gradient(self, u: np.ndarray):
         grid, p, plan = self.grid, self.p, self.plan
-        norms = plan.gather(u)
-        flux = plan.diffusion_flux(u, norms)
-        magnitude = np.abs(u)
-        mass = float(grid.node_mass @ magnitude**p) / p
-        rayleigh = plan.diffusion_value(norms) / mass
-        mass_grad = grid.node_mass * np.sign(u) * magnitude ** (p - 1.0)
-        g = (flux - rayleigh * mass_grad) / mass
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow stalls the descent
+            norms = plan.gather(u)
+            flux = plan.diffusion_flux(u, norms)
+            magnitude = np.abs(u)
+            mass = float(grid.node_mass @ magnitude**p) / p
+            rayleigh = plan.diffusion_value(norms) / mass
+            mass_grad = grid.node_mass * np.sign(u) * magnitude ** (p - 1.0)
+            g = (flux - rayleigh * mass_grad) / mass
+            bands = plan.stiffness_bands(norms)
         g[self.held] = 0.0
-        return rayleigh, g, WeightedStiffness(plan.assembly, plan.stiffness_bands(norms), self.held)
+        return rayleigh, g, WeightedStiffness(plan.assembly, bands, self.held)
 
     def accepted(self, u: np.ndarray, value: float):
         return u / self.mass ** (1.0 / self.p), None
@@ -567,8 +572,10 @@ def first_eigenvalue(grid: Grid, p: float, opts: SolveOptions = SolveOptions()) 
     u = objective.normalize(u)
     if float(grid.node_mass @ u) < 0.0:
         u = -u
+    with np.errstate(over="ignore", invalid="ignore"):
+        lambda1 = p * objective.plan.diffusion_value(objective.plan.gather(u))
     return EigenReport(
-        lambda1=p * objective.plan.diffusion_value(objective.plan.gather(u)),
+        lambda1=lambda1,
         eigenfunction=ScalarField(grid, u),
         rayleigh_history=np.asarray(history),
         iterations=iterations,

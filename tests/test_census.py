@@ -81,3 +81,33 @@ def test_every_function_is_referenced_somewhere():
     unreferenced = [fn.name for _, fn, _ in _definitions()
                     if not fn.name.startswith("__") and fn.name not in names]
     assert not unreferenced, "functions nothing names: " + ", ".join(unreferenced)
+
+
+def _is_dataclass(node):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _fields_and_properties():
+    """(class name, attribute) of each dataclass field and each property or
+    cached property defined in the package."""
+    for tree in _trees(PACKAGE):
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and _is_dataclass(cls):
+                    yield cls.name, item.target.id
+                elif isinstance(item, ast.FunctionDef) and any(
+                    getattr(d, "id", None) in ("property", "cached_property")
+                    for d in item.decorator_list
+                ):
+                    yield cls.name, item.name
+
+
+def test_every_field_and_property_is_read_somewhere():
+    # ScenarioConfig's fields are read by name, through the KEYS table
+    read = {node.attr for tree in _trees(PACKAGE, TESTS) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{owner}.{name}" for owner, name in _fields_and_properties()
+              if name not in read and owner != "ScenarioConfig"]
+    assert not unread, "fields and properties nothing reads: " + ", ".join(unread)

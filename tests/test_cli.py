@@ -100,6 +100,33 @@ def test_experiment_unbounded_detection(tmp_path, capsys):
     assert "not_bounded_below" in capsys.readouterr().out
 
 
+def test_solve_reports_an_unbounded_energy_and_exits_zero(tmp_path, capsys):
+    out = tmp_path / "pos"
+    assert main(["solve", "--config", "E1N_POS", "--out", str(out)]) == 0
+    (row,) = read_csv(out / "report.csv")
+    assert row["status"] == "not_bounded_below" and row["converged"] == "0"
+    # no minimizer, so nothing is classified
+    assert all(row[key] == "" for key in plaplab.cli._CLASSIFICATION_HEADER)
+    assert (out / "solution.csv").exists()
+    printed = capsys.readouterr().out
+    assert "energy decreased without bound; no minimizer exists for this configuration" in printed
+
+
+def test_experiment_without_a_converged_start_exits_3(tmp_path):
+    cfg = tmp_path / "e1_no_iterations.cfg"
+    cfg.write_text(dataclasses.replace(load_config("E1"), max_iterations=0).serialize(),
+                   encoding="utf-8")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    rows = read_csv(out / "report.csv")
+    assert len(rows) == 20 and {row["status"] for row in rows} == {"max_iterations"}
+    assert (out / "clusters.csv").read_text(encoding="utf-8") == ",".join(
+        ["cluster", "size", "representative_start", "energy_total", "residual",
+         *plaplab.cli._CLASSIFICATION_HEADER]
+    ) + "\n"
+    assert not (out / "solution.csv").exists() and not list(out.glob("solution_c*.csv"))
+
+
 def test_experiment_clusters_and_solutions(tmp_path):
     out = tmp_path / "exp"
     code = main(["experiment", "--config", "E4", "--out", str(out), "--quiet"])
@@ -169,7 +196,6 @@ def test_eigen_command(tmp_path):
     assert len(history) == int(row["iterations"]) + 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |grad u|^1000 overflows in the gradient
 def test_eigen_with_an_overflowing_exponent_stalls_at_once(tmp_path):
     """At eigen.p = 1000 the Rayleigh gradient overflows and the direction is
     NaN: the descent stalls at iteration 0 instead of backtracking forever."""
@@ -403,7 +429,7 @@ def test_midpoint_csv_is_unchanged(tmp_path, monkeypatch):
         # a positive minimizer and the trivial critical point: two nonnegative clusters
         reports = [minimize(ps, random_start(ps, opts.random_seed), opts),
                    minimize(ps, ScalarField(ps.grid, np.zeros(ps.grid.n_nodes)), opts)]
-        return MultiStartResult(reports, [Cluster([0], 0), Cluster([1], 1)], 0.0)
+        return MultiStartResult(reports, [Cluster([0], 0), Cluster([1], 1)])
 
     monkeypatch.setattr(plaplab.cli, "multi_start", two_clusters)
     out = tmp_path / "out"

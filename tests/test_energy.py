@@ -9,8 +9,10 @@ import pytest
 from plaplab.energy import (
     energy,
     energy_grad,
+    energy_grad_values,
     energy_total,
     ray_energies,
+    reaction_curvature,
     residual_norm,
 )
 from plaplab.errors import BoundaryViolationError
@@ -237,6 +239,18 @@ def test_overflow_reported_as_infinity():
         assert energy_total(ps, vals) == np.inf
 
 
+def test_both_parts_overflowing_give_one_infinite_total():
+    # diffusion and reaction both overflow: inf - inf is +inf for every caller
+    ps = interval_problem(reaction=ReactionSpec("pure_subhomogeneous", q=1.9, a=1.0))
+    vals = np.zeros(ps.grid.n_nodes)
+    vals[ps.grid.interior_nodes] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parts = energy(ps, ScalarField(ps.grid, vals))
+        assert parts.diffusion_part == parts.reaction_part == np.inf
+        assert parts.total == energy_total(ps, vals) == np.inf
+
+
 @pytest.mark.parametrize("family", ["constant", "power_shift", "saturating"])
 def test_diffusion_weight_rejects_negative_argument(family):
     d = DiffusionSpec(family, p=2.0, r=3.0 if family == "power_shift" else None)
@@ -252,10 +266,10 @@ def test_residual_norm_rejects_boundary_violation():
         residual_norm(ps, ScalarField.constant(ps.grid, 1.0))
 
 
-def preconditioner_parts(plan, values):
-    """The gradient and the parts of the descent's preconditioner the plan computes."""
-    return plan.gradient(values), plan.stiffness_weights(plan.gather(values)), \
-        plan.reaction_curvature(values)
+def preconditioner_parts(ps, values):
+    """The gradient and the parts of the descent's preconditioner."""
+    return energy_grad_values(ps, values), ps.plan.stiffness_weights(ps.plan.gather(values)), \
+        reaction_curvature(ps, values)
 
 
 def arrays_in(value):
@@ -289,13 +303,14 @@ def test_evaluation_plan_holds_only_read_only_arrays(grid):
             "natural",
         )
         values = np.cos(3.0 * grid.nodes[:, 0])
-        first = (energy_total(ps, values), *preconditioner_parts(ps.plan, values))
+        first = (energy_total(ps, values), *preconditioner_parts(ps, values))
         assert (ps.plan.stiffness is not None) == (diffusion.p == 2.0)
         for owner in (ps.plan, ps.plan.assembly):
             arrays = [arr for v in vars(owner).values() for arr in arrays_in(v)]
             assert arrays and not any(arr.flags.writeable for arr in arrays)
+        assert not any(arr.flags.writeable for arr in (ps.grid.node_mass, ps.held_nodes))
         assert a.flags.writeable  # the caller's coefficient array is left alone
-        second = (energy_total(ps, values), *preconditioner_parts(ps.plan, values))
+        second = (energy_total(ps, values), *preconditioner_parts(ps, values))
         assert first[0] == second[0]
         for x, y in zip(first[1:], second[1:]):
             np.testing.assert_array_equal(x, y)
@@ -312,7 +327,7 @@ def test_problem_and_grid_are_freed_without_the_cycle_collector(dimension):
         ps = ProblemSpec(grid, DiffusionSpec("constant", p=2.0),
                          ReactionSpec("pure_subhomogeneous", q=1.5), "natural")
         energy_total(ps, np.ones(grid.n_nodes))
-        preconditioner_parts(ps.plan, np.ones(grid.n_nodes))
+        preconditioner_parts(ps, np.ones(grid.n_nodes))
         refs = (weakref.ref(ps), weakref.ref(grid))
         del ps, grid
         assert all(ref() is None for ref in refs)

@@ -1,6 +1,6 @@
 """Regression of the energy kernels and the solvers built on them.
 
-The kernel checks compare the evaluation plan against the direct formulas
+The kernel checks compare the energy functions and their plan against the direct formulas
 (``einsum`` element gradients, ``np.add.at`` scatter, the checked diffusion
 methods, each reaction family's g, G and dg/dt and both negative extensions),
 written out below as the reference. Energy values, the stiffness weights and
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from plaplab.config import ScenarioConfig, load_config
-from plaplab.energy import energy_grad_values, energy_parts, energy_total
+from plaplab.energy import energy_grad_values, energy_parts, energy_total, reaction_curvature
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import SolveOptions, first_eigenvalue, minimize, random_start
@@ -321,19 +321,20 @@ def test_plan_kernels_equal_reference_formulas(grid_name, diffusion, boundary, e
         for values in fields(ps, rng):
             parts = energy_parts(ps, values)
             expected_parts = reference_parts(ps, values)
+            parts = (parts.diffusion_part, parts.reaction_part)
             assert [x.hex() for x in parts] == [x.hex() for x in expected_parts]
             assert energy_total(ps, values) == expected_parts[0] - expected_parts[1]
             expected, magnitude = reference_grad_and_curvature(ps, values)
-            gradient = ps.plan.gradient(values)
+            gradient = energy_grad_values(ps, values)
             weights = ps.plan.stiffness_weights(ps.plan.gather(values))
-            curvature = ps.plan.reaction_curvature(values)
+            curvature = reaction_curvature(ps, values)
             assert same_bits(weights, expected[1]) and same_bits(curvature, expected[2])
             # the flux adds the edge terms, the reference the element terms they
             # sum to: they agree to roundoff in the edge terms, which a 2D
             # element term can cancel exactly (integer fields on square cells)
             bound = 16.0 * np.finfo(float).eps * magnitude
             assert np.all(np.abs(gradient - expected[0]) <= bound)
-            assert same_bits(energy_grad_values(ps, values), gradient)
+            assert same_bits(energy_grad_values(ps, values, ps.plan.gather(values)), gradient)
 
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))

@@ -12,7 +12,7 @@ import scipy.sparse.linalg
 from plaplab.classify import classify_cone
 from plaplab.cli import _initial_field
 from plaplab.config import BUILTIN_SCENARIOS, ScenarioConfig, load_config
-from plaplab.energy import check_admissible, residual_norm
+from plaplab.energy import check_admissible, energy_grad_values, reaction_curvature, residual_norm
 from plaplab.errors import BoundaryViolationError
 from plaplab.grid import ElementAssembly, ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
@@ -1039,6 +1039,17 @@ def count_edge_bands(monkeypatch) -> list:
     return calls
 
 
+def count_directions(monkeypatch) -> list:
+    calls, original = [], WeightedStiffness.direction
+
+    def counting(self, g, *args):
+        calls.append(len(g))
+        return original(self, g, *args)
+
+    monkeypatch.setattr(WeightedStiffness, "direction", counting)
+    return calls
+
+
 @pytest.mark.parametrize("mesh", list(BAND_MESHES))
 def test_p2_constant_solves_build_the_stiffness_bands_once_per_problem(mesh, monkeypatch):
     grid = BAND_MESHES[mesh]()
@@ -1060,13 +1071,7 @@ def test_p2_constant_solves_build_the_stiffness_bands_once_per_problem(mesh, mon
 )
 @pytest.mark.parametrize("mesh", list(BAND_MESHES))
 def test_only_starts_of_problems_holding_the_stiffness_are_refined(mesh, diffusion, monkeypatch):
-    calls, original = [], WeightedStiffness.direction
-
-    def counting(self, g, *args):
-        calls.append(len(g))
-        return original(self, g, *args)
-
-    monkeypatch.setattr(WeightedStiffness, "direction", counting)
+    calls = count_directions(monkeypatch)
     ps = band_problem(BAND_MESHES[mesh](), diffusion)
     report = minimize(ps, random_start(ps, 1))
     assert report.converged
@@ -1074,6 +1079,19 @@ def test_only_starts_of_problems_holding_the_stiffness_are_refined(mesh, diffusi
     assert (ps.plan.stiffness is not None) == holds
     # one direction per descent iteration, and one per refinement step
     assert len(calls) == report.iterations + (PICARD_STEPS if holds else 0)
+
+
+@pytest.mark.parametrize("name, steps", [("E1", 2), ("E2", 1), ("E1N_NEG", 1)])
+def test_refinement_stops_at_a_step_to_the_zero_field(name, steps, monkeypatch):
+    """E2's and E1N_NEG's first refinement step truncates to u = 0 (n = 128, seed
+    5): from there every step is zero, so the refinement takes no second one."""
+    calls = count_directions(monkeypatch)
+    config = load_config(name)
+    ps = config.build_problem()
+    assert ps.grid.n_elements == 128 and PICARD_STEPS == 2
+    report = minimize(ps, random_start(ps, 5), config.solve_options(5))
+    assert report.converged
+    assert len(calls) == report.iterations + steps
 
 
 @pytest.mark.parametrize(
@@ -1128,12 +1146,12 @@ def test_held_edge_bands_leave_the_gradient_and_p_bitwise(mesh, diffusion, field
     flux = flux_as_built_per_call(plan, values, norms)
     assert plan.diffusion_flux(values, norms).tobytes() == flux.tobytes()
 
-    expected = flux - plan.node_mass * plan.reaction.evaluate(plan.terms, values, "value")
+    expected = flux - grid.node_mass * ps.reaction.evaluate(ps.reaction_terms, values, "value")
     own_bands = plan.assembly.edge_bands(plan.stiffness_weights(norms))
     _, g, stiffness = _Energy(ps, values, project=True).gradient(values)
     assert g.tobytes() == expected.tobytes()
     assert [b.tobytes() for b in stiffness.bands] == [b.tobytes() for b in own_bands]
-    shift = plan.reaction_curvature(values) + NATURAL_MASS_SHIFT * grid.node_mass
+    shift = reaction_curvature(ps, values) + NATURAL_MASS_SHIFT * grid.node_mass
     assert stiffness.shift.tobytes() == shift.tobytes()
     if diffusion.family == "constant":
         _, _, stiffness = _Rayleigh(grid, diffusion.p).gradient(values)
@@ -1163,7 +1181,7 @@ def test_every_consumer_holds_the_problems_held_nodes(mesh, boundary):
 
     values = random_start(ps, 4).values
     assert np.all(values[held] == 0.0) and values[free].min() > 0.0
-    assert np.all(ps.plan.gradient(values)[held] == 0.0)
+    assert np.all(energy_grad_values(ps, values)[held] == 0.0)
     nudged = np.full(grid.n_nodes, 1e-6)
     if len(held):
         with pytest.raises(BoundaryViolationError):
