@@ -70,10 +70,12 @@ class DiffusionPlan:
         constant = diffusion.family == "constant"
         self.weight = None if constant else diffusion._weight
         self.weight_primitive = None if constant else diffusion._weight_primitive
-        # w = 1, p = 2: K's edge bands, the same at every iterate, read-only
-        self.stiffness = None
+        # w = 1, p = 2: K's edge bands, the same at every iterate, read-only, and
+        # on the builders' rectangles the sine table of K held at zero
+        self.stiffness = self.sines = None
         if constant and self.p == 2.0:
             self.stiffness = tuple(map(_frozen_array, self.assembly.edge_bands(self.volume)))
+            self.sines = self.assembly.sine_table(self.stiffness)
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Element gradient norms of a nodal field."""

@@ -234,6 +234,46 @@ class ElementAssembly:
             out[s:] += band
         return out
 
+    def sine_table(self, bands: list):
+        """On the builders' rectangles, 1 / (4 nx ny lambda_jk) for the eigenvalues
+        lambda_jk = by (2 - 2 cos(pi j / ny)) + bx (2 - 2 cos(pi k / nx)) of the 5-point
+        operator held at zero on the boundary, bx and by the mean x and y band over
+        the edges that touch an interior node; ``sine_solver``'s table. Else None."""
+        if self.cells is None or len(self.cells) != 2:
+            return None
+        ny, nx = self.cells
+        by = bands[0].reshape(ny, nx + 1)[:, 1:-1].mean()
+        bx = np.append(bands[1], 0.0).reshape(ny + 1, nx + 1)[1:-1, :-1].mean()
+        cos_y, cos_x = (np.cos(np.pi * np.arange(1, n) / n) for n in (ny, nx))
+        eigenvalues = by * (2.0 - 2.0 * cos_y)[:, None] + bx * (2.0 - 2.0 * cos_x)
+        return _frozen_array(0.25 / (nx * ny * eigenvalues))
+
+
+def sine_solver(table: np.ndarray):
+    """The exact solve x = L^-1 r of the 5-point operator L whose ``sine_table`` is
+    ``table``, as a function (r, out) of nodal r that writes x's interior entries
+    to nodal ``out`` (its boundary entries are neither read nor written), with
+    its own work buffers. L's eigenvectors are sine products, so x is a sine
+    transform (DST-I) per axis, a division by the eigenvalues, and the
+    transforms again; each DST-I is -1/2 times the imaginary part of the real
+    FFT of the odd extension, and the table carries the inverse's 2 / n per axis."""
+    m, k = table.shape
+    rows, columns = np.zeros((m, 2 * k + 2)), np.zeros((k, 2 * m + 2))
+
+    def transform(a, extension):  # -2 times the DST-I of each row of ``a``
+        n = a.shape[1] + 1
+        extension[:, 1:n] = a
+        np.negative(a[:, ::-1], out=extension[:, n + 1:])
+        return np.fft.rfft(extension)[:, 1:n].imag
+
+    def solve(r, out):
+        interior = r.reshape(m + 2, k + 2)[1:-1, 1:-1]
+        spectrum = transform(transform(interior, rows).T, columns) * table.T
+        out.reshape(m + 2, k + 2)[1:-1, 1:-1] = transform(transform(spectrum, columns).T, rows)
+        return out
+
+    return solve
+
 
 def _sum_of_squares(planar: np.ndarray) -> np.ndarray:
     """Sum of squares over the first axis, added in index order as

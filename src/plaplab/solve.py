@@ -21,6 +21,8 @@ stiffness weights and bands.
 
 Where w = 1 and p = 2, ``minimize`` first refines the start by Picard steps, each
 scaled to its ray's least energy (``_picard_start``), in place of sup-halving steps.
+There, on the builders' rectangles held at zero, an exact sine-transform solve
+of K preconditions P's inner conjugate gradients.
 
 Runs are deterministic: identical problem, options, and seed reproduce the
 iterate sequence bitwise (sequential execution, per-start seeded generators).
@@ -42,7 +44,7 @@ from .energy import (
     reaction_curvature,
     stationarity_residual,
 )
-from .grid import Grid, ScalarField
+from .grid import Grid, ScalarField, sine_solver
 from .model import DiffusionSpec, ProblemSpec
 
 DIVERGENCE_ENERGY = -1e12
@@ -193,8 +195,9 @@ class _Energy:
     on natural-boundary problems). A step moves no node by more than half the
     iterate's sup norm (``reach``): a full step of this Newton-like direction
     from a rough start can land every node on the trivial point at once; it stays
-    for starts ``minimize`` does not refine (p != 2, w != 1) or refines in vain (E2,
-    E1N_NEG), and does not bind at a refined start's scale. It
+    for starts ``minimize`` does not refine (p != 2, w != 1) or refines in vain
+    (no step below energy 0), and does not bind at a refined start's scale.
+    Only a Dirichlet P takes the plan's sine table; a natural K is singular. It
     looks up the module-level energy functions on every call, so wrappers
     installed on those names see every evaluation. It keeps the gradient norms
     of the last point it evaluated, so the gradient of an accepted trial point
@@ -216,6 +219,7 @@ class _Energy:
         self.norm_limit = DIVERGENCE_NORM_FACTOR * (1.0 + self.watermark)
         self.held = ps.held_nodes
         self.mass_shift = None if ps.is_dirichlet else NATURAL_MASS_SHIFT * ps.grid.node_mass
+        self.sines = ps.plan.sines if ps.is_dirichlet else None
 
     def value(self, u: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -230,7 +234,8 @@ class _Energy:
         if self.mass_shift is not None:
             shift += self.mass_shift
         bands = plan.stiffness_bands(norms)
-        return self.current, g, WeightedStiffness(plan.assembly, bands, self.held, shift)
+        stiffness = WeightedStiffness(plan.assembly, bands, self.held, shift, self.sines)
+        return self.current, g, stiffness
 
     def accepted(self, u: np.ndarray, value: float):
         self.current = value
@@ -257,16 +262,20 @@ def _picard_start(objective: _Energy, values: np.ndarray) -> np.ndarray:
     """Of PICARD_STEPS refinements from ``values``, the one of least finite energy
     below both that of ``values`` and the trivial point's 0; else ``values``. Each is
     the full step u - P^-1 g (a Picard step when P = K + the lumped reaction
-    curvature), truncated when projecting, times the RAY_SCALES entry of least energy.
-    A step to the zero field ends the refinement: its energy is 0, and so are its
-    gradient and every later step."""
+    curvature), times the RAY_SCALES entry of least energy; when projecting,
+    P^-1 (P u - g)^+, truncated: a monotone step on the source's positive part
+    (unclipped, a dead core's negative source spreads through an accurate P^-1
+    and zeroes the whole field). A step to the zero field ends the refinement:
+    its energy is 0, and so are its gradient and every later step."""
     u = best = values
     bound = min(objective.current, 0.0)
     for _ in range(PICARD_STEPS):
         _, g, precondition = objective.gradient(u)
-        u = u - precondition.direction(g)
         if objective.project:
+            u = precondition.direction(np.maximum(precondition.metric(u) - g, 0.0))
             np.maximum(u, 0.0, out=u)
+        else:
+            u = u - precondition.direction(g)
         if not u.any():
             break
         u *= RAY_SCALES[np.argmin(ray_energies(objective.ps, u, RAY_SCALES))]
@@ -453,17 +462,19 @@ class WeightedStiffness:
     ``direction`` solves P x = g, taking g as zero on ``held`` (a g zero
     elsewhere gives x = 0): exactly by ``chain_solve`` on the grid builders'
     intervals (``assembly.cells`` one-dimensional), else by matrix-free
-    conjugate gradients preconditioned with P's diagonal, stopped at relative
-    residual ``tolerance``, in buffers allocated once per call. ``metric`` is
-    the product. The sweep, the product and the diagonal all read ``bands``,
-    the edge bands ``assembly.edge_bands`` builds from the element weights.
+    conjugate gradients preconditioned with ``preconditioner()``, stopped at
+    relative residual ``tolerance``, in buffers allocated once per call.
+    ``metric`` is the product. The sweep, the product and the diagonal all
+    read ``bands``, the edge bands ``assembly.edge_bands`` builds from the
+    element weights; ``sines`` is their ``sine_table`` where they are K's.
     """
 
-    def __init__(self, assembly, bands, held: np.ndarray, shift=None):
+    def __init__(self, assembly, bands, held: np.ndarray, shift=None, sines=None):
         self.assembly = assembly
         self.held = held
         self.shift = shift
         self.bands = bands
+        self.sines = sines
 
     def metric(self, s: np.ndarray, out=None, work=None) -> np.ndarray:
         out = self.assembly.band_product(self.bands, s, out, work)
@@ -472,22 +483,45 @@ class WeightedStiffness:
         out[self.held] = 0.0
         return out
 
+    def preconditioner(self):
+        """The conjugate gradients' M^-1 as a function (r, z) -> z writing M^-1 r
+        to ``z``, for r zero on ``held`` and z zero on the boundary, with its own
+        buffers. Without ``sines``, r over P's diagonal. With them, block
+        diagonal: r over P's diagonal on the stiff nodes, whose shift exceeds
+        K's diagonal, and on the others the sine solve K^-1 of r with the stiff
+        entries zeroed. Each block is SPD."""
+        diagonal = self.assembly.band_diagonal(self.bands)
+        shift = self.shift
+        stiff = [] if shift is None or self.sines is None else np.flatnonzero(shift > diagonal)
+        if shift is not None:
+            diagonal += shift
+        diagonal[self.held] = 1.0
+        if self.sines is None:
+            return lambda r, z: np.divide(r, diagonal, out=z)
+        solve, stiff_diagonal, soft = sine_solver(self.sines), diagonal[stiff], diagonal.copy()
+
+        def apply(r, z):
+            np.copyto(soft, r)
+            soft[stiff] = 0.0
+            solve(soft, z)
+            z[stiff] = r[stiff] / stiff_diagonal
+            return z
+
+        return apply
+
     def direction(self, g: np.ndarray, tolerance: float = INNER_TOLERANCE) -> np.ndarray:
         cells, bands, shift = self.assembly.cells, self.bands, self.shift
         if cells is not None and len(cells) == 1:
             shift = None if shift is None else shift.tolist()
             return np.array(chain_solve(bands[0].tolist(), g.tolist(), shift, not len(self.held)))
-        diagonal = self.assembly.band_diagonal(bands)
-        if shift is not None:
-            diagonal += shift
-        diagonal[self.held] = 1.0
+        precondition = self.preconditioner()
         x = np.zeros_like(g)
         r = g.copy()
         r[self.held] = 0.0
         rr = float(r @ r)
         if rr == 0.0:
             return x
-        z = r / diagonal
+        z = precondition(r, np.zeros_like(g))
         d, kd, t = z.copy(), np.empty_like(g), np.empty_like(g)
         rz = float(r @ z)
         stop = tolerance**2 * rr
@@ -498,7 +532,7 @@ class WeightedStiffness:
             r -= np.multiply(kd, alpha, out=t)
             if float(r @ r) <= stop:
                 break
-            np.divide(r, diagonal, out=z)
+            precondition(r, z)
             rz, rz_old = float(r @ z), rz
             d *= rz / rz_old
             d += z
@@ -549,7 +583,7 @@ class _Rayleigh:
             g = (flux - rayleigh * mass_grad) / mass
             bands = plan.stiffness_bands(norms)
         g[self.held] = 0.0
-        return rayleigh, g, WeightedStiffness(plan.assembly, bands, self.held)
+        return rayleigh, g, WeightedStiffness(plan.assembly, bands, self.held, sines=plan.sines)
 
     def accepted(self, u: np.ndarray, value: float):
         return u / self.mass ** (1.0 / self.p), None

@@ -31,15 +31,16 @@ SEED = 5
 # reaction curvature (each checked against the Jacobi-scaled descent it replaced,
 # then re-captured, within a few ulps, when P's products and then the energy's
 # flux moved to per-edge bands, and again, each against a run of the code before,
-# when p = 2 constant-diffusion starts were refined by ray-scaled Picard steps:
+# when p = 2 constant-diffusion starts were refined by ray-scaled Picard steps,
+# and when projected Picard steps were clipped to the source's positive part:
 # CHANGES.md)
 GOLDEN_SOLVES = {
-    "E1": ("converged", 6, "-0x1.54054ab0a918cp-17",
-           "95ff0452220a23bb27902424d7bd94a2a9fbbf997b1217bb6bfa9f28118a2a33"),
-    "E2": ("converged", 27, "-0x1.3beb1117809b8p-21",
-           "23c3482694f133ae6ff8439bd84ccda313cb737651dcc8989e8e78919cc3f0d2"),
-    "E3": ("converged", 7, "-0x1.512a065b37eacp-17",
-           "3b3aeb78de9763cb9fa81dc5c153db474b330e22f5388f7680c8894bf0ff94bf"),
+    "E1": ("converged", 7, "-0x1.54054ab0a87b2p-17",
+           "5d141bf399f25256672b6cd80cb49706d82da8a09e0cdf3c1fecbdce6e034d36"),
+    "E2": ("converged", 11, "-0x1.3beb11178094ep-21",
+           "8788f245c554f53148280a301f1f6d838f7d27a891b44f7b6e15a66f98505a02"),
+    "E3": ("converged", 7, "-0x1.512a065b39700p-17",
+           "707c943ee41060dbfdfb3b6d9d885b8e0b48f3aeb89598af50fc95d95727aa9d"),
     "E4": ("converged", 2, "-0x1.5555555555554p-2",
            "6892fc6a4ce66634f462dd9b4dc810a21363cc3c1e72e58b28416e3d0b4d4f03"),
     "E5": ("converged", 6, "-0x1.e0005f8557af0p-10",
@@ -48,15 +49,15 @@ GOLDEN_SOLVES = {
            "15fe0abeb6f35141878e00faf0e1e5d6763489f69545ef4fbbb110bffb2a10c8"),
     "E6B": ("converged", 20, "-0x1.4c962f02a398cp-17",
             "0e7ae1768132529036d2a15afe2317239d283bf22b92224db80b407a7bf79e32"),
-    # the refined start, of sup 4e-14 and energy below 0, is already converged
-    "E7": ("converged", 0, "-0x1.dc78fa6e163a0p-93",
-           "8986beb9e970384984c0eca8823a8963c3f6b7713eba392c17a571ca884dd304"),
+    # the refined start, of tiny sup and energy below 0, is already converged
+    "E7": ("converged", 0, "-0x1.029cfaeae54d0p-74",
+           "0e05642631b6a152dc4b41cf772e3a319d459a599530faef0a6d77c79412a244"),
     # the refined start is a constant-like field at the top of the ray scan,
     # and the first step's energy is below -1e12
-    "E1N_POS": ("not_bounded_below", 1, "-0x1.0d2b5727995dep+219",
-                "d12821941dd4e6565cf5ddf19f20466b4fda2abb888f59146365d4763aec9f76"),
-    "E1N_NEG": ("converged", 22, "-0x1.cef520a4a3cf8p-19",
-                "4e9a69ba46af4683782ab5671cd42848e5ddf9446b53c9d4240e82cb72212cac"),
+    "E1N_POS": ("not_bounded_below", 1, "-0x1.0d2b5727995fbp+219",
+                "e895cabf5431d537fcbe490581ae9ee449c7d9a0ced82642880f6ccf40975c2a"),
+    "E1N_NEG": ("converged", 26, "-0x1.cef520a4a5318p-19",
+                "66eb747dc91556aec82585d12d17b82df4025f6a34ee4a3c0f578a9fa1069bd1"),
     # an unprojected descent: iterates with negative entries
     "E1-odd": ("converged", 7, "-0x1.54054ab0a1fa4p-17",
                "2eb4955f6a8587212056bfa8065c07e688f1d2d76c866cf87243fc2f6b6aa7e2"),
@@ -65,8 +66,8 @@ GOLDEN_SOLVES = {
 SOLVE_VARIANTS = {
     "E1-odd": ("E1", {"negative_extension": "odd"}, -0.5),
 }
-GOLDEN_DEAD_CORE_2D = ("converged", 10, "-0x1.19a05ce8d0fc0p-21",
-                       "4847f8c87c1c52a8bf5112dd14e81d7bbc7a3c0bd24a849a72b05a2f47623fbf")
+GOLDEN_DEAD_CORE_2D = ("converged", 9, "-0x1.19a05ceb69198p-21",
+                       "6906680249013ec092107b8586cd82cf12aa6c413f9f2f0ee08d081ef9bf5129")
 # the benchmark's 2D E1-type problem on a non-square 20x12 rectangle
 RECTANGLE_E1 = """scenario_id = RECT_E1
 grid.dimension = 2
@@ -80,12 +81,12 @@ reaction.q = 1.5
 reaction.a = 1*sin(2*pi*x) + 0.3
 boundary = dirichlet_zero
 """
-GOLDEN_RECTANGLE_E1 = ("converged", 13, "-0x1.38af215ec516ep-22",
-                       "315d9d822aa7041796e2e8e6aa07878c841b2293b092c66ad62df373b6e10707")
+GOLDEN_RECTANGLE_E1 = ("converged", 6, "-0x1.38af215c44228p-22",
+                       "dafe01e98fe180110432f7edd7e3cb8044a97c4d131f18d5c142549418416958")
 # (grid, p): (converged, iterations, lambda1.hex(), eigenfunction digest, history digest);
 # the pins of the descent preconditioned by the weighted stiffness (tridiagonal
-# sweep on the interval, conjugate gradients on the rectangle; products on
-# per-edge bands)
+# sweep on the interval, conjugate gradients on the rectangle, there
+# preconditioned by the sine-transform solve at p = 2; products on per-edge bands)
 GOLDEN_EIGEN = {
     ("interval-50", 3.0): (True, 15, "0x1.c454081702f3ap+4",
                            "a43444b8505261f715fed058534798eee3e6d06f9672102fba456982a7bf7472",
@@ -93,9 +94,9 @@ GOLDEN_EIGEN = {
     ("interval-50", 1.5): (True, 12, "0x1.545069ac77748p+2",
                            "e6e68eb2c6375d6a1c5c5acc598d945cba627fe7c6146aa68ea652ac76308331",
                            "e8507d7e166bec9b87bd4222225d547afcd8af1f53be6e5665c0172273c76b99"),
-    ("rectangle-24", 2.0): (True, 14, "0x1.3b606ad829456p+4",
-                            "bc654c7b2473ea5562000a1cd8b38e53cf4fee9d5de7acc16542c9ada28aa94a",
-                            "889b4f9dd4c07c7fc9c44c4423c9e3b783d6576276867a99280ae0009f95789e"),
+    ("rectangle-24", 2.0): (True, 10, "0x1.3b606ad829455p+4",
+                            "c3704969b670d7ea8a8f0dcd084d66afcdc0568ed9d6a802b9a0c394f4d826af",
+                            "995aab564cc67cb87e01c405ce260d5390cb76ac6e9701ffcab8d9d87b4cf693"),
 }
 EIGEN_GRIDS = {
     "interval-50": lambda: build_interval_grid(50, 0.0, 1.0),

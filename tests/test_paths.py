@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import plaplab
+from plaplab.energy import EnergyBreakdown
+from plaplab.errors import InvariantViolation
 from plaplab.grid import ScalarField, build_interval_grid, build_rectangle_grid
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.paths import (
@@ -192,6 +194,30 @@ def test_profile_equal_endpoints_flat(grid):
     u = ScalarField.from_function(ps.grid, lambda x: np.sin(np.pi * x))
     diag = path_energy_profile(ps, u, u, 1.5)
     assert np.ptp(diag.total_energy) <= 1e-13
+
+
+def scripted_totals(monkeypatch, totals):
+    """Make the profile read ``totals`` as its sampled total energies, in order."""
+    samples = iter(totals)
+    monkeypatch.setattr(plaplab.paths, "energy_parts",
+                        lambda ps, values: EnergyBreakdown(0.0, -next(samples)))
+
+
+def test_profile_tolerance_is_relative_to_the_energies(field_pair, monkeypatch):
+    """A flat profile of energies near -1e200 with relative roundoff 1e-15 passes
+    (its second differences reach 1e185, far above the absolute 1e-10), and a
+    concave bump of relative size 1e-6 still raises."""
+    ps = sign_changing_problem(n=32)
+    u, v = field_pair
+    roundoff = -1e200 * (1.0 + 1e-15 * np.random.default_rng(2).uniform(-1.0, 1.0, 41))
+    scripted_totals(monkeypatch, roundoff)
+    diag = path_energy_profile(ps, u, v, 1.5)
+    assert diag.min_second_difference_I < -1e-10
+    bumped = np.full(41, -1e200)
+    bumped[20] += 1e194
+    scripted_totals(monkeypatch, bumped)
+    with pytest.raises(InvariantViolation, match="lost exact convexity"):
+        path_energy_profile(ps, u, v, 1.5)
 
 
 def test_profile_validates_sample_count(field_pair):

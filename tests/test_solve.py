@@ -9,12 +9,25 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+import plaplab.solve
 from plaplab.classify import classify_cone
 from plaplab.cli import _initial_field
 from plaplab.config import BUILTIN_SCENARIOS, ScenarioConfig, load_config
-from plaplab.energy import check_admissible, energy_grad_values, reaction_curvature, residual_norm
+from plaplab.energy import (
+    DiffusionPlan,
+    check_admissible,
+    energy_grad_values,
+    reaction_curvature,
+    residual_norm,
+)
 from plaplab.errors import BoundaryViolationError
-from plaplab.grid import ElementAssembly, ScalarField, build_interval_grid, build_rectangle_grid
+from plaplab.grid import (
+    ElementAssembly,
+    ScalarField,
+    build_interval_grid,
+    build_rectangle_grid,
+    sine_solver,
+)
 from plaplab.model import DiffusionSpec, ProblemSpec, ReactionSpec
 from plaplab.solve import (
     NATURAL_MASS_SHIFT,
@@ -660,7 +673,9 @@ def test_stiffness_cg_matches_a_sparse_direct_solve(mesh, p):
 
 
 def test_stiffness_cg_stops_at_its_loose_tolerance():
-    g, stiffness, _ = rayleigh_preconditioner(build_rectangle_grid(24, 24, (0, 1, 0, 1)), 2.0, 2)
+    """On the Jacobi path (p = 3): at p = 2 the sine solve makes the first step exact."""
+    g, stiffness, _ = rayleigh_preconditioner(build_rectangle_grid(24, 24, (0, 1, 0, 1)), 3.0, 2)
+    assert stiffness.sines is None
     x = stiffness.direction(g)
     residual = np.linalg.norm(g - stiffness.metric(x))
     assert 1e-3 * np.linalg.norm(g) < residual <= 0.1 * np.linalg.norm(g)
@@ -917,8 +932,9 @@ def test_refined_dead_core_2d_starts_end_in_a_dead_core():
 
 # ElementAssembly.band_product calls (the flux's, P's in the inner solve, and
 # the metric's) summed over the 32 x 32 E1-type and dead-core solves from
-# seeds 1-3: 2,411 descending from the raw starts, 1,498 from refined ones
-PRODUCTS_32 = 1650
+# seeds 1-3: 2,411 descending from the raw starts, 1,498 from refined ones,
+# 222 with the sine-transform inner preconditioner and the clipped Picard step
+PRODUCTS_32 = 255
 
 
 def test_refined_2d_solves_stay_within_their_product_budget(monkeypatch):
@@ -934,6 +950,148 @@ def test_refined_2d_solves_stay_within_their_product_budget(monkeypatch):
         for seed in (1, 2, 3):
             assert minimize(ps, random_start(ps, seed), SolveOptions(random_seed=seed)).converged
     assert len(calls) <= PRODUCTS_32
+
+
+@pytest.mark.parametrize("coefficient", list(MESH_2D_COEFFICIENTS))
+def test_2d_solves_stop_near_their_tightened_solves(coefficient):
+    """The 1e-9 stop is within 5e-5 (lumped L2 distance over the sup norm) of the
+    same solve tightened to 1e-13 (2.1e-5 and 1.9e-5 at worst, measured)."""
+    ps = mesh_2d_problem(32, coefficient)
+    for seed in (5, 6, 7):
+        start, opts = random_start(ps, seed), SolveOptions(random_seed=seed)
+        report = minimize(ps, start, opts)
+        tight = minimize(ps, start, dataclasses.replace(opts, residual_tolerance=1e-13))
+        assert report.converged and tight.converged, seed
+        reference = tight.solution.values
+        distance = lumped_l2_distance(ps.grid, report.solution.values, reference)
+        assert distance <= 5e-5 * np.abs(reference).max(), seed
+
+
+# ---- the sine-transform solve of K on held rectangles (w = 1, p = 2) --------
+
+
+SINE_MESHES = {
+    "square-16": lambda: build_rectangle_grid(16, 16, (0.0, 1.0, 0.0, 1.0)),
+    "rectangle-20x12": lambda: build_rectangle_grid(20, 12, (0.0, 1.0, 0.0, 0.6)),
+    "rectangle-24x8": lambda: build_rectangle_grid(24, 8, (0.0, 3.0, 0.0, 1.0)),
+    # the others have square cells; here the x band is 1/16 of the y band
+    "rectangle-10x20": lambda: build_rectangle_grid(10, 20, (0.0, 1.0, 0.0, 0.5)),
+}
+
+
+def held_stiffness(grid, shift=None):
+    plan = DiffusionPlan(grid, DiffusionSpec("constant", p=2.0))
+    return WeightedStiffness(plan.assembly, plan.stiffness, grid.boundary_nodes, shift, plan.sines)
+
+
+@pytest.mark.parametrize("mesh", list(SINE_MESHES))
+def test_sine_solve_inverts_the_held_stiffness(mesh):
+    grid = SINE_MESHES[mesh]()
+    stiffness = held_stiffness(grid)
+    solve = sine_solver(stiffness.sines)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        v = rng.normal(size=grid.n_nodes)
+        v[grid.boundary_nodes] = 0.0
+        x = solve(stiffness.metric(v), np.zeros(grid.n_nodes))
+        assert np.abs(x - v).max() <= 1e-12 * np.abs(v).max()
+        assert np.all(x[grid.boundary_nodes] == 0.0)
+
+
+@pytest.mark.parametrize("mesh", list(SINE_MESHES))
+def test_block_sine_preconditioner_is_symmetric_and_positive(mesh):
+    """Shifts from 1e-3 to 1e3 times K's diagonal make both blocks nonempty: the
+    stiff nodes take r over P's diagonal, the others the sine solve."""
+    grid = SINE_MESHES[mesh]()
+    plain = held_stiffness(grid)
+    k_diagonal = plain.assembly.band_diagonal(plain.bands)
+    rng = np.random.default_rng(6)
+    shift = k_diagonal * 10.0 ** rng.uniform(-3.0, 3.0, grid.n_nodes)
+    stiffness = held_stiffness(grid, shift)
+    stiff = np.flatnonzero(shift > k_diagonal)
+    assert 0 < len(np.setdiff1d(stiff, grid.boundary_nodes)) < len(grid.interior_nodes)
+    apply = stiffness.preconditioner()
+
+    def inverse(r):
+        return apply(r, np.zeros(grid.n_nodes)).copy()
+
+    x, y = rng.normal(size=(2, grid.n_nodes))
+    x[grid.boundary_nodes] = y[grid.boundary_nodes] = 0.0
+    mx, my = inverse(x), inverse(y)
+    assert abs(x @ my - y @ mx) <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(my)
+    assert x @ mx > 0.0 and y @ my > 0.0
+    np.testing.assert_array_equal(mx[stiff], x[stiff] / (k_diagonal + shift)[stiff])
+    assert np.all(mx[grid.boundary_nodes] == 0.0)
+
+
+@pytest.mark.parametrize("mesh", list(SINE_MESHES))
+def test_sine_preconditioned_cg_matches_a_sparse_direct_solve(mesh):
+    """P at a dead-core start of sup norm 2e-8, whose reaction curvature makes
+    the dead core's nodes stiff."""
+    grid = SINE_MESHES[mesh]()
+    ps = coefficient_problem(grid, p=2.0, dead_core=True)
+    g, stiffness, weights = energy_preconditioner(ps)
+    assert stiffness.sines is not None and stiffness.shift.max() > 1e2
+    free = ps.free_nodes
+    matrix = sparse_stiffness(grid, weights, free) + scipy.sparse.diags(stiffness.shift[free])
+    expected = np.zeros(grid.n_nodes)
+    expected[free] = scipy.sparse.linalg.spsolve(matrix.tocsc(), g[free])
+    mine = stiffness.direction(g, tolerance=1e-13)
+    assert np.abs(mine - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+def count_sine_solvers(monkeypatch) -> list:
+    calls, original = [], plaplab.solve.sine_solver
+
+    def counting(table):
+        calls.append(table.shape)
+        return original(table)
+
+    monkeypatch.setattr(plaplab.solve, "sine_solver", counting)
+    return calls
+
+
+BUILDER_RECTANGLES = {
+    **SINE_MESHES,
+    "square-2": lambda: build_rectangle_grid(2, 2, (0.0, 1.0, 0.0, 1.0)),
+    "rectangle-7x5": lambda: build_rectangle_grid(7, 5, (0.0, 1.0, 0.0, 1.0)),
+    "rectangle-12x10": lambda: build_rectangle_grid(12, 10, (0.0, 1.0, 0.0, 0.8)),
+    "rectangle-9x30": lambda: build_rectangle_grid(9, 30, (-1.0, 2.0, 0.5, 0.9)),
+    "square-64": lambda: build_rectangle_grid(64, 64, (0.0, 1.0, 0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("mesh", list(BUILDER_RECTANGLES))
+def test_every_held_p2_direction_on_a_builder_rectangle_takes_the_sine_solve(mesh, monkeypatch):
+    """Energy and eigen descents alike: one sine solver per inner solve, none skipped."""
+    grid = BUILDER_RECTANGLES[mesh]()
+    ps = coefficient_problem(grid)
+    ny, nx = grid.assembly.cells
+    assert ps.plan.sines.shape == (ny - 1, nx - 1)
+    solvers, directions = count_sine_solvers(monkeypatch), count_directions(monkeypatch)
+    report = minimize(ps, random_start(ps, 1))
+    assert report.converged and len(directions) == report.iterations + PICARD_STEPS
+    eigen = first_eigenvalue(grid, 2.0)
+    assert eigen.converged
+    assert len(directions) == report.iterations + PICARD_STEPS + eigen.iterations
+    assert solvers == [(ny - 1, nx - 1)] * len(directions)
+
+
+@pytest.mark.parametrize(
+    "variant", ["natural", "p3", "power_shift", "permuted", "interval"],
+)
+def test_other_problems_keep_the_diagonal_preconditioner(variant, monkeypatch):
+    rectangle = build_rectangle_grid(12, 10, (0.0, 1.0, 0.0, 0.8))
+    ps = {
+        "natural": lambda: coefficient_problem(rectangle, boundary="natural"),
+        "p3": lambda: coefficient_problem(rectangle, p=3.0),
+        "power_shift": lambda: band_problem(rectangle, DiffusionSpec("power_shift", p=2.0, r=3.0)),
+        "permuted": lambda: coefficient_problem(permuted(rectangle)),
+        "interval": lambda: coefficient_problem(build_interval_grid(64, 0.0, 1.0)),
+    }[variant]()
+    solvers, directions = count_sine_solvers(monkeypatch), count_directions(monkeypatch)
+    minimize(ps, random_start(ps, 1), SolveOptions(max_iterations=20))
+    assert len(directions) > 2 and solvers == []
 
 
 def e1_with_a_scaled(k: int):
@@ -1081,17 +1239,43 @@ def test_only_starts_of_problems_holding_the_stiffness_are_refined(mesh, diffusi
     assert len(calls) == report.iterations + (PICARD_STEPS if holds else 0)
 
 
-@pytest.mark.parametrize("name, steps", [("E1", 2), ("E2", 1), ("E1N_NEG", 1)])
-def test_refinement_stops_at_a_step_to_the_zero_field(name, steps, monkeypatch):
-    """E2's and E1N_NEG's first refinement step truncates to u = 0 (n = 128, seed
-    5): from there every step is zero, so the refinement takes no second one."""
+def builtin_with_a(name: str, a: str) -> ScenarioConfig:
+    """A builtin scenario with its coefficient ``reaction.a`` replaced."""
+    text = load_config(name).serialize()
+    line = next(line for line in text.splitlines() if line.startswith("reaction.a ="))
+    return ScenarioConfig.from_text(text.replace(line, f"reaction.a = {a}"))
+
+
+@pytest.mark.parametrize(
+    "name, a, steps",
+    [("E1", None, 2), ("E2", None, 2), ("E1N_NEG", None, 2), ("E1", "-1", 1)],
+    ids=["E1", "E2", "E1N_NEG", "E1-negative"],
+)
+def test_refinement_stops_at_a_step_to_the_zero_field(name, a, steps, monkeypatch):
+    """With a = -1 the source's positive part vanishes (n = 128, seed 5): the first
+    refinement step is u = 0, from where every step is zero, so the refinement
+    takes no second one. The clipped step keeps E2's and E1N_NEG's positive part."""
     calls = count_directions(monkeypatch)
-    config = load_config(name)
+    config = load_config(name) if a is None else builtin_with_a(name, a)
     ps = config.build_problem()
     assert ps.grid.n_elements == 128 and PICARD_STEPS == 2
     report = minimize(ps, random_start(ps, 5), config.solve_options(5))
     assert report.converged
     assert len(calls) == report.iterations + steps
+
+
+def test_dead_core_refinement_is_kept_and_shortens_the_descent(monkeypatch):
+    """E2 (n = 128): the clipped Picard steps keep the source outside the dead
+    core, so neither empties the field, the refined start is kept, and the
+    descent takes 9 iterations, not 22."""
+    calls = count_directions(monkeypatch)
+    config = load_config("E2")
+    ps = config.build_problem()
+    for seed in (5, 6, 7):
+        calls.clear()
+        report = minimize(ps, random_start(ps, seed), config.solve_options(seed))
+        assert report.converged and report.iterations <= 12, seed
+        assert len(calls) == report.iterations + PICARD_STEPS, seed
 
 
 @pytest.mark.parametrize(
