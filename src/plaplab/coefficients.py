@@ -1,19 +1,27 @@
-"""Tiny term-sum grammar for coefficient fields a(x), b(x).
+r"""Tiny term-sum grammar for coefficient fields a(x), b(x).
 
-A coefficient definition is a sum of primitive terms joined by "+" or "-",
-whitespace-insensitive::
+A coefficient definition is a sum of primitive terms::
 
     c                    constant
     c*x^k                monomial (also x1; x2 or y for the second axis in 2D)
-    c*sin(k*pi*x)        sinusoid in the first coordinate
+    c*sin(k*pi*x)        sinusoid in the first coordinate (also x1)
     c*box(a,b)           box indicator on [a, b] (1D)
     c*box(ax,bx,ay,by)   box indicator on [ax, bx] x [ay, by] (2D)
 
-The leading "c*" may be omitted (coefficient 1). Parsed definitions evaluate
-to nodal arrays on a grid and serialize back to a canonical string, so config
-round-trips are exact.
+The leading "c*" may be omitted (coefficient 1). Anchored patterns read the
+text left to right. A number is ``\d+\.?\d*`` or ``\.\d+`` with an optional
+``[eE][+-]?\d+`` and has no sign of its own; a run of "+" and "-" signs, odd
+in "-" when negative, may stand before the first term (``--x``) and before
+every number in a factor (``x^--2``, ``box(-1,0)``). Exactly one sign joins
+two terms, so ``1 - -2`` is rejected. Names are maximal (``x12``, ``pix``
+and ``sinh`` are unknown), whitespace (``str.isspace``) may stand between
+tokens only (``1 . 5`` is rejected), and box bounds come in increasing pairs.
+A term's coefficient is its sign times its number, a signed zero included.
+Parsed definitions evaluate to nodal arrays on a grid and serialize back to a
+canonical string, so config round-trips are exact.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -22,31 +30,28 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid
 
-_TOKEN_RE = re.compile(
-    r"(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<symbol>[-+*^(),]))"
+_SIGNS = r"(?:[-+]\s*)*"
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_SIGNED = rf"\s*{_SIGNS}{_NUMBER}"
+_END = r"(?![A-Za-z_0-9])"  # names are maximal
+
+_LEAD = re.compile(rf"\s*({_SIGNS})")
+_COEFFICIENT = re.compile(rf"\s*({_NUMBER})(\s*\*)?")
+_FACTOR = re.compile(
+    rf"\s*(?:(?P<var>x|x1|x2|y){_END}(?:\s*\^(?P<k>{_SIGNED}))?"
+    rf"|sin{_END}\s*\((?P<w>{_SIGNED})\s*\*\s*pi{_END}\s*\*\s*"
+    rf"(?P<arg>[A-Za-z_][A-Za-z_0-9]*)\s*\)"
+    rf"|box{_END}\s*\((?P<bounds>{_SIGNED}(?:\s*,{_SIGNED})*)\s*\))"
 )
+_VALUE = re.compile(rf"({_SIGNS})({_NUMBER})")
+_JOIN = re.compile(r"\s*(?:([-+])|\Z)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ConfigError(f"bad character {text[pos]!r} in coefficient {text!r}")
-        pos = match.end()
-        for kind in ("number", "name", "symbol"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
-    tokens.append(("end", ""))
-    return tokens
+def _values(text: str) -> list[float]:
+    """The signed numbers in a matched factor's text. Only the number reaches
+    ``float``, not the whitespace inside a sign run."""
+    return [(-1.0 if signs.count("-") % 2 else 1.0) * float(number)
+            for signs, number in _VALUE.findall(text)]
 
 
 @dataclass(frozen=True)
@@ -61,101 +66,42 @@ class Term:
         return Term(self.kind, self.c * factor, self.axis, self.k, self.bounds)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _factor(text: str, pos: int) -> tuple[Term, int]:
+    """The factor at ``pos`` with coefficient 1, and the position after it."""
+    m = _FACTOR.match(text, pos)
+    if m is None:
+        raise ConfigError(f"expected a term at {text[pos:]!r} in coefficient {text!r}")
+    if m["var"]:
+        k = _values(m["k"])[0] if m["k"] else 1.0
+        return Term("monomial", 1.0, axis=int(m["var"] in ("x2", "y")), k=k), m.end()
+    if m["arg"]:
+        if m["arg"] not in ("x", "x1"):
+            raise ConfigError("sinusoid terms use the first coordinate only")
+        return Term("sinusoid", 1.0, k=_values(m["w"])[0]), m.end()
+    bounds = _values(m["bounds"])
+    if len(bounds) not in (2, 4):
+        raise ConfigError("box takes 2 bounds in 1D or 4 in 2D")
+    if bounds[0] >= bounds[1] or (len(bounds) == 4 and bounds[2] >= bounds[3]):
+        raise ConfigError(f"empty box in coefficient {text!r}")
+    return Term("box", 1.0, bounds=tuple(bounds)), m.end()
 
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
 
-    def take(self, kind: str | None = None, value: str | None = None) -> str:
-        tok_kind, tok_value = self.tokens[self.pos]
-        if (kind is not None and tok_kind != kind) or (
-            value is not None and tok_value != value
-        ):
-            expected = value or kind
-            raise ConfigError(
-                f"expected {expected!r} at token {self.pos} in coefficient {self.text!r}, "
-                f"got {tok_value!r}"
-            )
-        self.pos += 1
-        return tok_value
-
-    def parse(self) -> list[Term]:
-        terms = [self.term(self.sign())]
-        while self.peek()[0] != "end":
-            kind, value = self.peek()
-            if kind != "symbol" or value not in "+-":
-                raise ConfigError(
-                    f"expected '+' or '-' between terms in coefficient {self.text!r}"
-                )
-            self.take()
-            terms.append(self.term(-1.0 if value == "-" else 1.0))
-        return terms
-
-    def sign(self) -> float:
-        sign = 1.0
-        while self.peek() == ("symbol", "-") or self.peek() == ("symbol", "+"):
-            if self.take() == "-":
-                sign = -sign
-        return sign
-
-    def number(self) -> float:
-        sign = self.sign()
-        kind, value = self.peek()
-        if kind != "number":
-            raise ConfigError(f"expected a number in coefficient {self.text!r}")
-        self.take()
-        return sign * float(value)
-
-    def term(self, sign: float) -> Term:
-        kind, value = self.peek()
-        if kind == "number":
-            c = sign * float(self.take())
-            if self.peek() == ("symbol", "*"):
-                self.take()
-                return self.factor().scaled(c)
-            return Term("constant", c)
-        return self.factor().scaled(sign)
-
-    def factor(self) -> Term:
-        kind, value = self.peek()
-        if kind != "name":
-            raise ConfigError(f"expected a term in coefficient {self.text!r}")
-        name = self.take()
-        if name in ("x", "x1", "x2", "y"):
-            axis = 1 if name in ("x2", "y") else 0
-            k = 1.0
-            if self.peek() == ("symbol", "^"):
-                self.take()
-                k = self.number()
-            return Term("monomial", 1.0, axis=axis, k=k)
-        if name == "sin":
-            self.take("symbol", "(")
-            k = self.number()
-            self.take("symbol", "*")
-            self.take("name", "pi")
-            self.take("symbol", "*")
-            var = self.take("name")
-            if var not in ("x", "x1"):
-                raise ConfigError("sinusoid terms use the first coordinate only")
-            self.take("symbol", ")")
-            return Term("sinusoid", 1.0, k=k)
-        if name == "box":
-            self.take("symbol", "(")
-            nums = [self.number()]
-            while self.peek() == ("symbol", ","):
-                self.take()
-                nums.append(self.number())
-            self.take("symbol", ")")
-            if len(nums) not in (2, 4):
-                raise ConfigError("box takes 2 bounds in 1D or 4 in 2D")
-            if nums[0] >= nums[1] or (len(nums) == 4 and nums[2] >= nums[3]):
-                raise ConfigError(f"empty box in coefficient {self.text!r}")
-            return Term("box", 1.0, bounds=tuple(nums))
-        raise ConfigError(f"unknown term {name!r} in coefficient {self.text!r}")
+def _parse(text: str) -> list[Term]:
+    """Terms left to right: each is c, c*factor or factor, and then comes one
+    joining sign or the end."""
+    lead = _LEAD.match(text)
+    sign, pos, terms = (-1.0 if lead[1].count("-") % 2 else 1.0), lead.end(), []
+    while True:
+        m = _COEFFICIENT.match(text, pos)
+        c, pos = (sign * float(m[1]), m.end()) if m else (sign, pos)
+        factor, pos = (Term("constant", 1.0), pos) if m and not m[2] else _factor(text, pos)
+        terms.append(factor.scaled(c))
+        join = _JOIN.match(text, pos)
+        if join is None:
+            raise ConfigError(f"expected '+' or '-' at {text[pos:]!r} in coefficient {text!r}")
+        if join[1] is None:
+            return terms
+        sign, pos = (-1.0 if join[1] == "-" else 1.0), join.end()
 
 
 @dataclass(frozen=True)
@@ -166,14 +112,15 @@ class CoefficientDef:
 
     @staticmethod
     def parse(text: str) -> "CoefficientDef":
-        return CoefficientDef(terms=tuple(_Parser(text).parse()))
+        return CoefficientDef(terms=tuple(_parse(text)))
 
     def serialize(self) -> str:
         parts = [_format_term(self.terms[0])]
-        for term in self.terms[1:]:
-            joiner = " + " if term.c >= 0 else " - "
-            flipped = term if term.c >= 0 else term.scaled(-1)
-            parts.append(joiner + _format_term(flipped))
+        for term in self.terms[1:]:  # by the sign bit, so -0.0 is written " - 0"
+            if math.copysign(1.0, term.c) < 0:
+                parts.append(" - " + _format_term(term.scaled(-1)))
+            else:
+                parts.append(" + " + _format_term(term))
         return "".join(parts)
 
     def evaluate(self, grid: Grid) -> np.ndarray:

@@ -111,3 +111,34 @@ def test_every_field_and_property_is_read_somewhere():
     unread = [f"{owner}.{name}" for owner, name in _fields_and_properties()
               if name not in read and owner != "ScenarioConfig"]
     assert not unread, "fields and properties nothing reads: " + ", ".join(unread)
+
+
+def _module_bindings(tree):
+    """Names a module binds at its top level: assignments, definitions, imports."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_every_module_level_name_is_read_somewhere():
+    read = set()
+    for tree in _trees(PACKAGE, TESTS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = sorted({name for tree in _trees(PACKAGE) for name in _module_bindings(tree)
+                     if name not in read and not name.startswith("__")})
+    assert not unread, "module-level names nothing reads: " + ", ".join(unread)

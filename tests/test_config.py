@@ -34,6 +34,15 @@ def test_roundtrip_identity_custom():
     assert again == config
 
 
+def test_roundtrip_keeps_a_negative_zero_term():
+    config = ScenarioConfig.from_text(MINIMAL.replace("1*sin(2*pi*x) + 0.3", "1 - 0*x"))
+    text = config.serialize()
+    assert "reaction.a = 1 - 0*x\n" in text
+    again = ScenarioConfig.from_text(text)
+    assert again == config
+    assert [t.c.hex() for t in again.a.terms] == ["0x1.0000000000000p+0", "-0x0.0p+0"]
+
+
 @pytest.mark.parametrize("scenario", BUILTIN_SCENARIOS)
 def test_roundtrip_identity_builtin(scenario):
     config = load_config(scenario)

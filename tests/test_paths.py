@@ -243,6 +243,28 @@ def test_midpoint_distinct_fields_nonnegative_gap(field_pair):
     assert report.verdict in ("strict", "equal")
 
 
+@pytest.mark.parametrize(
+    "path_q, verdict, sign", [(1.5, "equal", 0.0), (2.0, "violated", -1.0), (10.0, "violated", -1.0)]
+)
+def test_midpoint_verdicts_between_constants_under_a_negative_weight(path_q, verdict, sign):
+    """-u'' = -u^(1/2) with natural boundary: the energy of a constant c is
+    (2/3)c^(3/2), linear along the q = 1.5 path. A path with larger q takes the
+    larger power mean at t = 1/2, so its midpoint energy lies above the chord."""
+    ps = ProblemSpec(
+        build_interval_grid(16, 0.0, 1.0),
+        DiffusionSpec("constant", p=2.0),
+        ReactionSpec("pure_subhomogeneous", q=1.5, a=-1.0),
+        "natural",
+    )
+    u, v = ScalarField.constant(ps.grid, 1.0), ScalarField.constant(ps.grid, 2.0)
+    report = midpoint_energy_test(ps, u, v, path_q)
+    assert report.verdict == verdict
+    if sign:
+        assert np.sign(report.gap) == sign
+    else:
+        assert abs(report.gap) <= 1e-14
+
+
 def overflowing_constant_pair():
     """Constants 1e200 and 1e100 under a cubic reaction primitive: float64 overflows."""
     ps = ProblemSpec(
