@@ -51,12 +51,23 @@ def _write_csv(path: Path, records: list[dict], header: list[str] | None = None)
 
 def _write_solution(field: ScalarField, *paths: Path) -> None:
     """The bytes ``np.savetxt`` writes for these columns, formatted once by one
-    ``%`` over the flat values and written to each of ``paths``."""
+    ``%`` over the flat row entries and written to each of ``paths``. Each
+    distinct coordinate is formatted once (a structured mesh repeats them: a
+    64^2 rectangle's 4,225 nodes have 65 distinct x and 65 distinct y) and
+    joined by ``%s``; only the value column is formatted per node."""
     grid = field.grid
-    row = ",".join(["%d"] + ["%.17g"] * (grid.dimension + 1)) + "\n"
-    columns = np.column_stack([np.arange(grid.n_nodes), grid.nodes, field.values])
+    n, width = grid.n_nodes, grid.dimension + 2
+    row = ",".join(["%d"] + ["%s"] * grid.dimension + ["%.17g"]) + "\n"
+    flat = [None] * (n * width)
+    flat[0::width] = range(n)
+    for k, axis in enumerate(grid.nodes.T, 1):
+        # distinct bit patterns, so -0.0 stays apart from 0.0
+        bits, index = np.unique(axis.view(np.int64), return_inverse=True)
+        texts = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+        flat[k::width] = texts[index].tolist()
+    flat[width - 1::width] = field.values.tolist()
     header = ",".join(["node", *"xy"[: grid.dimension], "value"])
-    text = header + "\n" + (row * grid.n_nodes) % tuple(columns.ravel().tolist())
+    text = header + "\n" + (row * n) % tuple(flat)
     for path in paths:
         path.write_text(text, encoding="utf-8", newline="")
 

@@ -346,8 +346,30 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     assert build_parser() is parser
 
 
+def shuffled(grid):
+    """The same mesh with its nodes and its elements in another order."""
+    rng = np.random.default_rng(3)
+    order = rng.permutation(grid.n_nodes)  # new node k is old node order[k]
+    rank = np.argsort(order)
+    return dataclasses.replace(
+        grid, nodes=grid.nodes[order], elements=rank[grid.elements[rng.permutation(grid.n_elements)]],
+        boundary_nodes=np.sort(rank[grid.boundary_nodes]),
+    )
+
+
+def with_negative_zeros(grid):
+    """x = -0.0 on every other node of the left edge, 0.0 on the rest."""
+    nodes = grid.nodes.copy()
+    left = np.flatnonzero(nodes[:, 0] == 0.0)
+    nodes[left[::2], 0] = -0.0
+    return dataclasses.replace(grid, nodes=nodes)
+
+
 @pytest.mark.parametrize("grid", [build_interval_grid(9, -0.5, 1.0),
-                                  build_rectangle_grid(4, 3, (0.0, 1.0, -0.3, 0.6))], ids=["1d", "2d"])
+                                  build_rectangle_grid(4, 3, (0.0, 1.0, -0.3, 0.6)),
+                                  shuffled(build_rectangle_grid(6, 5, (0.0, 1.0, -0.3, 0.6))),
+                                  with_negative_zeros(build_rectangle_grid(4, 3, (0.0, 1.0, -0.3, 0.6)))],
+                         ids=["1d", "2d", "2d-shuffled", "2d-negative-zero"])
 def test_solution_csv_bytes_equal_savetxt(tmp_path, grid):
     values = np.random.default_rng(0).uniform(-2.0, 2.0, grid.n_nodes)
     values[:4] = [-0.0, 5e-324, 1e300, -1e300]
