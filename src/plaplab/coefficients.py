@@ -16,7 +16,8 @@ every number in a factor (``x^--2``, ``box(-1,0)``). Exactly one sign joins
 two terms, so ``1 - -2`` is rejected. Names are maximal (``x12``, ``pix``
 and ``sinh`` are unknown), whitespace (``str.isspace``) may stand between
 tokens only (``1 . 5`` is rejected), and box bounds come in increasing pairs.
-A term's coefficient is its sign times its number, a signed zero included.
+A term's coefficient is its sign times its number, a signed zero included;
+a number that overflows to infinity (``1e999``) is rejected.
 Parsed definitions evaluate to nodal arrays on a grid and serialize back to a
 canonical string, so config round-trips are exact.
 """
@@ -47,11 +48,20 @@ _VALUE = re.compile(rf"({_SIGNS})({_NUMBER})")
 _JOIN = re.compile(r"\s*(?:([-+])|\Z)")
 
 
-def _values(text: str) -> list[float]:
+def _number(number: str, text: str) -> float:
+    """``float(number)``, refused where it overflows: ``serialize`` would write
+    ``inf``, which no coefficient parses back from."""
+    value = float(number)
+    if math.isinf(value):
+        raise ConfigError(f"number {number!r} overflows in coefficient {text!r}")
+    return value
+
+
+def _values(factor: str, text: str) -> list[float]:
     """The signed numbers in a matched factor's text. Only the number reaches
     ``float``, not the whitespace inside a sign run."""
-    return [(-1.0 if signs.count("-") % 2 else 1.0) * float(number)
-            for signs, number in _VALUE.findall(text)]
+    return [(-1.0 if signs.count("-") % 2 else 1.0) * _number(number, text)
+            for signs, number in _VALUE.findall(factor)]
 
 
 @dataclass(frozen=True)
@@ -72,13 +82,13 @@ def _factor(text: str, pos: int) -> tuple[Term, int]:
     if m is None:
         raise ConfigError(f"expected a term at {text[pos:]!r} in coefficient {text!r}")
     if m["var"]:
-        k = _values(m["k"])[0] if m["k"] else 1.0
+        k = _values(m["k"], text)[0] if m["k"] else 1.0
         return Term("monomial", 1.0, axis=int(m["var"] in ("x2", "y")), k=k), m.end()
     if m["arg"]:
         if m["arg"] not in ("x", "x1"):
             raise ConfigError("sinusoid terms use the first coordinate only")
-        return Term("sinusoid", 1.0, k=_values(m["w"])[0]), m.end()
-    bounds = _values(m["bounds"])
+        return Term("sinusoid", 1.0, k=_values(m["w"], text)[0]), m.end()
+    bounds = _values(m["bounds"], text)
     if len(bounds) not in (2, 4):
         raise ConfigError("box takes 2 bounds in 1D or 4 in 2D")
     if bounds[0] >= bounds[1] or (len(bounds) == 4 and bounds[2] >= bounds[3]):
@@ -93,7 +103,7 @@ def _parse(text: str) -> list[Term]:
     sign, pos, terms = (-1.0 if lead[1].count("-") % 2 else 1.0), lead.end(), []
     while True:
         m = _COEFFICIENT.match(text, pos)
-        c, pos = (sign * float(m[1]), m.end()) if m else (sign, pos)
+        c, pos = (sign * _number(m[1], text), m.end()) if m else (sign, pos)
         factor, pos = (Term("constant", 1.0), pos) if m and not m[2] else _factor(text, pos)
         terms.append(factor.scaled(c))
         join = _JOIN.match(text, pos)

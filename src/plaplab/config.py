@@ -139,6 +139,8 @@ def _read(key: _Key, unread: dict[str, str], values: dict):
             value = _PARSE[key.kind](raw)
         except ValueError as exc:
             raise ConfigError(f"{key.name}: not a valid {key.kind}: {raw!r}") from exc
+        except ConfigError as exc:  # a coefficient's, named by its key
+            raise ConfigError(f"{key.name}: {exc}") from exc
     elif key.default is _REQUIRED:
         raise ConfigError(f"missing required key {key.name!r}")
     elif isinstance(key.default, _Copy):

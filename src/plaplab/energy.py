@@ -60,6 +60,9 @@ class DiffusionPlan:
     order, so they are bitwise equal to those formulas; the flux applies the
     weighted stiffness on edges (``ElementAssembly.band_product``), equal to
     the element sum of scale * grad u . grad(hat) to roundoff.
+
+    On the builders' rectangles at w = 1 and p = 2, ``sines`` holds the DST-I matrices
+    and eigenvalue table of ``ElementAssembly.sine_table``, built once for all solves.
     """
 
     def __init__(self, grid: Grid, diffusion: DiffusionSpec):

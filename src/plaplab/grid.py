@@ -235,41 +235,36 @@ class ElementAssembly:
         return out
 
     def sine_table(self, bands: list):
-        """On the builders' rectangles, 1 / (4 nx ny lambda_jk) for the eigenvalues
-        lambda_jk = by (2 - 2 cos(pi j / ny)) + bx (2 - 2 cos(pi k / nx)) of the 5-point
-        operator held at zero on the boundary, bx and by the mean x and y band over
-        the edges that touch an interior node; ``sine_solver``'s table. Else None."""
+        """On the builders' rectangles, ``sine_solver``'s read-only (S_y, table, S_x):
+        the DST-I matrices S_n[j, k] = sin(pi j k / n), 0 < j, k < n, for n = ny, nx, and
+        4 / (nx ny lambda_jk) for the eigenvalues lambda_jk = by (2 - 2 cos(pi j / ny)) +
+        bx (2 - 2 cos(pi k / nx)) of the 5-point operator held at zero on the boundary,
+        bx and by the mean x and y band over the edges that touch an interior node. Else None."""
         if self.cells is None or len(self.cells) != 2:
             return None
         ny, nx = self.cells
         by = bands[0].reshape(ny, nx + 1)[:, 1:-1].mean()
         bx = np.append(bands[1], 0.0).reshape(ny + 1, nx + 1)[1:-1, :-1].mean()
-        cos_y, cos_x = (np.cos(np.pi * np.arange(1, n) / n) for n in (ny, nx))
+        axes = [(np.arange(1, n), n) for n in (ny, nx)]
+        cos_y, cos_x = (np.cos(np.pi * j / n) for j, n in axes)
         eigenvalues = by * (2.0 - 2.0 * cos_y)[:, None] + bx * (2.0 - 2.0 * cos_x)
-        return _frozen_array(0.25 / (nx * ny * eigenvalues))
+        # jk reduced mod 2n in integers keeps the sine's argument in [0, 2 pi)
+        sy, sx = (np.sin(np.pi * (np.outer(j, j) % (2 * n)) / n) for j, n in axes)
+        return _frozen_array(sy), _frozen_array(4.0 / (nx * ny * eigenvalues)), _frozen_array(sx)
 
 
-def sine_solver(table: np.ndarray):
+def sine_solver(sines: tuple):
     """The exact solve x = L^-1 r of the 5-point operator L whose ``sine_table`` is
-    ``table``, as a function (r, out) of nodal r that writes x's interior entries
-    to nodal ``out`` (its boundary entries are neither read nor written), with
-    its own work buffers. L's eigenvectors are sine products, so x is a sine
-    transform (DST-I) per axis, a division by the eigenvalues, and the
-    transforms again; each DST-I is -1/2 times the imaginary part of the real
-    FFT of the odd extension, and the table carries the inverse's 2 / n per axis."""
-    m, k = table.shape
-    rows, columns = np.zeros((m, 2 * k + 2)), np.zeros((k, 2 * m + 2))
-
-    def transform(a, extension):  # -2 times the DST-I of each row of ``a``
-        n = a.shape[1] + 1
-        extension[:, 1:n] = a
-        np.negative(a[:, ::-1], out=extension[:, n + 1:])
-        return np.fft.rfft(extension)[:, 1:n].imag
+    ``sines``, as a function (r, out) of nodal r that writes x's interior entries to
+    nodal ``out`` (its boundary entries are neither read nor written). L's eigenvectors
+    are sine products, so x is S_y R S_x for r's interior R, times the table, and S_y . S_x
+    again: four matrix products. S_n^2 = (n / 2) I, so the table carries 2 / n per axis."""
+    sy, table, sx = sines
+    shape = (len(sy) + 2, len(sx) + 2)
 
     def solve(r, out):
-        interior = r.reshape(m + 2, k + 2)[1:-1, 1:-1]
-        spectrum = transform(transform(interior, rows).T, columns) * table.T
-        out.reshape(m + 2, k + 2)[1:-1, 1:-1] = transform(transform(spectrum, columns).T, rows)
+        spectrum = sy @ r.reshape(shape)[1:-1, 1:-1] @ sx
+        out.reshape(shape)[1:-1, 1:-1] = sy @ (spectrum * table) @ sx
         return out
 
     return solve

@@ -21,11 +21,14 @@ stiffness weights and bands.
 
 Where w = 1 and p = 2, ``minimize`` first refines the start by Picard steps, each
 scaled to its ray's least energy (``_picard_start``), in place of sup-halving steps.
-There, on the builders' rectangles held at zero, an exact sine-transform solve
-of K preconditions P's inner conjugate gradients.
+There, on the builders' rectangles held at zero, K's exact sine-transform solve (four
+DST-I matrix products) preconditions P's inner conjugate gradients.
 
 Runs are deterministic: identical problem, options, and seed reproduce the
-iterate sequence bitwise (sequential execution, per-start seeded generators).
+iterate sequence bitwise (sequential execution, per-start seeded generators)
+under a fixed BLAS thread count. The 2D matrix products go through BLAS, whose
+summation order may follow its thread count: 64^2 solves are equal under one
+and two threads, larger ones can differ in their last bits.
 """
 
 import math
@@ -489,7 +492,7 @@ class WeightedStiffness:
         buffers. Without ``sines``, r over P's diagonal. With them, block
         diagonal: r over P's diagonal on the stiff nodes, whose shift exceeds
         K's diagonal, and on the others the sine solve K^-1 of r with the stiff
-        entries zeroed. Each block is SPD."""
+        entries zeroed (``sine_solver``: four matrix products). Each block is SPD."""
         diagonal = self.assembly.band_diagonal(self.bands)
         shift = self.shift
         stiff = [] if shift is None or self.sines is None else np.flatnonzero(shift > diagonal)

@@ -407,7 +407,7 @@ boundary = dirichlet_zero
     assert read_csv(out / "solution.csv")[0].keys() == {"node", "x", "y", "value"}
     assert (
         hashlib.sha256((out / "solution.csv").read_bytes()).hexdigest()
-        == "37a2216118eefe80f3ea81401224d024460c3fd436a1fb3773a4e3ebe41ae089"
+        == "72bdf4d388a2646e89cfa2eeccc06114e6b5754e48c35c552c22421a88f7881b"
     )
 
 

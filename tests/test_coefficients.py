@@ -146,6 +146,17 @@ def test_sinusoid_of_another_coordinate_names_the_rule():
             CoefficientDef.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, number",
+    [("1e999*x", "1e999"), ("-1e400", "1e400"), ("box(0,1e999)", "1e999"),
+     ("x^1e999", "1e999"), ("sin(1e999*pi*x)", "1e999")],
+)
+def test_overflowing_numbers_are_rejected(text, number):
+    """An infinite number would serialize as ``inf``, which does not parse back."""
+    with pytest.raises(ConfigError, match=rf"number '{number}' overflows in coefficient"):
+        CoefficientDef.parse(text)
+
+
 @pytest.mark.parametrize("text", ["1 - 0*x", "1 - 0", "2 - 0*box(0.4,0.6)"])
 def test_negative_zero_terms_round_trip(text):
     parsed = CoefficientDef.parse(text)

@@ -210,6 +210,7 @@ def _e1_with(line: str, dimension: int = 1) -> str:
         ("eigen.p = 0.5", 1),
         ("reaction.a = 1e400", 1),
         ("reaction.a = x^-1", 1),
+        ("reaction.a = 1 @ 2", 1),
     ],
 )
 def test_values_the_program_cannot_run_are_rejected_at_load(line, dimension):

@@ -32,8 +32,9 @@ SEED = 5
 # then re-captured, within a few ulps, when P's products and then the energy's
 # flux moved to per-edge bands, and again, each against a run of the code before,
 # when p = 2 constant-diffusion starts were refined by ray-scaled Picard steps,
-# and when projected Picard steps were clipped to the source's positive part:
-# CHANGES.md)
+# and when projected Picard steps were clipped to the source's positive part,
+# and the 2D p = 2 pins when the held rectangle's sine solve became DST-I
+# matrix products: CHANGES.md)
 GOLDEN_SOLVES = {
     "E1": ("converged", 7, "-0x1.54054ab0a87b2p-17",
            "5d141bf399f25256672b6cd80cb49706d82da8a09e0cdf3c1fecbdce6e034d36"),
@@ -67,7 +68,7 @@ SOLVE_VARIANTS = {
     "E1-odd": ("E1", {"negative_extension": "odd"}, -0.5),
 }
 GOLDEN_DEAD_CORE_2D = ("converged", 9, "-0x1.19a05ceb69198p-21",
-                       "6906680249013ec092107b8586cd82cf12aa6c413f9f2f0ee08d081ef9bf5129")
+                       "6bcc67c4c46952f2d5b203489f3c15d88a3f9b67d8cee02a735bebfff00e2637")
 # the benchmark's 2D E1-type problem on a non-square 20x12 rectangle
 RECTANGLE_E1 = """scenario_id = RECT_E1
 grid.dimension = 2
@@ -82,11 +83,12 @@ reaction.a = 1*sin(2*pi*x) + 0.3
 boundary = dirichlet_zero
 """
 GOLDEN_RECTANGLE_E1 = ("converged", 6, "-0x1.38af215c44228p-22",
-                       "dafe01e98fe180110432f7edd7e3cb8044a97c4d131f18d5c142549418416958")
+                       "3e4e7210959a283f0747200799343dd0c00d6671ccb48c941d9836e0de25519f")
 # (grid, p): (converged, iterations, lambda1.hex(), eigenfunction digest, history digest);
 # the pins of the descent preconditioned by the weighted stiffness (tridiagonal
 # sweep on the interval, conjugate gradients on the rectangle, there
-# preconditioned by the sine-transform solve at p = 2; products on per-edge bands)
+# preconditioned by the sine-transform solve at p = 2, re-captured when it became
+# DST-I matrix products; products on per-edge bands)
 GOLDEN_EIGEN = {
     ("interval-50", 3.0): (True, 15, "0x1.c454081702f3ap+4",
                            "a43444b8505261f715fed058534798eee3e6d06f9672102fba456982a7bf7472",
@@ -94,9 +96,9 @@ GOLDEN_EIGEN = {
     ("interval-50", 1.5): (True, 12, "0x1.545069ac77748p+2",
                            "e6e68eb2c6375d6a1c5c5acc598d945cba627fe7c6146aa68ea652ac76308331",
                            "e8507d7e166bec9b87bd4222225d547afcd8af1f53be6e5665c0172273c76b99"),
-    ("rectangle-24", 2.0): (True, 10, "0x1.3b606ad829455p+4",
-                            "c3704969b670d7ea8a8f0dcd084d66afcdc0568ed9d6a802b9a0c394f4d826af",
-                            "995aab564cc67cb87e01c405ce260d5390cb76ac6e9701ffcab8d9d87b4cf693"),
+    ("rectangle-24", 2.0): (True, 10, "0x1.3b606ad829456p+4",
+                            "be2d8f5e601b75b71cd727b663037311af548f63852026d70da09f6743379f97",
+                            "80332f62f02c208e3d818c9442c418261b5a1ce4d2bc7f4049ee7e6d16333c23"),
 }
 EIGEN_GRIDS = {
     "interval-50": lambda: build_interval_grid(50, 0.0, 1.0),

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -967,6 +971,28 @@ def test_2d_solves_stop_near_their_tightened_solves(coefficient):
         assert distance <= 5e-5 * np.abs(reference).max(), seed
 
 
+def test_64_square_dead_core_solve_does_not_depend_on_blas_threads():
+    """The sine solve's matrix products go through BLAS, whose thread count may
+    change their summation order; at the benchmark's largest mesh it does not."""
+    code = (
+        "import hashlib, sys; from plaplab.config import ScenarioConfig; "
+        "from plaplab.solve import minimize, random_start; "
+        "config = ScenarioConfig.from_text(sys.argv[1]); ps = config.build_problem(); "
+        "r = minimize(ps, random_start(ps, 1), config.solve_options(1)); "
+        "print(r.status, r.iterations, r.energy.total.hex(), "
+        "hashlib.sha256(r.solution.values.tobytes()).hexdigest())"
+    )
+    text = MESH_2D.format(n=64, a=MESH_2D_COEFFICIENTS["dead_core"])
+    src = str(Path(plaplab.solve.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs[threads] = subprocess.run([sys.executable, "-c", code, text], env=env, capture_output=True,
+                                       text=True, check=True, timeout=120).stdout.split()
+    assert runs["1"][0] == "converged" and runs["1"] == runs["2"]
+
+
 # ---- the sine-transform solve of K on held rectangles (w = 1, p = 2) --------
 
 
@@ -1043,9 +1069,9 @@ def test_sine_preconditioned_cg_matches_a_sparse_direct_solve(mesh):
 def count_sine_solvers(monkeypatch) -> list:
     calls, original = [], plaplab.solve.sine_solver
 
-    def counting(table):
-        calls.append(table.shape)
-        return original(table)
+    def counting(sines):
+        calls.append(sines[1].shape)  # the eigenvalue table's
+        return original(sines)
 
     monkeypatch.setattr(plaplab.solve, "sine_solver", counting)
     return calls
@@ -1067,7 +1093,8 @@ def test_every_held_p2_direction_on_a_builder_rectangle_takes_the_sine_solve(mes
     grid = BUILDER_RECTANGLES[mesh]()
     ps = coefficient_problem(grid)
     ny, nx = grid.assembly.cells
-    assert ps.plan.sines.shape == (ny - 1, nx - 1)
+    sy, table, sx = ps.plan.sines
+    assert (sy.shape, table.shape, sx.shape) == ((ny - 1, ny - 1), (ny - 1, nx - 1), (nx - 1, nx - 1))
     solvers, directions = count_sine_solvers(monkeypatch), count_directions(monkeypatch)
     report = minimize(ps, random_start(ps, 1))
     assert report.converged and len(directions) == report.iterations + PICARD_STEPS
